@@ -280,20 +280,13 @@ def evaluate(result: PdeGrid, t, x):
         raise ValueError("x outside solved range")
     i = np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2)
     w = np.clip((t - tn[i]) / (tn[i + 1] - tn[i]), 0.0, 1.0)
-    splines: dict[int, CubicSpline] = {}
-
-    def row(k: int) -> CubicSpline:
-        if k not in splines:
-            splines[k] = CubicSpline(lx, result.surface[k])
-        return splines[k]
-
     flat_i = np.atleast_1d(i).ravel()
     flat_w = np.atleast_1d(w).ravel()
     flat_q = np.atleast_1d(q).ravel()
     out = np.empty(flat_q.shape)
-    for k in range(flat_q.size):
-        lo_row = row(int(flat_i[k]))(flat_q[k])
-        hi_row = row(int(flat_i[k]) + 1)(flat_q[k])
-        out[k] = (1.0 - flat_w[k]) * lo_row + flat_w[k] * hi_row
+    for k in np.unique(flat_i):
+        sel = flat_i == k
+        lo_row, hi_row = CubicSpline(lx, result.surface[k:k + 2], axis=1)(flat_q[sel])
+        out[sel] = (1.0 - flat_w[sel]) * lo_row + flat_w[sel] * hi_row
     out = out.reshape(q.shape)
     return out if out.ndim else float(out)

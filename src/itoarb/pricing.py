@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .geometry import kernel_basis
-
 __all__ = [
     "CallSpec",
     "TransformGrid",
@@ -567,11 +565,12 @@ def bss_consistency(
     From the surface the derivative's volatility loading is
     ``tau_t = sigma X Phi_x / Phi``; the drift pair ``(alpha, beta)`` is
     reconstructed from the pricing system (``alpha`` is a free input: it
-    cancels exactly in the projection) and the measure is recomputed through
-    :func:`itoarb.geometry.rho`.  The kernel direction is oriented to
-    ``(-tau_t, sigma)`` so the recovered sign matches the source convention
-    of the pricing equation.  Nodes where ``Phi`` falls below ``floor * K``
-    and boundary bands are masked.
+    cancels exactly in the projection) and projected onto the kernel of the
+    2x1 volatility matrix ``(sigma, tau_t)^T``, which in closed form is
+    ``(-tau_t, sigma) / hypot(sigma, tau_t)``; that orientation makes the
+    recovered sign match the source convention of the pricing equation.
+    Nodes where ``Phi`` falls below ``floor * K`` and boundary bands are
+    masked.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -595,22 +594,12 @@ def bss_consistency(
         tau_l = spec.sigma * xx * phi_x / phi
     implied_tau[mask] = tau_l[mask]
 
-    it, ix = np.nonzero(mask)
-    for k in range(it.size):
-        i, j = it[k], ix[k]
-        tl = tau_l[i, j]
-        beta = (
-            phi_t[i, j]
-            + phi_x[i, j] * x_nodes[j] * alpha
-            + 0.5 * spec.sigma**2 * x_nodes[j] ** 2 * phi_xx[i, j]
-        ) / phi[i, j]
-        sigma_bar = np.array([[spec.sigma], [tl]])
-        basis = kernel_basis(sigma_bar)
-        j_vec = basis.J[:, 0]
-        # orient to the (-tau, sigma) convention of the pricing equation
-        if j_vec @ np.array([-tl, spec.sigma]) < 0:
-            j_vec = -j_vec
-        implied_rho[i, j] = j_vec @ np.array([alpha, beta])
+    xm = np.broadcast_to(xx, phi.shape)[mask]
+    tl = tau_l[mask]
+    beta = (
+        phi_t[mask] + phi_x[mask] * xm * alpha + 0.5 * spec.sigma**2 * xm**2 * phi_xx[mask]
+    ) / phi[mask]
+    implied_rho[mask] = (spec.sigma * beta - tl * alpha) / np.hypot(spec.sigma, tl)
 
     dev = np.abs(implied_rho[mask] - spec.rho)
     if dev.size == 0:

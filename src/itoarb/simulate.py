@@ -5,7 +5,8 @@ Paths follow the log-Euler scheme for
 derivatives of path functionals are estimated by nearest-neighbour
 regression on the present state (valid for Markov functionals of the
 simulated state).  On top of these sit the portfolio instantaneous-return
-estimator, the empirical arbitrage measure and the self-financing residual.
+estimator and the self-financing residual.  The empirical arbitrage measure
+needs no regression: it averages the kernel-projected difference quotients.
 """
 
 from __future__ import annotations
@@ -364,13 +365,16 @@ def empirical_rho(
 ) -> RhoEstimate:
     """Estimate the arbitrage measure from simulated paths.
 
-    Per asset, the mean stochastic derivative of the log price is estimated
-    by conditional regression; the correction
-    ``+ diag(sigma sigma^T)/2 - sigma W_t/(2t)`` (the latter exact, from the
-    stored noise) recovers drift plus rate per path, which is projected onto
-    the kernel basis and averaged per time bucket.  With B = 0 the estimate
-    is empty.  Standard errors come from the dispersion of the raw projected
-    difference quotients.
+    Per path and asset, the symmetric difference quotient of the log price
+    plus the correction ``+ diag(sigma sigma^T)/2 - sigma W_t/(2t)`` (the
+    latter exact, from the stored noise) recovers drift plus rate; it is
+    projected onto the kernel basis, and the estimate per time bucket is the
+    plain mean of these projected quotients, with standard errors from their
+    dispersion.  No conditional regression is needed: Nelson's mean
+    derivative is a conditional expectation given the present state, and its
+    ensemble average equals the average of the raw quotients (tower
+    property), so ``cfg.neighbors`` is not used.  With B = 0 the estimate is
+    empty.
     """
     t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
     basis = kernel_basis(model.sigma)
@@ -390,21 +394,15 @@ def empirical_rho(
             raise ValueError(f"estimation time {t} below t_min {cfg.t_min}")
         if i - lag_steps < 0 or i + lag_steps >= logs.shape[1]:
             raise ValueError("lag window leaves the simulated horizon")
-        # one neighbourhood query per time, shared by assets and directions
-        idx = _neighbor_indices(ens.states[:, i, :], cfg.neighbors)
-        est_mean = np.empty((ens.n_paths, n))
         raw_mean = np.empty((ens.n_paths, n))
         for a in range(n):
             fq = (logs[:, i + lag_steps, a] - logs[:, i, a]) / cfg.lag
             bq = (logs[:, i, a] - logs[:, i - lag_steps, a]) / cfg.lag
-            est_mean[:, a] = 0.5 * (_gathered_means(idx, fq) + _gathered_means(idx, bq))
             raw_mean[:, a] = 0.5 * (fq + bq)
         w_corr = ens.noise[:, i, :] / (2.0 * t)  # exact, never estimated
-        alpha_hat = est_mean + ito[None, :] - w_corr @ model.sigma.T
         raw_hat = raw_mean + ito[None, :] - w_corr @ model.sigma.T
-        proj = (alpha_hat + model.r[None, :]) @ basis.J
         raw_proj = (raw_hat + model.r[None, :]) @ basis.J
-        out[j] = proj.mean(axis=0)
+        out[j] = raw_proj.mean(axis=0)
         se[j] = raw_proj.std(axis=0, ddof=1) / np.sqrt(raw_proj.shape[0])
     return RhoEstimate(t_indices * ens.dt, out, se, basis.B)
 

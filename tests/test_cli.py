@@ -26,6 +26,11 @@ BASE_CALL = {"strike": 100.0, "maturity": 1.0, "sigma": 0.2, "rho": 0.0, "rate":
 def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "bad.json", {"schema_version": 1, "bogus": 1})
     assert run(["check-zc", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    # unknown keys nested inside a section are rejected too
+    nested = sim_cfg()
+    nested["estimator"]["neighbors"] = 16
+    cfg = write_cfg(tmp_path, "nested.json", nested)
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -208,7 +213,6 @@ def sim_cfg(alpha=(0.05, 0.05)):
             "dt": 0.01,
             "horizon": 1.0,
             "lag_steps": 5,
-            "neighbors": 16,
             "report_times": [0.3, 0.5, 0.7],
             "export_csv_paths": 2,
         },
@@ -239,3 +243,13 @@ def test_simulate_seed_override_changes_ensemble(tmp_path):
     b1 = (out1 / "ensemble.gate").read_bytes()
     assert b1 == (out2 / "ensemble.gate").read_bytes()
     assert b1 != (out3 / "ensemble.gate").read_bytes()
+
+
+def test_simulate_rejects_market_schedule(tmp_path):
+    # simulate runs a constant market; a second segment must not be dropped
+    payload = sim_cfg()
+    payload["market"].update(times=[0.0, 0.5], alpha=[[0.05, 0.05], [0.05, 0.7]])
+    cfg = write_cfg(tmp_path, "sched.json", payload)
+    out = tmp_path / "sched"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    assert not (out / "rho_estimates.csv").exists()
