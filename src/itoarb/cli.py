@@ -124,10 +124,17 @@ class ConfigError(Exception):
     pass
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     import jsonschema
@@ -224,10 +231,9 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
     return ANALYSIS_FLAG if worst >= tol else 0
 
 
-def _pricing_solution(cfg: dict) -> pricing.PerturbationSolution:
-    spec = _call_spec(cfg)
+def _pricing_grid(cfg: dict, spec: pricing.CallSpec) -> pricing.TransformGrid:
     g = cfg.get("pricing_grid", {})
-    grid = pricing.TransformGrid.for_call(
+    return pricing.TransformGrid.for_call(
         spec,
         n_tau=g.get("n_tau", 48),
         n_y=g.get("n_y", 129),
@@ -235,7 +241,6 @@ def _pricing_solution(cfg: dict) -> pricing.PerturbationSolution:
         n_time_quad=g.get("n_time_quad", 64),
         n_space_quad=g.get("n_space_quad", 161),
     )
-    return pricing.solve_perturbation(spec, grid)
 
 
 def _surface_mesh(cfg: dict, spec: pricing.CallSpec):
@@ -249,8 +254,17 @@ def _surface_mesh(cfg: dict, spec: pricing.CallSpec):
 
 def cmd_price(cfg: dict, out: Path) -> int:
     spec = _call_spec(cfg)
-    sol = _pricing_solution(cfg)
+    grid = _pricing_grid(cfg, spec)
     t_nodes, x_nodes = _surface_mesh(cfg, spec)
+    # reject surface points the solution cannot price before building it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(x_nodes / spec.strike)
+    if not np.all((grid.y_nodes[0] <= y) & (y <= grid.y_nodes[-1])):
+        raise ConfigError("surface_output.moneyness must be positive with |log m| <= "
+                          f"pricing_grid.y_half = {grid.y_nodes[-1]:g}")
+    if np.any((t_nodes < 0) | (t_nodes > spec.maturity)):
+        raise ConfigError(f"surface_output.times must lie in [0, maturity = {spec.maturity:g}]")
+    sol = pricing.solve_perturbation(spec, grid)
     surf = pricing.surface(sol, t_nodes, x_nodes)
     _write_surface_csv(out / "price_surface.csv", t_nodes, x_nodes, surf)
 

@@ -22,6 +22,16 @@ The dimensional constant in ``f`` is ``2 / sigma^2``.  The alternative
 the comparison tooling can adjudicate between the two against the
 finite-difference oracle; only the strike-free constant reproduces the
 oracle at third order in ``rho``.
+
+U1 and U2 are built by semigroup steps over ``[0, *tau_nodes]``
+(:func:`stepped_duhamel`): each step carries the previous row forward with
+the heat kernel, applied as a convolution with exact Gaussian-times-hat
+weights, and adds the in-step integral of the source, which is evaluated
+only on the nodes of the padded y grid.  Both tables are built at spacing
+``dy`` and ``dy/2`` and Richardson-combined.  ``n_time_quad`` sets the
+in-step quadrature spacing; ``n_time_quad`` and ``n_space_quad`` also size
+the direct full-history quadrature (:func:`duhamel_integral`) that checks
+the stepped U1 at one node.
 """
 
 from __future__ import annotations
@@ -46,6 +56,8 @@ __all__ = [
     "nonlinear_f",
     "nonlinear_f_gradient",
     "duhamel_integral",
+    "stepped_duhamel",
+    "richardson_halving",
     "compute_u1",
     "compute_u2",
     "solve_perturbation",
@@ -73,6 +85,8 @@ class CallSpec:
     rate: float = 0.0  # used only when mapping to undiscounted prices
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.strike, self.maturity, self.sigma, self.rho, self.rate])):
+            raise ValueError("call parameters must be finite")
         if not (self.strike > 0 and self.maturity > 0 and self.sigma > 0):
             raise ValueError("strike, maturity and sigma must be positive")
         if abs(self.rho) * self.maturity > 0.5:
@@ -100,10 +114,13 @@ class TransformGrid:
     """Grid in the heat-equation variables (tau, y) plus quadrature controls.
 
     ``tau_nodes`` are strictly increasing in ``(0, sigma^2 T / 2]``;
-    ``y_nodes`` are uniform with ``y_min < 0 < y_max``.  The z-integration in
-    the Duhamel quadrature is truncated at ``z_half_width_sds`` kernel
-    standard deviations (the default 10 leaves Gaussian tails below 1e-22);
-    ``n_time_quad`` and ``n_space_quad`` size the quadrature rules.
+    ``y_nodes`` are uniform with ``y_min < 0 < y_max``.  Heat-kernel weights
+    and the z-integration of the direct quadrature are truncated at
+    ``z_half_width_sds`` kernel standard deviations (the default 10 leaves
+    Gaussian tails below 1e-22), and the y grid is padded by that reach.
+    ``n_time_quad`` sets the in-step w spacing of the stepped build to
+    ``sqrt(tau_nodes[-1]) / n_time_quad``; with ``n_space_quad`` it also
+    sizes the direct quadrature that checks the stepped U1.
     """
 
     tau_nodes: np.ndarray
@@ -303,9 +320,90 @@ class _Bilinear:
         return (1.0 - ft) * lo + ft * hi
 
 
-def _extended_y(grid: TransformGrid, tau_top: float) -> np.ndarray:
-    """Pad the y grid by the quadrature's z reach so interpolated tables cover it."""
-    pad = grid.z_half_width_sds * np.sqrt(2.0 * tau_top) * 1.05
+def _heat_weights(t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
+    """Exact weights of the heat kernel of variance ``2 t`` acting on the
+    piecewise-linear interpolant of values at spacing ``dy``.
+
+    ``w_m = int G(t, m dy - z) hat(z / dy) dz`` with the unit hat function;
+    writing the hat as three ramps gives ``w_m = (sd/dy) (F(a_m + d) -
+    2 F(a_m) + F(a_m - d))`` with ``a_m = m dy / sd``, ``d = dy / sd`` and
+    ``F(a) = a N(a) + n(a)``.  Taps beyond ``z_half_width_sds`` kernel
+    standard deviations are dropped.
+    """
+    sd = np.sqrt(2.0 * t)
+    k = int(np.ceil(z_half_width_sds * sd / dy)) + 1
+    a = np.arange(-k - 1, k + 2) * (dy / sd)
+    f = a * ndtr(a) + np.exp(-0.5 * a * a) / SQRT2PI
+    return (sd / dy) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
+
+
+def _heat_apply(values: np.ndarray, t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
+    """``G(t) * values`` at the nodes, zero beyond the ends of the grid."""
+    w = _heat_weights(t, dy, z_half_width_sds)
+    k = w.size // 2
+    return np.convolve(values, w)[k : k + values.size]
+
+
+def stepped_duhamel(
+    source_fn,
+    tau_axis,
+    ys,
+    dw: float,
+    z_half_width_sds: float = 10.0,
+) -> np.ndarray:
+    """Duhamel integral on a (tau, y) node grid built by semigroup steps.
+
+    ``U(tau_0) = 0`` and ``U(tau_i) = G(h_i) * U(tau_{i-1}) +
+    int_{tau_{i-1}}^{tau_i} G(tau_i - s) * src(s) ds`` with ``h_i = tau_i -
+    tau_{i-1}``.  ``G`` acts on the piecewise-linear interpolant of node
+    values through exact weights (:func:`_heat_weights`), so the error is
+    second order in the spacing of the uniform ``ys``.  The in-step integral
+    uses the substitution ``s = tau_i - w^2`` and the midpoint rule with
+    ``ceil(sqrt(h_i) / dw)`` points.
+
+    ``source_fn(s, z)`` is called once per step with ``s`` of shape
+    ``(m, 1)`` and ``z = ys[None, :]``, and returns the source at those nodes.
+    """
+    tau_axis = np.asarray(tau_axis, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    dy = float(ys[1] - ys[0])
+    out = np.zeros((tau_axis.size, ys.size))
+    for i in range(1, tau_axis.size):
+        h = tau_axis[i] - tau_axis[i - 1]
+        m = int(np.ceil(np.sqrt(h) / dw))
+        dwi = np.sqrt(h) / m
+        w = (np.arange(m) + 0.5) * dwi
+        vals = source_fn((tau_axis[i] - w * w)[:, None], ys[None, :])
+        out[i] = _heat_apply(out[i - 1], h, dy, z_half_width_sds)
+        for wk, row in zip(w, vals):
+            out[i] += 2.0 * dwi * wk * _heat_apply(row, wk * wk, dy, z_half_width_sds)
+    return out
+
+
+def richardson_halving(build, ys) -> np.ndarray:
+    """Run ``build(nodes)`` on the uniform ``ys`` and on ``ys`` with its
+    spacing halved, and cancel the second-order error at the ``ys`` nodes:
+    ``(4 U_{dy/2} - U_dy) / 3``.  ``build`` returns arrays whose last axis
+    runs over the nodes."""
+    ys = np.asarray(ys, dtype=float)
+    half = ys[0] + 0.5 * (ys[1] - ys[0]) * np.arange(2 * ys.size - 1)
+    return (4.0 * build(half)[..., ::2] - build(ys)) / 3.0
+
+
+def _tau_axis(grid: TransformGrid) -> np.ndarray:
+    return np.concatenate([[0.0], grid.tau_nodes])
+
+
+def _step_dw(grid: TransformGrid) -> float:
+    """In-step w spacing: the spacing of :func:`duhamel_integral`'s
+    full-history rule at the top node."""
+    return float(np.sqrt(grid.tau_nodes[-1]) / grid.n_time_quad)
+
+
+def _extended_y(grid: TransformGrid) -> np.ndarray:
+    """Pad the y grid by the kernel's reach over the whole tau range, so that
+    the zero values assumed beyond the padded grid cannot reach ``y_nodes``."""
+    pad = grid.z_half_width_sds * np.sqrt(2.0 * grid.tau_nodes[-1]) * 1.05
     n_pad = int(np.ceil(pad / grid.dy))
     y = grid.y_nodes
     return y[0] + grid.dy * np.arange(-n_pad, y.size + n_pad)
@@ -314,58 +412,63 @@ def _extended_y(grid: TransformGrid, tau_top: float) -> np.ndarray:
 def compute_u1(
     spec: CallSpec,
     grid: TransformGrid,
-    taus=None,
-    ys=None,
+    ys: np.ndarray,
     convention: str = SOURCE_STRIKE_FREE,
-    n_time_quad: int | None = None,
-    n_space_quad: int | None = None,
 ) -> np.ndarray:
-    """First-order correction ``U1 = int int G f(u0, u0')``; independent of rho."""
+    """First-order correction ``U1 = int int G f(u0, u0')`` on
+    ``([0, *tau_nodes], ys)``; independent of rho.
+
+    ``f = C sqrt(lin^2 + u0^2)`` with ``lin = u0' + u0/2``.  The part ``C lin``
+    is linear in ``(u0, u0')``, which solve the heat equation, so its Duhamel
+    integral is ``tau C lin(tau, y)`` in closed form.  It carries the jump
+    of ``u0'`` at the payoff kink; only the remainder ``f - C lin = C u0^2 /
+    (f/C + lin) >= 0``, which is continuously differentiable there, goes
+    through :func:`stepped_duhamel`.
+    """
     coeff = source_coefficient(spec, convention)
+    tau_axis = _tau_axis(grid)
+    ys = np.asarray(ys, dtype=float)
 
-    def src(s, z):
+    def remainder(s, z):
         v1, v2 = u0_and_prime(s, z)
-        return nonlinear_f(v1, v2, coeff)
+        lin = v2 + 0.5 * v1
+        with np.errstate(invalid="ignore"):
+            rest = coeff * v1 * v1 / (np.sqrt(lin * lin + v1 * v1) + lin)
+        return np.where(lin > 0.0, rest, 0.0)
 
-    return duhamel_integral(
-        src,
-        grid.tau_nodes if taus is None else taus,
-        grid.y_nodes if ys is None else ys,
-        n_time_quad or grid.n_time_quad,
-        n_space_quad or grid.n_space_quad,
-        grid.z_half_width_sds,
-    )
+    v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
+    linear = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
+    return linear + stepped_duhamel(remainder, tau_axis, ys, _step_dw(grid), grid.z_half_width_sds)
 
 
 def compute_u2(
     spec: CallSpec,
     grid: TransformGrid,
     u1_table: np.ndarray,
-    tau_axis: np.ndarray,
-    y_ext: np.ndarray,
+    ys: np.ndarray,
     convention: str = SOURCE_STRIKE_FREE,
 ) -> np.ndarray:
-    """Second-order correction; the inner U1 and its y-derivative come from
-    the tabulated first-order grid (centered differences, bilinear lookup)."""
+    """Second-order correction on ``([0, *tau_nodes], ys)``.
+
+    The source ``grad f(u0, u0') . (U1, U1')`` reads U1 and its centered
+    y-difference at the nodes of ``u1_table`` (a U1 table on the same
+    ``([0, *tau_nodes], ys)`` grid), linearly interpolated in tau.
+    """
     coeff = source_coefficient(spec, convention)
-    dy = float(y_ext[1] - y_ext[0])
-    u1p_table = np.gradient(u1_table, y_ext, axis=1)
-    i_u1 = _Bilinear(tau_axis, y_ext[0], dy, u1_table)
-    i_u1p = _Bilinear(tau_axis, y_ext[0], dy, u1p_table)
+    tau_axis = _tau_axis(grid)
+    ys = np.asarray(ys, dtype=float)
+    tables = np.stack([u1_table, np.gradient(u1_table, ys, axis=1)])
 
     def src(s, z):
-        v1, v2 = u0_and_prime(s, z)
+        s = s[:, 0]
+        k = np.searchsorted(tau_axis, s)
+        frac = ((s - tau_axis[k - 1]) / (tau_axis[k] - tau_axis[k - 1]))[:, None]
+        u1, u1p = (1.0 - frac) * tables[:, k - 1] + frac * tables[:, k]
+        v1, v2 = u0_and_prime(s[:, None], z)
         g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
-        return g1 * i_u1(s, z) + g2 * i_u1p(s, z)
+        return g1 * u1 + g2 * u1p
 
-    return duhamel_integral(
-        src,
-        grid.tau_nodes,
-        grid.y_nodes,
-        max(grid.n_time_quad // 2, 24),
-        max(grid.n_space_quad // 2 * 2 + 1, 81),
-        grid.z_half_width_sds,
-    )
+    return stepped_duhamel(src, tau_axis, ys, _step_dw(grid), grid.z_half_width_sds)
 
 
 @dataclass(frozen=True)
@@ -425,18 +528,21 @@ def solve_perturbation(
 ) -> PerturbationSolution:
     """Build the series tables.
 
-    With ``compute_corrections=None`` the U1/U2 quadratures are skipped when
+    With ``compute_corrections=None`` the U1/U2 builds are skipped when
     ``rho == 0`` (they do not contribute); pass ``True`` to force them.
-    ``quadrature_tolerance`` enables a refinement self-check: the first-order
-    quadrature is repeated at doubled resolution at an at-the-money probe and
-    a diagnostic error carrying the achieved tolerance is raised if the
-    relative change exceeds the requested bound.
+    U1 and U2 are built on the padded y grid at spacing ``dy`` and ``dy/2``
+    and combined by :func:`richardson_halving`.  The stepped U1 at the top
+    tau node nearest ``y = 0`` is checked against a direct
+    :func:`duhamel_integral` sized by ``n_time_quad`` x ``n_space_quad``; the
+    relative gap is recorded in ``diagnostics`` and, when
+    ``quadrature_tolerance`` is given, a gap above it raises an error that
+    reports the achieved gap.
     """
     if grid is None:
         grid = TransformGrid.for_call(spec)
     if grid.tau_nodes[-1] > spec.tau_max * (1 + 1e-9):
         raise ValueError("tau grid exceeds sigma^2 T / 2 for this call")
-    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+    tau_axis = _tau_axis(grid)
     n_y = grid.y_nodes.size
     yb, tb = np.meshgrid(grid.y_nodes, tau_axis)
     u0_grid = u0(tb, yb)
@@ -452,29 +558,34 @@ def solve_perturbation(
         "z_half_width_sds": grid.z_half_width_sds,
     }
     if want:
-        y_ext = _extended_y(grid, float(grid.tau_nodes[-1]))
-        u1_ext = np.zeros((tau_axis.size, y_ext.size))
-        u1_ext[1:] = compute_u1(spec, grid, ys=y_ext, convention=convention)
-        lo = int(np.argmin(np.abs(y_ext - grid.y_nodes[0])))
-        u1_grid = u1_ext[:, lo : lo + n_y].copy()
-        u2_grid[1:] = compute_u2(spec, grid, u1_ext, tau_axis, y_ext, convention)
-        if quadrature_tolerance is not None:
-            probe_tau = float(grid.tau_nodes[-1])
-            base = compute_u1(spec, grid, taus=[probe_tau], ys=[0.0],
-                              convention=convention)[0, 0]
-            fine = compute_u1(
-                spec, grid, taus=[probe_tau], ys=[0.0], convention=convention,
-                n_time_quad=2 * grid.n_time_quad,
-                n_space_quad=2 * grid.n_space_quad - 1,
-            )[0, 0]
-            achieved = abs(base - fine) / max(abs(fine), 1e-300)
-            diag["quadrature_refinement_change"] = achieved
-            if achieved > quadrature_tolerance:
-                raise RuntimeError(
-                    "quadrature did not converge under refinement: achieved "
-                    f"relative change {achieved:.3e} exceeds tolerance "
-                    f"{quadrature_tolerance:.3e}"
-                )
+        def corrections(ys):
+            u1 = compute_u1(spec, grid, ys, convention)
+            return np.stack([u1, compute_u2(spec, grid, u1, ys, convention)])
+
+        y_ext = _extended_y(grid)
+        lo = (y_ext.size - n_y) // 2
+        # U1 and U2 are >= 0 exactly: their sources f and grad f . (U1, U1')
+        # are >= 0 (u0, u0', u0'' >= 0) under a positive kernel.  Where they
+        # are ~0 (left of the kink in the first rows, far tails) the
+        # extrapolation can undershoot; clipping there only reduces the error.
+        u1_grid, u2_grid = np.maximum(
+            richardson_halving(corrections, y_ext)[:, :, lo : lo + n_y], 0.0
+        )
+        j = int(np.argmin(np.abs(grid.y_nodes)))
+        probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
+        coeff = source_coefficient(spec, convention)
+        direct = duhamel_integral(
+            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [probe_tau], [probe_y],
+            grid.n_time_quad, grid.n_space_quad, grid.z_half_width_sds,
+        )[0, 0]
+        gap = abs(u1_grid[-1, j] - direct) / max(abs(direct), 1e-300)
+        diag["u1_stepped_vs_direct_gap"] = float(gap)
+        if quadrature_tolerance is not None and gap > quadrature_tolerance:
+            raise RuntimeError(
+                f"stepped U1 disagrees with the direct quadrature at (tau, y) = "
+                f"({probe_tau:.4g}, {probe_y:.4g}): achieved relative gap "
+                f"{gap:.3e} exceeds tolerance {quadrature_tolerance:.3e}"
+            )
     return PerturbationSolution(spec, grid, tau_axis, u0_grid, u1_grid, u2_grid, diag)
 
 

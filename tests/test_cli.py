@@ -44,6 +44,16 @@ def test_wrong_schema_version_rejected(tmp_path):
     assert run(["price", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_rejected(tmp_path, literal):
+    text = json.dumps(price_cfg()).replace('"rho": 0.0', f'"rho": {literal}')
+    p = tmp_path / "nan.json"
+    p.write_text(text)
+    out = tmp_path / "o"
+    assert run(["price", "--config", p, "--out", out]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_section_is_usage_error(tmp_path):
     cfg = write_cfg(tmp_path, "nocall.json", {"schema_version": 1})
     assert run(["price", "--config", cfg, "--out", tmp_path / "o"]) == 2
@@ -145,6 +155,21 @@ def test_price_rerun_byte_identical(tmp_path):
     assert run(["price", "--config", cfg, "--out", out2]) == 0
     for name in ("price_surface.csv", "run_meta.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("surface", [
+    {"times": [0.0], "moneyness": [1.0, 2.0]},   # |log 2| > y_half = 0.3
+    {"times": [0.0], "moneyness": [-1.0]},
+    {"times": [0.0, 1.5], "moneyness": [1.0]},   # beyond maturity 1.0
+    {"times": [-0.1], "moneyness": [1.0]},
+])
+def test_price_surface_outside_grid_rejected(tmp_path, surface):
+    payload = price_cfg(rho=0.01)
+    payload["surface_output"] = surface
+    cfg = write_cfg(tmp_path, "p.json", payload)
+    out = tmp_path / "pout"
+    assert run(["price", "--config", cfg, "--out", out]) == 2
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------- solve-pde

@@ -13,8 +13,10 @@ from itoarb.pricing import (
     nonlinear_f_gradient,
     price_discounted,
     price_undiscounted,
+    richardson_halving,
     solve_perturbation,
     source_coefficient,
+    stepped_duhamel,
     u0,
     u0_and_prime,
     u0_by_quadrature,
@@ -24,7 +26,7 @@ from itoarb.pricing import (
 SPEC = CallSpec(strike=100.0, maturity=1.0, sigma=0.2, rho=0.0)
 
 # first-order correction at (tau=0.02, y=0) for the strike-free constant
-# 2/sigma^2 = 50: frozen from the quadrature's own refinement ladder
+# 2/sigma^2 = 50: frozen from the direct quadrature's refinement ladder
 # (0.5493261 at 48x161 through 0.5493265 at 512x1281)
 U1_PROBE = 0.549326
 
@@ -187,16 +189,59 @@ def test_duhamel_linear_stub_second_order():
     np.testing.assert_allclose(got, expected, rtol=2e-4)
 
 
+# the same closed-form stubs through the stepped build: 16 sqrt-spaced steps
+# up to tau = 0.02 on a padded y grid, extrapolated over dy and dy/2
+STUB_TAUS = 0.02 * (np.arange(17) / 16) ** 2
+STUB_YS = np.linspace(-2.5, 2.5, 401)
+STUB_PROBES = [int(np.argmin(np.abs(STUB_YS - y))) for y in (-0.2, 0.0, 0.3)]
+
+
+def stepped_top_row(src):
+    build = lambda ys: stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96)
+    return richardson_halving(build, STUB_YS)[-1, STUB_PROBES]
+
+
+def test_stepped_linear_stub_first_order():
+    a, b = 0.7, 0.4
+    tau, ys = STUB_TAUS[-1], STUB_YS[STUB_PROBES]
+
+    def src(s, z):
+        v, vp = u0_and_prime(s, z)
+        return a * v + b * vp
+
+    expected = tau * (a * u0(tau, ys) + b * u0_prime(tau, ys))
+    np.testing.assert_allclose(stepped_top_row(src), expected, rtol=1e-4)
+
+
+def test_stepped_linear_stub_second_order():
+    a, b = 0.7, 0.4
+    tau, ys = STUB_TAUS[-1], STUB_YS[STUB_PROBES]
+
+    def src(s, z):
+        v, vp = u0_and_prime(s, z)
+        first = s * (a * v + b * vp)
+        first_prime = s * (a * vp + b * u0_second(s, z))
+        return a * first + b * first_prime
+
+    expected = 0.5 * tau**2 * (
+        a**2 * u0(tau, ys) + 2 * a * b * u0_prime(tau, ys) + b**2 * u0_second(tau, ys)
+    )
+    np.testing.assert_allclose(stepped_top_row(src), expected, rtol=2e-4)
+
+
 def test_u1_probe_value_and_doubling_stability():
+    # stepped U1 at (tau_max, 0) on a grid and on its doubling (grid and
+    # in-step quadrature together)
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(spec, n_tau=16, n_y=33, y_half=0.4)
-    base = pricing.compute_u1(spec, grid, taus=[0.02], ys=[0.0],
-                              n_time_quad=48, n_space_quad=161)[0, 0]
-    fine = pricing.compute_u1(spec, grid, taus=[0.02], ys=[0.0],
-                              n_time_quad=96, n_space_quad=321)[0, 0]
+    vals = []
+    for n_tau, n_y, n_w in ((16, 33, 48), (32, 65, 96)):
+        grid = TransformGrid.for_call(spec, n_tau=n_tau, n_y=n_y, y_half=0.4,
+                                      n_time_quad=n_w)
+        vals.append(float(solve_perturbation(spec, grid).u1_grid[-1, n_y // 2]))
+    base, fine = vals
     assert base == pytest.approx(U1_PROBE, abs=2e-5)
     assert fine == pytest.approx(U1_PROBE, abs=2e-5)
-    # stable to four significant digits under quadrature doubling
+    # stable to four significant digits under doubling
     assert abs(base - fine) / fine < 1e-4
 
 
@@ -229,7 +274,7 @@ def test_u2_zero_when_u1_zero():
     tau_axis = np.concatenate([[0.0], grid.tau_nodes])
     y_ext = np.linspace(-2.5, 2.5, 401)
     zero_u1 = np.zeros((tau_axis.size, y_ext.size))
-    u2 = pricing.compute_u2(spec, grid, zero_u1, tau_axis, y_ext)
+    u2 = pricing.compute_u2(spec, grid, zero_u1, y_ext)
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -251,14 +296,17 @@ def test_u2_probe_doubling_stability():
 
 
 def test_quadrature_self_check():
+    # the stepped U1 must agree with a direct quadrature at the top node
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
     grid = TransformGrid.for_call(
         spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=24, n_space_quad=81
     )
     sol = solve_perturbation(spec, grid, quadrature_tolerance=1e-4)
-    assert sol.diagnostics["quadrature_refinement_change"] < 1e-4
-    # an absurdly tight bound must fail with the achieved tolerance reported
-    with pytest.raises(RuntimeError, match="achieved relative change"):
+    assert sol.diagnostics["u1_stepped_vs_direct_gap"] < 1e-4
+    # the gap is recorded without a tolerance too
+    assert solve_perturbation(spec, grid).diagnostics == sol.diagnostics
+    # an absurdly tight bound must fail with the achieved gap reported
+    with pytest.raises(RuntimeError, match="achieved relative gap"):
         solve_perturbation(spec, grid, quadrature_tolerance=1e-16)
 
 
@@ -355,6 +403,15 @@ def test_price_undiscounted_terminal_payoff():
     np.testing.assert_allclose(
         got, np.maximum(s - 100.0 * np.exp(0.05), 0.0), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("field", ["rho", "rate", "strike"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_call_spec_rejects_non_finite(field, value):
+    args = dict(strike=100.0, maturity=1.0, sigma=0.2, rho=0.01, rate=0.0)
+    args[field] = value
+    with pytest.raises(ValueError, match="finite"):
+        CallSpec(**args)
 
 
 def test_rho_warning():
