@@ -11,8 +11,11 @@ Commands::
 Configs are JSON trees validated against a published schema (unknown keys
 rejected; ``schema_version`` is 1).  All randomness flows from the single
 ``seed`` field; outputs carry no wall-clock entropy, so reruns are
-byte-identical.  Exit codes: 0 success / no arbitrage flagged, 1 the
-analysis flags arbitrage or a cross-route mismatch, 2 usage or config error.
+byte-identical.  Commands turn config sections into library objects and
+write what the library returns.  Exit codes: 0 success / no arbitrage
+flagged, 1 the analysis flags arbitrage or a cross-route mismatch, 2 usage
+or config error (including values the library rejects while building its
+objects), 3 internal failure of the numerics.
 """
 
 from __future__ import annotations
@@ -20,16 +23,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
 from . import fdsolver, geometry, pricing, simulate as mc
+from .fdsolver import comparison_report
 
 SCHEMA_VERSION = 1
 
-USAGE_ERROR = 2
 ANALYSIS_FLAG = 1
+USAGE_ERROR = 2
+INTERNAL_FAILURE = 3
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
@@ -98,9 +105,13 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "rhos": _NUMBER_ARRAY,
+                "rhos": {
+                    "type": "array",
+                    "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 2,
+                    "uniqueItems": True,
+                },
                 "probe_moneyness": _NUMBER_ARRAY,
-                "mismatch_tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "estimator": {
@@ -120,8 +131,21 @@ CONFIG_SCHEMA = {
 }
 
 
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _config_values():
+    """A ``ValueError`` raised while config values become objects is a
+    config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _finite_number(text: str) -> float:
@@ -135,31 +159,26 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or bad JSON
         raise ConfigError(f"cannot read config: {exc}") from exc
-    import jsonschema
-
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return cfg
 
 
 def _market_schedule(cfg: dict) -> tuple[np.ndarray, list[geometry.ItoCoefficients]]:
     m = cfg["market"]
     times = np.asarray(m.get("times", [0.0]), dtype=float)
-    alpha = np.asarray(m["alpha"], dtype=float)
-    sigma = np.asarray(m["sigma"], dtype=float)
-    rates = np.asarray(m["short_rate"], dtype=float)
-    if alpha.ndim == 1:
-        alpha = np.broadcast_to(alpha, (times.size,) + alpha.shape)
-    if sigma.ndim == 2:
-        sigma = np.broadcast_to(sigma, (times.size,) + sigma.shape)
-    if rates.ndim == 1:
-        rates = np.broadcast_to(rates, (times.size,) + rates.shape)
-    if alpha.shape[0] != times.size or sigma.shape[0] != times.size or rates.shape[0] != times.size:
-        raise ConfigError("per-time market arrays must match the times axis")
+    arrays = []
+    for key, constant_ndim in (("alpha", 1), ("sigma", 2), ("short_rate", 1)):
+        a = np.asarray(m[key], dtype=float)
+        if a.ndim == constant_ndim:
+            a = np.broadcast_to(a, (times.size,) + a.shape)
+        if a.shape[0] != times.size:
+            raise ConfigError("per-time market arrays must match the times axis")
+        arrays.append(a)
+    alpha, sigma, rates = arrays
     coeffs = [
         geometry.ItoCoefficients(alpha[i], sigma[i], rates[i], t=float(times[i]))
         for i in range(times.size)
@@ -170,14 +189,7 @@ def _market_schedule(cfg: dict) -> tuple[np.ndarray, list[geometry.ItoCoefficien
 def _call_spec(cfg: dict) -> pricing.CallSpec:
     if "call" not in cfg:
         raise ConfigError("this command requires a 'call' section")
-    c = cfg["call"]
-    return pricing.CallSpec(
-        strike=c["strike"],
-        maturity=c["maturity"],
-        sigma=c["sigma"],
-        rho=c.get("rho", 0.0),
-        rate=c.get("rate", 0.0),
-    )
+    return pricing.CallSpec(**cfg["call"])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -208,7 +220,8 @@ def _meta_skeleton(cfg: dict, command: str) -> dict:
 def cmd_check_zc(cfg: dict, out: Path) -> int:
     if "market" not in cfg:
         raise ConfigError("check-zc requires a 'market' section")
-    times, coeffs = _market_schedule(cfg)
+    with _config_values():
+        times, coeffs = _market_schedule(cfg)
     tol = cfg.get("zc_tolerance", 1e-8)
     rows = []
     worst = 0.0
@@ -231,31 +244,14 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
     return ANALYSIS_FLAG if worst >= tol else 0
 
 
-def _pricing_grid(cfg: dict, spec: pricing.CallSpec) -> pricing.TransformGrid:
-    g = cfg.get("pricing_grid", {})
-    return pricing.TransformGrid.for_call(
-        spec,
-        n_tau=g.get("n_tau", 48),
-        n_y=g.get("n_y", 129),
-        y_half=g.get("y_half", 0.8),
-        n_time_quad=g.get("n_time_quad", 64),
-        n_space_quad=g.get("n_space_quad", 161),
-    )
-
-
-def _surface_mesh(cfg: dict, spec: pricing.CallSpec):
-    so = cfg.get("surface_output", {})
-    times = np.asarray(
-        so.get("times", np.linspace(0.0, spec.maturity, 9)), dtype=float
-    )
-    moneyness = np.asarray(so.get("moneyness", np.linspace(0.85, 1.15, 13)), dtype=float)
-    return times, spec.strike * moneyness
-
-
 def cmd_price(cfg: dict, out: Path) -> int:
-    spec = _call_spec(cfg)
-    grid = _pricing_grid(cfg, spec)
-    t_nodes, x_nodes = _surface_mesh(cfg, spec)
+    with _config_values():
+        spec = _call_spec(cfg)
+        grid = pricing.TransformGrid.for_call(spec, **cfg.get("pricing_grid", {}))
+    so = cfg.get("surface_output", {})
+    t_nodes = np.asarray(so.get("times", np.linspace(0.0, spec.maturity, 9)), dtype=float)
+    moneyness = np.asarray(so.get("moneyness", np.linspace(0.85, 1.15, 13)), dtype=float)
+    x_nodes = spec.strike * moneyness
     # reject surface points the solution cannot price before building it
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log(x_nodes / spec.strike)
@@ -264,174 +260,39 @@ def cmd_price(cfg: dict, out: Path) -> int:
                           f"pricing_grid.y_half = {grid.y_nodes[-1]:g}")
     if np.any((t_nodes < 0) | (t_nodes > spec.maturity)):
         raise ConfigError(f"surface_output.times must lie in [0, maturity = {spec.maturity:g}]")
-    sol = pricing.solve_perturbation(spec, grid)
+    sol, conv = pricing.solve_with_refinement_check(spec, grid)
     surf = pricing.surface(sol, t_nodes, x_nodes)
     _write_surface_csv(out / "price_surface.csv", t_nodes, x_nodes, surf)
-
-    # refinement-doubling convergence check at an at-the-money probe: the
-    # configured grid must agree with its half-resolution coarsening to 1e-4
-    probe_t = 0.0
-    probe_x = spec.strike
-    base = float(pricing.price_discounted(sol, probe_x, probe_t))
-    g = cfg.get("pricing_grid", {})
-    coarse_grid = pricing.TransformGrid.for_call(
-        spec,
-        n_tau=max(g.get("n_tau", 48) // 2, 16),
-        n_y=max((g.get("n_y", 129) - 1) // 2 + 1, 17),
-        y_half=g.get("y_half", 0.8),
-        n_time_quad=max(g.get("n_time_quad", 64) // 2, 8),
-        n_space_quad=max((g.get("n_space_quad", 161) - 1) // 2 + 1, 21),
-    )
-    coarse = float(
-        pricing.price_discounted(pricing.solve_perturbation(spec, coarse_grid), probe_x, probe_t)
-    )
-    rel_change = abs(base - coarse) / max(abs(base), 1e-300)
-    converged = rel_change < 1e-4
-
     meta = _meta_skeleton(cfg, "price")
     meta["diagnostics"] = dict(sol.diagnostics)
-    meta["convergence"] = {
-        "probe_price": base,
-        "probe_price_half_resolution": coarse,
-        "relative_change_on_doubling": rel_change,
-        "threshold": 1e-4,
-        "converged": converged,
-    }
+    meta["convergence"] = conv
     _write_json(out / "run_meta.json", meta)
-    print(f"price: ATM probe {base:.6f}, doubling change {rel_change:.2e}")
-    return 0 if converged else ANALYSIS_FLAG
+    print(f"price: ATM probe {conv['probe_price']:.6f}, "
+          f"doubling change {conv['relative_change_on_doubling']:.2e}")
+    return 0 if conv["converged"] else ANALYSIS_FLAG
 
 
 def cmd_solve_pde(cfg: dict, out: Path) -> int:
-    spec = _call_spec(cfg)
-    g = cfg.get("pde_grid", {})
-    grid = fdsolver.PdeGrid.for_call(
-        spec,
-        n_x=g.get("n_x", 257),
-        n_t=g.get("n_t", 256),
-        x_min=g.get("x_min"),
-        x_max=g.get("x_max"),
-    )
-    result = fdsolver.solve(spec, grid)
+    with _config_values():
+        spec = _call_spec(cfg)
+        grid = fdsolver.PdeGrid.for_call(spec, **cfg.get("pde_grid", {}))
+    result, atm = fdsolver.solve_with_atm_probe(spec, grid)
     _write_surface_csv(out / "pde_surface.csv", result.t_nodes, result.x_nodes, result.surface)
     meta = _meta_skeleton(cfg, "solve-pde")
     meta["grid"] = {"n_x": result.n_x, "n_t": result.n_t,
                     "x_min": float(result.x_nodes[0]), "x_max": float(result.x_nodes[-1])}
-    atm = float(fdsolver.evaluate(result, 0.0, spec.strike))
     meta["probe_price_atm_t0"] = atm
     _write_json(out / "run_meta.json", meta)
     print(f"solve-pde: ATM probe {atm:.6f}")
     return 0
 
 
-def comparison_report(
-    spec0: pricing.CallSpec,
-    rhos,
-    probe_moneyness=(0.95, 1.0, 1.05),
-    n_x: int = 513,
-    n_t: int = 1024,
-    pricing_grid: pricing.TransformGrid | None = None,
-) -> dict:
-    """Cross-validate the series against the finite-difference oracle.
-
-    For each requested ``rho`` the change from the classical price is
-    computed on both routes; the finite-difference change is Richardson
-    extrapolated in time and the classical solve is shared across rhos.
-    The residual table is produced for both source constants so the
-    printed-constant ambiguity is adjudicated by the data: the adopted
-    constant must show third-order decay (halving ratio near 8), the
-    rejected one does not.
-    """
-    rhos = sorted(float(r) for r in rhos)
-    if len(rhos) < 2:
-        raise ValueError("need at least two rho values to form ratios")
-    probes = np.asarray(probe_moneyness, dtype=float) * spec0.strike
-
-    base_spec = pricing.CallSpec(spec0.strike, spec0.maturity, spec0.sigma, 0.0, spec0.rate)
-    base_values = {}
-
-    def fd_change(rho: float, nt: int) -> np.ndarray:
-        spec = pricing.CallSpec(spec0.strike, spec0.maturity, spec0.sigma, rho, spec0.rate)
-        grid = fdsolver.PdeGrid.for_call(spec, n_x=n_x, n_t=nt)
-        if nt not in base_values:
-            base_values[nt] = fdsolver.evaluate(
-                fdsolver.solve(base_spec, grid), 0.0, probes
-            )
-        v1 = fdsolver.evaluate(fdsolver.solve(spec, grid), 0.0, probes)
-        return np.asarray(v1 - base_values[nt])
-
-    fd = {}
-    for rho in rhos:
-        coarse = fd_change(rho, n_t)
-        fine = fd_change(rho, 2 * n_t)
-        fd[rho] = 2.0 * fine - coarse  # first-order Richardson in time
-
-    # one quadrature build suffices: the corrections are exactly homogeneous
-    # in the source constant (U1 linear, U2 quadratic), so the strike-scaled
-    # candidate is the strike-free one rescaled by K and K^2
-    spec_probe = pricing.CallSpec(
-        spec0.strike, spec0.maturity, spec0.sigma, max(rhos), spec0.rate
-    )
-    grid = pricing_grid or pricing.TransformGrid.for_call(
-        spec_probe, n_tau=32, n_y=97, y_half=0.6, n_time_quad=48, n_space_quad=161
-    )
-    sol = pricing.solve_perturbation(
-        spec_probe, grid, convention=pricing.SOURCE_STRIKE_FREE, compute_corrections=True
-    )
-    taus = 0.5 * spec0.sigma**2 * spec0.maturity * np.ones(probes.size)
-    ys = np.log(probes / spec0.strike)
-    u1_free, u2_free = sol.correction_values(taus, ys)
-    pref = spec0.strike * np.exp(ys / 2 - taus / 4)
-
-    scale = {pricing.SOURCE_STRIKE_FREE: 1.0, pricing.SOURCE_STRIKE_SCALED: spec0.strike}
-    table = {}
-    for convention, c in scale.items():
-        u1 = c * u1_free
-        u2 = c * c * u2_free
-        errors = []
-        for rho in rhos:
-            series_change = pref * (-rho * u1 + rho * rho * u2)
-            errors.append(float(np.max(np.abs(series_change - fd[rho]))))
-        # rhos ascend in a doubling ladder, so err[i+1]/err[i] is the
-        # halving ratio (theoretical 8 for a third-order remainder)
-        halving = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
-        table[convention] = {
-            "rhos": rhos,
-            "max_abs_error": errors,
-            "halving_ratios": halving,
-            "third_order": all(5.5 <= r <= 10.5 for r in halving),
-        }
-    # direct agreement of the two routes in the classical limit (the series
-    # collapses to the closed form there)
-    classical_series = pricing.price_discounted(
-        pricing.solve_perturbation(base_spec, grid), probes, np.zeros(probes.size)
-    )
-    classical_gap = float(np.max(np.abs(classical_series - base_values[2 * n_t])))
-
-    adopted = pricing.SOURCE_STRIKE_FREE
-    report = {
-        "series_sign_note": (
-            "canonical-variable source is -(2 rho / sigma^2) sqrt(...); the "
-            "series is assembled as u0 - rho U1 + rho^2 U2"
-        ),
-        "candidates": table,
-        "adopted_constant": adopted,
-        "adjudication_ok": bool(
-            table[pricing.SOURCE_STRIKE_FREE]["third_order"]
-            and not table[pricing.SOURCE_STRIKE_SCALED]["third_order"]
-        ),
-        "classical_max_abs_gap": classical_gap,
-        "fd_reference": {"n_x": n_x, "n_t": [n_t, 2 * n_t], "richardson": "order-1 in time"},
-        "probe_moneyness": list(np.asarray(probe_moneyness, dtype=float)),
-    }
-    return report
-
-
 def cmd_compare(cfg: dict, out: Path) -> int:
-    spec = _call_spec(cfg)
-    cc = cfg.get("compare", {})
-    rhos = cc.get("rhos", [0.01, 0.02, 0.04])
-    report = comparison_report(spec, rhos, cc.get("probe_moneyness", (0.95, 1.0, 1.05)))
+    compare = cfg.get("compare", {})
+    with _config_values():
+        spec = _call_spec(cfg)
+        fdsolver.comparison_inputs(spec, **compare)
+    report = comparison_report(spec, **compare)
     adopted = report["candidates"][report["adopted_constant"]]
     with open(out / "compare_report.csv", "w", newline="") as fh:
         fh.write("rho,max_abs_error_adopted,max_abs_error_rejected\n")
@@ -455,7 +316,8 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     if "market" not in cfg or "estimator" not in cfg:
         raise ConfigError("simulate requires 'market' and 'estimator' sections")
     est = cfg["estimator"]
-    times, coeffs = _market_schedule(cfg)
+    with _config_values():
+        times, coeffs = _market_schedule(cfg)
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
@@ -517,21 +379,17 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, RuntimeError) as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
-        return ANALYSIS_FLAG
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        print(f"error [{args.command}]: internal failure: {exc}", file=sys.stderr)
+        return INTERNAL_FAILURE
 
 
 if __name__ == "__main__":

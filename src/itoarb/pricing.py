@@ -61,6 +61,8 @@ __all__ = [
     "compute_u1",
     "compute_u2",
     "solve_perturbation",
+    "solve_with_refinement_check",
+    "canonical_variables",
     "price_discounted",
     "price_undiscounted",
     "surface",
@@ -589,8 +591,43 @@ def solve_perturbation(
     return PerturbationSolution(spec, grid, tau_axis, u0_grid, u1_grid, u2_grid, diag)
 
 
-def _tau_of(spec: CallSpec, t) -> np.ndarray:
-    return 0.5 * spec.sigma**2 * (spec.maturity - np.asarray(t, dtype=float))
+def solve_with_refinement_check(
+    spec: CallSpec, grid: TransformGrid, threshold: float = 1e-4
+) -> tuple[PerturbationSolution, dict]:
+    """Build the series on ``grid`` (a :meth:`TransformGrid.for_call` grid)
+    and again at half resolution (nodes and quadrature sizes halved, floors
+    16/17/8/21, same ``y_half``); it converges when the at-the-money price at
+    ``t = 0`` changes by less than ``threshold`` relative.  Returns the
+    solution on ``grid`` and the check."""
+    sol = solve_perturbation(spec, grid)
+    coarse_grid = TransformGrid.for_call(
+        spec,
+        n_tau=max(grid.tau_nodes.size // 2, 16),
+        n_y=max((grid.y_nodes.size - 1) // 2 + 1, 17),
+        y_half=float(grid.y_nodes[-1]),
+        z_half_width_sds=grid.z_half_width_sds,
+        n_time_quad=max(grid.n_time_quad // 2, 8),
+        n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, 21),
+    )
+    base = float(price_discounted(sol, spec.strike, 0.0))
+    coarse = float(price_discounted(solve_perturbation(spec, coarse_grid), spec.strike, 0.0))
+    rel_change = abs(base - coarse) / max(abs(base), 1e-300)
+    return sol, {
+        "probe_price": base,
+        "probe_price_half_resolution": coarse,
+        "relative_change_on_doubling": rel_change,
+        "threshold": threshold,
+        "converged": rel_change < threshold,
+    }
+
+
+def canonical_variables(spec: CallSpec, x, t):
+    """``(tau, y, K e^{y/2 - tau/4})`` at discounted price ``x`` and time
+    ``t``, with ``tau = sigma^2 (T - t) / 2`` and ``y = log(x / K)``; the
+    price is the last factor times ``u(tau, y)``."""
+    tau = 0.5 * spec.sigma**2 * (spec.maturity - np.asarray(t, dtype=float))
+    y = np.log(np.asarray(x, dtype=float) / spec.strike)
+    return tau, y, spec.strike * np.exp(y / 2 - tau / 4)
 
 
 def price_discounted(sol: PerturbationSolution, x, t):
@@ -613,17 +650,15 @@ def price_discounted(sol: PerturbationSolution, x, t):
     out[at_expiry] = np.maximum(x[at_expiry] - spec.strike, 0.0)
     live = ~at_expiry
     if np.any(live):
-        y = np.log(x[live] / spec.strike)
+        tau, y, prefactor = canonical_variables(spec, x[live], t[live])
         ylo, yhi = sol.y_nodes[0], sol.y_nodes[-1]
         if np.any(y < ylo) or np.any(y > yhi):
             raise ValueError(
                 f"log-moneyness outside grid coverage [{ylo:.4g}, {yhi:.4g}]"
             )
-        tau = _tau_of(spec, t[live])
         if np.any(tau > sol.tau_axis[-1] * (1 + 1e-9)):
             raise ValueError("time to maturity beyond the solved tau grid")
-        u = sol.u_values(tau, y)
-        out[live] = spec.strike * np.exp(y / 2 - tau / 4) * u
+        out[live] = prefactor * sol.u_values(tau, y)
     return out if out.ndim else float(out)
 
 

@@ -11,6 +11,7 @@ needs no regression: it averages the kernel-projected difference quotients.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -505,15 +506,23 @@ def save_ensemble(ens: PathEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """Read a :func:`save_ensemble` file; raises ``ValueError`` on a bad
+    magic or version, or a size other than header plus payload."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        magic, version, m, n, k, steps, dt, seed = _HEADER.unpack(head)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"not an ensemble file: {size} bytes, shorter than the header")
+        magic, version, m, n, k, steps, dt, seed = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != MAGIC:
             raise ValueError("not an ensemble file (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported ensemble format version {version}")
         n_states = m * (steps + 1) * n
         n_noise = m * (steps + 1) * k
+        expected = _HEADER.size + 8 * (n_states + n_noise)
+        if size != expected:
+            raise ValueError(f"ensemble file has {size} bytes, its header promises {expected} "
+                             "(truncated or padded)")
         states = np.frombuffer(fh.read(n_states * 8), dtype="<f8").reshape(
             m, steps + 1, n
         )

@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -31,11 +32,22 @@ def test_unknown_key_rejected(tmp_path):
     nested["estimator"]["neighbors"] = 16
     cfg = write_cfg(tmp_path, "nested.json", nested)
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    # compare.mismatch_tolerance was accepted once but never read
+    tolerance = {"schema_version": 1, "call": BASE_CALL,
+                 "compare": {"mismatch_tolerance": 1e-3}}
+    cfg = write_cfg(tmp_path, "tol.json", tolerance)
+    assert run(["compare", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
+def test_schema_is_valid():
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
 
 
 def test_malformed_json_rejected(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
+    assert run(["price", "--config", p, "--out", tmp_path / "o"]) == 2
+    p.write_bytes(b"\xff\xfe{}")  # not UTF-8
     assert run(["price", "--config", p, "--out", tmp_path / "o"]) == 2
 
 
@@ -52,6 +64,36 @@ def test_non_finite_number_rejected(tmp_path, literal):
     out = tmp_path / "o"
     assert run(["price", "--config", p, "--out", out]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("solve-pde", {"call": BASE_CALL, "pde_grid": {"x_min": 200.0, "x_max": 50.0}}),
+    ("compare", {"call": BASE_CALL, "compare": {"rhos": [0.02]}}),
+    ("compare", {"call": BASE_CALL, "compare": {"rhos": [0.0, 0.02]}}),
+    ("compare", {"call": BASE_CALL, "compare": {"rhos": [0.02, 0.02]}}),
+    # outside the compare series grid, |log m| <= 0.6
+    ("compare", {"call": BASE_CALL, "compare": {"probe_moneyness": [1.9]}}),
+    ("check-zc", {"market": {"alpha": [0.05, 0.05, 0.05], "sigma": [[0.2], [0.1]],
+                             "short_rate": [0.0, 0.0]}}),
+], ids=["pde-domain-reversed", "one-rho", "zero-rho", "repeated-rho",
+        "probe-off-grid", "alpha-length"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, payload):
+    cfg = write_cfg(tmp_path, "bad.json", {"schema_version": 1, **payload})
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError, FloatingPointError])
+def test_internal_failure_has_own_exit_code(tmp_path, monkeypatch, capsys, exc):
+    def failing(cfg, out):
+        raise exc("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "solve-pde", failing)
+    cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "call": BASE_CALL})
+    assert run(["solve-pde", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert "error [solve-pde]: internal failure: boom" in capsys.readouterr().err
 
 
 def test_missing_section_is_usage_error(tmp_path):

@@ -377,6 +377,17 @@ def test_ensemble_bad_magic(tmp_path):
         load_ensemble(f)
 
 
+@pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8), lambda b: b[:20]],
+                         ids=["truncated", "padded", "header-cut"])
+def test_ensemble_wrong_size_rejected(tmp_path, edit):
+    ens = simulate(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, seed=6)
+    f = tmp_path / "paths.gate"
+    save_ensemble(ens, f)
+    f.write_bytes(edit(f.read_bytes()))
+    with pytest.raises(ValueError, match=r"\d+ bytes"):
+        load_ensemble(f)
+
+
 def test_ensemble_csv_export(tmp_path):
     m = model([0.05], np.array([[0.2]]))
     ens = simulate(m, 5, 0.1, 0.3, seed=6)
