@@ -178,12 +178,8 @@ def _market_schedule(cfg: dict) -> tuple[np.ndarray, list[geometry.ItoCoefficien
         if a.shape[0] != times.size:
             raise ConfigError("per-time market arrays must match the times axis")
         arrays.append(a)
-    alpha, sigma, rates = arrays
-    coeffs = [
-        geometry.ItoCoefficients(alpha[i], sigma[i], rates[i], t=float(times[i]))
-        for i in range(times.size)
-    ]
-    return times, coeffs
+    return times, [geometry.ItoCoefficients(alpha, sigma, rates, t=float(t))
+                   for t, alpha, sigma, rates in zip(times, *arrays)]
 
 
 def _call_spec(cfg: dict) -> pricing.CallSpec:
@@ -318,30 +314,26 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     est = cfg["estimator"]
     with _config_values():
         times, coeffs = _market_schedule(cfg)
+        mc.step_count(est["dt"], est["horizon"])
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
     model = coeffs[0]
-    seed = cfg.get("seed", 0)
-    ens = mc.simulate(model, est["paths"], est["dt"], est["horizon"], seed)
+    ens = mc.simulate(model, est["paths"], est["dt"], est["horizon"], cfg.get("seed", 0))
+    with _config_values():
+        cfg_est = mc.EstimatorConfig.for_ensemble(ens, est.get("lag_steps", 5))
+        report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
+        idx = mc.estimation_steps(ens, cfg_est, report_times)
     mc.save_ensemble(ens, out / "ensemble.gate")
     if est.get("export_csv_paths", 0):
         mc.ensemble_to_csv(ens, out / "ensemble.csv", est["export_csv_paths"])
-    cfg_est = mc.EstimatorConfig.for_ensemble(ens, est.get("lag_steps", 5))
-    default_times = np.linspace(0.2, 0.8, 7) * est["horizon"]
-    report_times = np.asarray(est.get("report_times", default_times), dtype=float)
-    idx = np.unique(np.round(report_times / est["dt"]).astype(int))
     result = mc.empirical_rho(ens, model, cfg_est, idx)
     with open(out / "rho_estimates.csv", "w", newline="") as fh:
         fh.write("t," + ",".join(
             f"rho_{b + 1},se_{b + 1}" for b in range(max(result.B, 1))
         ) + "\n")
-        for i, t in enumerate(result.times):
-            if result.B:
-                cells = [f"{result.estimate[i, b]:.12g},{result.se[i, b]:.12g}"
-                         for b in range(result.B)]
-            else:
-                cells = ["nan,nan"]
+        for t, row, se in zip(result.times, result.estimate, result.se):
+            cells = [f"{v:.12g},{s:.12g}" for v, s in zip(row, se)] or ["nan,nan"]
             fh.write(f"{t:.12g}," + ",".join(cells) + "\n")
     meta = _meta_skeleton(cfg, "simulate")
     meta["kernel_dim"] = result.B

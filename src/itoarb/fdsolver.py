@@ -37,6 +37,7 @@ __all__ = ["PdeGrid", "solve", "solve_undiscounted", "evaluate", "solve_with_atm
 MAX_HALVINGS = 10
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
+COMPARE_N_X, COMPARE_N_T = 513, 1024  # FD reference grid of comparison_report
 
 
 @dataclass(frozen=True)
@@ -286,49 +287,45 @@ def solve_with_atm_probe(spec: CallSpec, grid: PdeGrid) -> tuple[PdeGrid, float]
     return result, float(evaluate(result, 0.0, spec.strike))
 
 
-def comparison_inputs(
-    spec: CallSpec, rhos=(0.01, 0.02, 0.04), probe_moneyness=(0.95, 1.0, 1.05), n_x: int = 513
-):
+def comparison_inputs(spec: CallSpec, rhos=(0.01, 0.02, 0.04), probe_moneyness=(0.95, 1.0, 1.05)):
     """Checked inputs of :func:`comparison_report`: ascending rhos, probe
-    prices and the series reference grid (32 x 97, ``y_half`` 0.6).  Raises
-    ``ValueError`` unless the rhos are at least two, distinct and positive,
-    and every probe lies inside the series grid and the default
-    finite-difference domain of ``n_x`` nodes."""
+    moneyness and the series reference grid (32 x 97, ``y_half`` 0.6).
+    Raises ``ValueError`` unless the rhos are at least two, distinct and
+    positive, and every probe lies inside the series grid and the default
+    finite-difference domain of ``COMPARE_N_X`` nodes."""
     rhos = sorted(float(r) for r in rhos)
     if len(set(rhos)) != len(rhos) or len(rhos) < 2 or rhos[0] <= 0:
         raise ValueError("need at least two distinct positive rho values to form ratios")
-    grid = pricing.TransformGrid.for_call(
-        spec, n_tau=32, n_y=97, y_half=0.6, n_time_quad=48, n_space_quad=161
-    )
-    probes = np.asarray(probe_moneyness, dtype=float) * spec.strike
-    lx = np.log(PdeGrid.for_call(spec, n_x=n_x).x_nodes)
+    grid = pricing.TransformGrid.for_call(spec, n_tau=32, n_y=97, y_half=0.6,
+                                          n_time_quad=48, n_space_quad=161)
+    moneyness = np.asarray(probe_moneyness, dtype=float)
+    probes = moneyness * spec.strike
+    lx = np.log(PdeGrid.for_call(spec, n_x=COMPARE_N_X).x_nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
         y, q = np.log(probes / spec.strike), np.log(probes)
     if not np.all((grid.y_nodes[0] <= y) & (y <= grid.y_nodes[-1]) & (lx[0] <= q) & (q <= lx[-1])):
         raise ValueError(f"probe_moneyness must lie inside the grids of both routes: |log m| <= "
                          f"{grid.y_nodes[-1]:g} and m K in [{np.exp(lx[0]):.4g}, "
                          f"{np.exp(lx[-1]):.4g}]")
-    return rhos, probes, grid
+    return rhos, moneyness, grid
 
 
-def comparison_report(
-    spec0: CallSpec,
-    rhos=(0.01, 0.02, 0.04),
-    probe_moneyness=(0.95, 1.0, 1.05),
-    n_x: int = 513,
-    n_t: int = 1024,
-) -> dict:
+def comparison_report(spec0: CallSpec, **inputs) -> dict:
     """Cross-validate the series against the finite-difference oracle.
 
-    For each requested ``rho`` the change from the classical price is
-    computed on both routes; the finite-difference change is Richardson
-    extrapolated in time and the classical solve is shared across rhos.
+    ``inputs`` are the ``rhos`` and ``probe_moneyness`` of
+    :func:`comparison_inputs`.  For each ``rho`` the change from the
+    classical price is computed on both routes; the finite-difference change
+    is Richardson extrapolated in time (``COMPARE_N_T`` and twice that many
+    steps) and the classical solve is shared across rhos.
     The residual table is produced for both source constants so the
     printed-constant ambiguity is adjudicated by the data: the adopted
     constant must show third-order decay (halving ratio near 8), the
     rejected one does not.
     """
-    rhos, probes, grid = comparison_inputs(spec0, rhos, probe_moneyness, n_x)
+    rhos, moneyness, grid = comparison_inputs(spec0, **inputs)
+    probes = moneyness * spec0.strike
+    n_x, n_t = COMPARE_N_X, COMPARE_N_T
 
     def fd_prices(rho: float, nt: int) -> np.ndarray:
         spec = replace(spec0, rho=rho)
@@ -349,8 +346,7 @@ def comparison_report(
     table = {}
     for convention in (pricing.SOURCE_STRIKE_FREE, pricing.SOURCE_STRIKE_SCALED):
         c = pricing.source_coefficient(spec0, convention) / pricing.source_coefficient(spec0)
-        u1 = c * u1_free
-        u2 = c * c * u2_free
+        u1, u2 = c * u1_free, c * c * u2_free
         errors = [float(np.max(np.abs(pref * (-rho * u1 + rho * rho * u2) - fd[rho])))
                   for rho in rhos]
         # rhos ascend in a doubling ladder, so err[i+1]/err[i] is the
@@ -382,5 +378,5 @@ def comparison_report(
         ),
         "classical_max_abs_gap": classical_gap,
         "fd_reference": {"n_x": n_x, "n_t": [n_t, 2 * n_t], "richardson": "order-1 in time"},
-        "probe_moneyness": list(np.asarray(probe_moneyness, dtype=float)),
+        "probe_moneyness": list(moneyness),
     }

@@ -74,6 +74,7 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 
 SOURCE_STRIKE_FREE = "strike-free"      # 2 / sigma^2 (adopted)
 SOURCE_STRIKE_SCALED = "strike-scaled"  # 2 K / sigma^2 (rejected candidate)
+REFINEMENT_THRESHOLD = 1e-4  # relative ATM change allowed on halving the grid
 
 
 @dataclass(frozen=True)
@@ -592,13 +593,13 @@ def solve_perturbation(
 
 
 def solve_with_refinement_check(
-    spec: CallSpec, grid: TransformGrid, threshold: float = 1e-4
+    spec: CallSpec, grid: TransformGrid
 ) -> tuple[PerturbationSolution, dict]:
     """Build the series on ``grid`` (a :meth:`TransformGrid.for_call` grid)
     and again at half resolution (nodes and quadrature sizes halved, floors
     16/17/8/21, same ``y_half``); it converges when the at-the-money price at
-    ``t = 0`` changes by less than ``threshold`` relative.  Returns the
-    solution on ``grid`` and the check."""
+    ``t = 0`` changes by less than ``REFINEMENT_THRESHOLD`` relative.
+    Returns the solution on ``grid`` and the check."""
     sol = solve_perturbation(spec, grid)
     coarse_grid = TransformGrid.for_call(
         spec,
@@ -616,8 +617,8 @@ def solve_with_refinement_check(
         "probe_price": base,
         "probe_price_half_resolution": coarse,
         "relative_change_on_doubling": rel_change,
-        "threshold": threshold,
-        "converged": rel_change < threshold,
+        "threshold": REFINEMENT_THRESHOLD,
+        "converged": rel_change < REFINEMENT_THRESHOLD,
     }
 
 

@@ -25,8 +25,10 @@ __all__ = [
     "PathEnsemble",
     "EstimatorConfig",
     "NelsonEstimates",
+    "step_count",
     "simulate",
     "brownian_paths",
+    "estimation_steps",
     "nelson_derivatives",
     "instantaneous_return",
     "empirical_rho",
@@ -124,6 +126,15 @@ class EstimatorConfig:
         if self.t_min < 10 * dt - 1e-12:
             raise ValueError("t_min must be at least 10 time steps")
 
+    def check_step(self, i: int, dt: float, n_times: int) -> None:
+        """Raise unless step ``i`` of a grid of ``n_times`` nodes ``dt``
+        apart is at least ``t_min`` and its lag window stays on the grid."""
+        if i * dt < self.t_min - 1e-12:
+            raise ValueError(f"estimation time {i * dt} below t_min {self.t_min}")
+        m = int(round(self.lag / dt))
+        if i - m < 0 or i + m >= n_times:
+            raise ValueError("lag window leaves the simulated horizon")
+
 
 def _normal_chunks(seed: int, m_paths: int, n_steps: int, k: int):
     """Yield (lo, hi, increments) blocks of standard normals, (hi-lo, n_steps, K).
@@ -157,6 +168,14 @@ def _schedule_arrays(model, n_steps: int):
     return alpha, sigma, rates
 
 
+def step_count(dt: float, horizon: float) -> int:
+    """Number of ``dt`` steps in ``horizon``; ``ValueError`` unless whole and positive."""
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
+        raise ValueError("horizon must be an integer number of steps")
+    return n_steps
+
+
 def simulate(
     model,
     m_paths: int,
@@ -171,9 +190,7 @@ def simulate(
     ``model`` is a constant :class:`~itoarb.geometry.ItoCoefficients` or a
     per-step sequence of them sampled on the time grid.
     """
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
-        raise ValueError("horizon must be an integer number of steps")
+    n_steps = step_count(dt, horizon)
     alpha, sigma, _ = _schedule_arrays(model, n_steps)
     n, k = sigma.shape[1], sigma.shape[2]
     if s0 is None:
@@ -275,14 +292,9 @@ def nelson_derivatives(
     cfg.validate_against(dt)
     m = int(round(cfg.lag / dt))
     t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
-    n_times = values.shape[1]
     out_f, out_b, out_m, out_se, out_raw = [], [], [], [], []
     for i in t_indices:
-        t = i * dt
-        if t < cfg.t_min - 1e-12:
-            raise ValueError(f"estimation time {t} below t_min {cfg.t_min}")
-        if i - m < 0 or i + m >= n_times:
-            raise ValueError("lag window leaves the simulated horizon")
+        cfg.check_step(i, dt, values.shape[1])
         fq = (values[:, i + m] - values[:, i]) / cfg.lag
         bq = (values[:, i] - values[:, i - m]) / cfg.lag
         idx = _neighbor_indices(state[:, i, :], cfg.neighbors)
@@ -358,6 +370,15 @@ class RhoEstimate:
     B: int
 
 
+def estimation_steps(ens: PathEnsemble, cfg: EstimatorConfig, times) -> np.ndarray:
+    """Distinct steps of ``ens`` nearest ``times``, each checked by
+    :meth:`EstimatorConfig.check_step`."""
+    steps = np.unique(np.round(np.asarray(times, dtype=float) / ens.dt).astype(int))
+    for i in steps:
+        cfg.check_step(i, ens.dt, ens.states.shape[1])
+    return steps
+
+
 def empirical_rho(
     ens: PathEnsemble,
     model: ItoCoefficients,
@@ -390,11 +411,8 @@ def empirical_rho(
     out = np.empty((t_indices.size, basis.B))
     se = np.empty((t_indices.size, basis.B))
     for j, i in enumerate(t_indices):
+        cfg.check_step(i, ens.dt, logs.shape[1])
         t = i * ens.dt
-        if t < cfg.t_min - 1e-12:
-            raise ValueError(f"estimation time {t} below t_min {cfg.t_min}")
-        if i - lag_steps < 0 or i + lag_steps >= logs.shape[1]:
-            raise ValueError("lag window leaves the simulated horizon")
         raw_mean = np.empty((ens.n_paths, n))
         for a in range(n):
             fq = (logs[:, i + lag_steps, a] - logs[:, i, a]) / cfg.lag
@@ -461,11 +479,7 @@ def self_financing_residual(
     residual_se = np.empty(t_indices.size)
     cov_term = np.empty(t_indices.size)
     for j, i in enumerate(t_indices):
-        t = i * ens.dt
-        if t < cfg.t_min - 1e-12:
-            raise ValueError(f"estimation time {t} below t_min {cfg.t_min}")
-        if i - m < 0 or i + m >= d.shape[1]:
-            raise ValueError("lag window leaves the simulated horizon")
+        cfg.check_step(i, ens.dt, d.shape[1])
         wealth_q = (wealth[:, i + m] - wealth[:, i - m]) / (2 * cfg.lag)
         hedge_q = np.einsum(
             "mn,mn->m", x_paths[:, i, :], d[:, i + m, :] - d[:, i - m, :]

@@ -38,7 +38,7 @@ def comparison():
     """Shared perturbation-vs-oracle comparison (criteria 2 and 3)."""
     start = time.perf_counter()
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    rep = cli.comparison_report(spec, [0.01, 0.02, 0.04])
+    rep = cli.comparison_report(spec, rhos=[0.01, 0.02, 0.04])
     rep["_elapsed"] = time.perf_counter() - start
     return rep
 

@@ -21,6 +21,27 @@ def run(args):
 BASE_CALL = {"strike": 100.0, "maturity": 1.0, "sigma": 0.2, "rho": 0.0, "rate": 0.0}
 
 
+def sim_cfg(alpha=(0.05, 0.05), **estimator):
+    return {
+        "schema_version": 1,
+        "seed": 77,
+        "market": {
+            "alpha": list(alpha),
+            "sigma": [[0.2], [0.1]],
+            "short_rate": [0.0, 0.0],
+        },
+        "estimator": {
+            "paths": 512,
+            "dt": 0.01,
+            "horizon": 1.0,
+            "lag_steps": 5,
+            "report_times": [0.3, 0.5, 0.7],
+            "export_csv_paths": 2,
+            **estimator,
+        },
+    }
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -75,8 +96,12 @@ def test_non_finite_number_rejected(tmp_path, literal):
     ("compare", {"call": BASE_CALL, "compare": {"probe_moneyness": [1.9]}}),
     ("check-zc", {"market": {"alpha": [0.05, 0.05, 0.05], "sigma": [[0.2], [0.1]],
                              "short_rate": [0.0, 0.0]}}),
+    ("simulate", sim_cfg(dt=0.3)),  # horizon 1.0 is not a whole number of steps
+    ("simulate", sim_cfg(report_times=[0.01])),  # below t_min = 10 dt
+    ("simulate", sim_cfg(report_times=[0.98])),  # lag window past the horizon
 ], ids=["pde-domain-reversed", "one-rho", "zero-rho", "repeated-rho",
-        "probe-off-grid", "alpha-length"])
+        "probe-off-grid", "alpha-length", "horizon-steps", "before-t-min",
+        "lag-past-horizon"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "bad.json", {"schema_version": 1, **payload})
     out = tmp_path / "o"
@@ -264,26 +289,6 @@ def test_compare_command_adjudicates(tmp_path):
 
 
 # ---------------------------------------------------------------- simulate
-
-
-def sim_cfg(alpha=(0.05, 0.05)):
-    return {
-        "schema_version": 1,
-        "seed": 77,
-        "market": {
-            "alpha": list(alpha),
-            "sigma": [[0.2], [0.1]],
-            "short_rate": [0.0, 0.0],
-        },
-        "estimator": {
-            "paths": 512,
-            "dt": 0.01,
-            "horizon": 1.0,
-            "lag_steps": 5,
-            "report_times": [0.3, 0.5, 0.7],
-            "export_csv_paths": 2,
-        },
-    }
 
 
 def test_simulate_command_outputs(tmp_path):

@@ -178,9 +178,9 @@ def test_surface_immutable_input():
 
 def test_comparison_inputs_checked():
     spec = CallSpec(100.0, 1.0, 0.1)
-    rhos, probes, grid = fdsolver.comparison_inputs(spec, [0.04, 0.01])
+    rhos, moneyness, grid = fdsolver.comparison_inputs(spec, [0.04, 0.01])
     assert rhos == [0.01, 0.04] and grid.y_nodes[-1] == 0.6
-    np.testing.assert_allclose(probes, [95.0, 100.0, 105.0])
+    np.testing.assert_allclose(moneyness, [0.95, 1.0, 1.05])
     # inside the series grid (|log m| <= 0.6) but above the default FD domain,
     # which reaches log m = 0.25 + 3.2 sigma sqrt(T) = 0.57
     with pytest.raises(ValueError, match="both routes"):
