@@ -241,21 +241,15 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
 
 
 def cmd_price(cfg: dict, out: Path) -> int:
+    so = cfg.get("surface_output", {})
     with _config_values():
         spec = _call_spec(cfg)
         grid = pricing.TransformGrid.for_call(spec, **cfg.get("pricing_grid", {}))
-    so = cfg.get("surface_output", {})
-    t_nodes = np.asarray(so.get("times", np.linspace(0.0, spec.maturity, 9)), dtype=float)
-    moneyness = np.asarray(so.get("moneyness", np.linspace(0.85, 1.15, 13)), dtype=float)
-    x_nodes = spec.strike * moneyness
-    # reject surface points the solution cannot price before building it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(x_nodes / spec.strike)
-    if not np.all((grid.y_nodes[0] <= y) & (y <= grid.y_nodes[-1])):
-        raise ConfigError("surface_output.moneyness must be positive with |log m| <= "
-                          f"pricing_grid.y_half = {grid.y_nodes[-1]:g}")
-    if np.any((t_nodes < 0) | (t_nodes > spec.maturity)):
-        raise ConfigError(f"surface_output.times must lie in [0, maturity = {spec.maturity:g}]")
+        t_nodes = np.asarray(so.get("times", np.linspace(0.0, spec.maturity, 9)), dtype=float)
+        x_nodes = spec.strike * np.asarray(so.get("moneyness", np.linspace(0.85, 1.15, 13)),
+                                           dtype=float)
+        # reject surface points the solution cannot price before building it
+        pricing.check_points(spec, grid, x_nodes[None, :], t_nodes[:, None])
     sol, conv = pricing.solve_with_refinement_check(spec, grid)
     surf = pricing.surface(sol, t_nodes, x_nodes)
     _write_surface_csv(out / "price_surface.csv", t_nodes, x_nodes, surf)

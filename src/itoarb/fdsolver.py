@@ -339,7 +339,7 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     # one quadrature build suffices: the corrections are exactly homogeneous
     # in the source constant (U1 linear, U2 quadratic), so each candidate is
     # the strike-free build rescaled by the ratio of the constants
-    sol = pricing.solve_perturbation(replace(spec0, rho=max(rhos)), grid, compute_corrections=True)
+    sol = pricing.solve_perturbation(replace(spec0, rho=max(rhos)), grid)
     taus, ys, pref = pricing.canonical_variables(spec0, probes, np.zeros(probes.size))
     u1_free, u2_free = sol.correction_values(taus, ys)
 

@@ -32,6 +32,14 @@ only on the nodes of the padded y grid.  Both tables are built at spacing
 in-step quadrature spacing; ``n_time_quad`` and ``n_space_quad`` also size
 the direct full-history quadrature (:func:`duhamel_integral`) that checks
 the stepped U1 at one node.
+
+The series has one build and one reader.  ``solve_perturbation(spec, grid,
+quadrature_tolerance)`` builds U1/U2 with the strike-free constant exactly
+when ``spec.rho != 0``; :func:`compute_u1`/:func:`compute_u2` take the
+constant as a number.  ``PerturbationSolution.correction_values`` and
+``u_values`` read the tables at points on the grid and raise ``ValueError``
+off it; :func:`check_points` holds the checks that :func:`price_discounted`
+applies to ``(x, t)``, for callers that vet points before building.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ __all__ = [
     "solve_perturbation",
     "solve_with_refinement_check",
     "canonical_variables",
+    "check_points",
     "price_discounted",
     "price_undiscounted",
     "surface",
@@ -141,6 +150,9 @@ class TransformGrid:
         object.__setattr__(self, "y_nodes", y)
         if tau.size < 16 or y.size < 16:
             raise ValueError("need at least 16 nodes per axis")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(y))
+                and np.isfinite(self.z_half_width_sds)):
+            raise ValueError("grid nodes and z truncation must be finite")
         if np.any(np.diff(tau) <= 0) or tau[0] <= 0:
             raise ValueError("tau nodes must be strictly increasing and positive")
         if not (y[0] < 0 < y[-1]):
@@ -301,28 +313,6 @@ def duhamel_integral(
     return out
 
 
-class _Bilinear:
-    """Bilinear interpolation on a (non-uniform tau) x (uniform y) table."""
-
-    def __init__(self, tau_axis, y0, dy, table):
-        self.tau_axis = np.asarray(tau_axis, dtype=float)
-        self.y0 = float(y0)
-        self.dy = float(dy)
-        self.table = np.asarray(table, dtype=float)
-
-    def __call__(self, s, z):
-        i = np.clip(np.searchsorted(self.tau_axis, s) - 1, 0, self.tau_axis.size - 2)
-        ft = (s - self.tau_axis[i]) / (self.tau_axis[i + 1] - self.tau_axis[i])
-        ft = np.clip(ft, 0.0, 1.0)
-        g = (z - self.y0) / self.dy
-        j = np.clip(g.astype(int), 0, self.table.shape[1] - 2)
-        fy = np.clip(g - j, 0.0, 1.0)
-        t = self.table
-        lo = (1.0 - fy) * t[i, j] + fy * t[i, j + 1]
-        hi = (1.0 - fy) * t[i + 1, j] + fy * t[i + 1, j + 1]
-        return (1.0 - ft) * lo + ft * hi
-
-
 def _heat_weights(t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
     """Exact weights of the heat kernel of variance ``2 t`` acting on the
     piecewise-linear interpolant of values at spacing ``dy``.
@@ -412,14 +402,10 @@ def _extended_y(grid: TransformGrid) -> np.ndarray:
     return y[0] + grid.dy * np.arange(-n_pad, y.size + n_pad)
 
 
-def compute_u1(
-    spec: CallSpec,
-    grid: TransformGrid,
-    ys: np.ndarray,
-    convention: str = SOURCE_STRIKE_FREE,
-) -> np.ndarray:
+def compute_u1(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np.ndarray:
     """First-order correction ``U1 = int int G f(u0, u0')`` on
-    ``([0, *tau_nodes], ys)``; independent of rho.
+    ``([0, *tau_nodes], ys)`` for the source constant ``coeff``
+    (:func:`source_coefficient`); independent of rho.
 
     ``f = C sqrt(lin^2 + u0^2)`` with ``lin = u0' + u0/2``.  The part ``C lin``
     is linear in ``(u0, u0')``, which solve the heat equation, so its Duhamel
@@ -428,7 +414,6 @@ def compute_u1(
     (f/C + lin) >= 0``, which is continuously differentiable there, goes
     through :func:`stepped_duhamel`.
     """
-    coeff = source_coefficient(spec, convention)
     tau_axis = _tau_axis(grid)
     ys = np.asarray(ys, dtype=float)
 
@@ -445,19 +430,15 @@ def compute_u1(
 
 
 def compute_u2(
-    spec: CallSpec,
-    grid: TransformGrid,
-    u1_table: np.ndarray,
-    ys: np.ndarray,
-    convention: str = SOURCE_STRIKE_FREE,
+    grid: TransformGrid, u1_table: np.ndarray, ys: np.ndarray, coeff: float
 ) -> np.ndarray:
-    """Second-order correction on ``([0, *tau_nodes], ys)``.
+    """Second-order correction on ``([0, *tau_nodes], ys)`` for the source
+    constant ``coeff``.
 
     The source ``grad f(u0, u0') . (U1, U1')`` reads U1 and its centered
     y-difference at the nodes of ``u1_table`` (a U1 table on the same
     ``([0, *tau_nodes], ys)`` grid), linearly interpolated in tau.
     """
-    coeff = source_coefficient(spec, convention)
     tau_axis = _tau_axis(grid)
     ys = np.asarray(ys, dtype=float)
     tables = np.stack([u1_table, np.gradient(u1_table, ys, axis=1)])
@@ -474,20 +455,29 @@ def compute_u2(
     return stepped_duhamel(src, tau_axis, ys, _step_dw(grid), grid.z_half_width_sds)
 
 
+def _check_coverage(grid: TransformGrid, tau, y) -> None:
+    """Raise ``ValueError`` unless every ``(tau, y)`` lies on ``grid``'s
+    ``[0, tau_nodes[-1]] x [y_nodes[0], y_nodes[-1]]`` (NaN never does)."""
+    ylo, yhi = grid.y_nodes[0], grid.y_nodes[-1]
+    if not np.all((ylo <= y) & (y <= yhi)):
+        raise ValueError(f"log-moneyness outside grid coverage [{ylo:.4g}, {yhi:.4g}]")
+    if not np.all((0.0 <= tau) & (tau <= grid.tau_nodes[-1] * (1 + 1e-9))):
+        raise ValueError("time to maturity beyond the solved tau grid")
+
+
 @dataclass(frozen=True)
 class PerturbationSolution:
-    """Assembled series tables over (tau, y), including the tau = 0 row."""
+    """Assembled correction tables over (tau, y), including the tau = 0 row."""
 
     spec: CallSpec
     grid: TransformGrid
     tau_axis: np.ndarray    # [0, *grid.tau_nodes]
-    u0_grid: np.ndarray     # (n_tau + 1, n_y)
-    u1_grid: np.ndarray
+    u1_grid: np.ndarray     # (n_tau + 1, n_y)
     u2_grid: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("tau_axis", "u0_grid", "u1_grid", "u2_grid"):
+        for name in ("tau_axis", "u1_grid", "u2_grid"):
             a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -496,50 +486,51 @@ class PerturbationSolution:
     def y_nodes(self) -> np.ndarray:
         return self.grid.y_nodes
 
-    def correction_values(self, tau, y):
-        """Bilinearly interpolated (U1, U2) at arbitrary (tau, y)."""
+    def correction_values(self, tau, y) -> np.ndarray:
+        """``(U1, U2)`` at ``(tau, y)``, stacked on a leading axis: bilinear
+        in the tables (linear in tau between nodes, uniform in y).  Raises
+        ``ValueError`` for a point off the grid."""
         tau = np.asarray(tau, dtype=float)
         y = np.asarray(y, dtype=float)
-        dy = self.grid.dy
-        i1 = _Bilinear(self.tau_axis, self.y_nodes[0], dy, self.u1_grid)
-        i2 = _Bilinear(self.tau_axis, self.y_nodes[0], dy, self.u2_grid)
-        return i1(tau, y), i2(tau, y)
+        _check_coverage(self.grid, tau, y)
+        ta = self.tau_axis
+        i = np.clip(np.searchsorted(ta, tau) - 1, 0, ta.size - 2)
+        ft = np.clip((tau - ta[i]) / (ta[i + 1] - ta[i]), 0.0, 1.0)
+        g = (y - self.y_nodes[0]) / self.grid.dy
+        j = np.clip(g.astype(int), 0, self.y_nodes.size - 2)
+        fy = np.clip(g - j, 0.0, 1.0)
+        table = np.stack([self.u1_grid, self.u2_grid])
+        lo = (1.0 - fy) * table[:, i, j] + fy * table[:, i, j + 1]
+        hi = (1.0 - fy) * table[:, i + 1, j] + fy * table[:, i + 1, j + 1]
+        return (1.0 - ft) * lo + ft * hi
 
     def u_values(self, tau, y):
-        """Series value ``u0 - rho U1 + rho^2 U2`` at arbitrary (tau, y).
+        """Series value ``u0 - rho U1 + rho^2 U2`` at ``(tau, y)`` on the grid.
 
         ``u0`` is evaluated in closed form (it has one); only the quadrature
-        corrections are bilinearly interpolated, so the classical limit is
-        exact up to floating point.
+        corrections are interpolated, so the classical limit is exact up to
+        floating point.  Raises ``ValueError`` for a point off the grid.
         """
-        tau = np.asarray(tau, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base = u0(tau, y)
-        rho = self.spec.rho
-        if rho == 0.0:
-            return base
         u1, u2 = self.correction_values(tau, y)
-        return base - rho * u1 + rho * rho * u2
+        rho = self.spec.rho
+        return u0(tau, y) - rho * u1 + rho * rho * u2
 
 
 def solve_perturbation(
     spec: CallSpec,
     grid: TransformGrid | None = None,
-    convention: str = SOURCE_STRIKE_FREE,
-    compute_corrections: bool | None = None,
     quadrature_tolerance: float | None = None,
 ) -> PerturbationSolution:
     """Build the series tables.
 
-    With ``compute_corrections=None`` the U1/U2 builds are skipped when
-    ``rho == 0`` (they do not contribute); pass ``True`` to force them.
-    U1 and U2 are built on the padded y grid at spacing ``dy`` and ``dy/2``
-    and combined by :func:`richardson_halving`.  The stepped U1 at the top
-    tau node nearest ``y = 0`` is checked against a direct
-    :func:`duhamel_integral` sized by ``n_time_quad`` x ``n_space_quad``; the
-    relative gap is recorded in ``diagnostics`` and, when
-    ``quadrature_tolerance`` is given, a gap above it raises an error that
-    reports the achieved gap.
+    U1 and U2 are built exactly when ``rho != 0`` (otherwise they do not
+    contribute and stay zero), with the strike-free source constant, on the
+    padded y grid at spacing ``dy`` and ``dy/2``, combined by
+    :func:`richardson_halving`.  The stepped U1 at the top tau node nearest
+    ``y = 0`` is checked against a direct :func:`duhamel_integral` sized by
+    ``n_time_quad`` x ``n_space_quad``; the relative gap is recorded in
+    ``diagnostics`` and, when ``quadrature_tolerance`` is given, a gap above
+    it raises an error that reports the achieved gap.
     """
     if grid is None:
         grid = TransformGrid.for_call(spec)
@@ -547,23 +538,22 @@ def solve_perturbation(
         raise ValueError("tau grid exceeds sigma^2 T / 2 for this call")
     tau_axis = _tau_axis(grid)
     n_y = grid.y_nodes.size
-    yb, tb = np.meshgrid(grid.y_nodes, tau_axis)
-    u0_grid = u0(tb, yb)
-    want = spec.rho != 0.0 if compute_corrections is None else compute_corrections
-    u1_grid = np.zeros((tau_axis.size, n_y))
-    u2_grid = np.zeros((tau_axis.size, n_y))
+    want = bool(spec.rho != 0.0)
+    u1_grid = u2_grid = np.zeros((tau_axis.size, n_y))
     diag = {
-        "source_convention": convention,
+        "source_convention": SOURCE_STRIKE_FREE,
         "series": "u0 - rho*U1 + rho^2*U2",
-        "corrections_computed": bool(want),
+        "corrections_computed": want,
         "n_time_quad": grid.n_time_quad,
         "n_space_quad": grid.n_space_quad,
         "z_half_width_sds": grid.z_half_width_sds,
     }
     if want:
+        coeff = source_coefficient(spec)
+
         def corrections(ys):
-            u1 = compute_u1(spec, grid, ys, convention)
-            return np.stack([u1, compute_u2(spec, grid, u1, ys, convention)])
+            u1 = compute_u1(grid, ys, coeff)
+            return np.stack([u1, compute_u2(grid, u1, ys, coeff)])
 
         y_ext = _extended_y(grid)
         lo = (y_ext.size - n_y) // 2
@@ -576,7 +566,6 @@ def solve_perturbation(
         )
         j = int(np.argmin(np.abs(grid.y_nodes)))
         probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
-        coeff = source_coefficient(spec, convention)
         direct = duhamel_integral(
             lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [probe_tau], [probe_y],
             grid.n_time_quad, grid.n_space_quad, grid.z_half_width_sds,
@@ -589,7 +578,7 @@ def solve_perturbation(
                 f"({probe_tau:.4g}, {probe_y:.4g}): achieved relative gap "
                 f"{gap:.3e} exceeds tolerance {quadrature_tolerance:.3e}"
             )
-    return PerturbationSolution(spec, grid, tau_axis, u0_grid, u1_grid, u2_grid, diag)
+    return PerturbationSolution(spec, grid, tau_axis, u1_grid, u2_grid, diag)
 
 
 def solve_with_refinement_check(
@@ -631,34 +620,36 @@ def canonical_variables(spec: CallSpec, x, t):
     return tau, y, spec.strike * np.exp(y / 2 - tau / 4)
 
 
-def price_discounted(sol: PerturbationSolution, x, t):
-    """Discounted call price ``Phi(t, X_t)``.
-
-    At ``t = T`` the payoff is returned exactly.  Prices are evaluated as
-    ``K e^{y/2 - tau/4} u(tau, y)`` with ``y = log(X/K)``; points outside the
-    y grid or beyond the tau grid raise an extrapolation error.
-    """
-    spec = sol.spec
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x, t = np.broadcast_arrays(x, t)
+def check_points(spec: CallSpec, grid: TransformGrid, x, t):
+    """Broadcast discounted prices ``x`` and times ``t`` and raise
+    ``ValueError`` unless a solution on ``grid`` can price every point:
+    ``t`` in ``[0, T]``, ``x > 0`` and, before expiry, ``(tau, y)`` on the
+    grid.  Returns the broadcast ``x``, ``t`` and the mask of points before
+    expiry (the rest are priced as the payoff)."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     if np.any(t < 0) or np.any(t > spec.maturity):
         raise ValueError("t must lie in [0, maturity]")
     if np.any(x <= 0):
         raise ValueError("underlying price must be positive")
+    live = ~np.isclose(t, spec.maturity, rtol=0.0, atol=1e-14)
+    tau, y, _ = canonical_variables(spec, x[live], t[live])
+    _check_coverage(grid, tau, y)
+    return x, t, live
+
+
+def price_discounted(sol: PerturbationSolution, x, t):
+    """Discounted call price ``Phi(t, X_t)``.
+
+    At ``t = T`` the payoff is returned exactly.  Prices are evaluated as
+    ``K e^{y/2 - tau/4} u(tau, y)`` with ``y = log(X/K)``; points that
+    :func:`check_points` rejects raise ``ValueError``.
+    """
+    spec = sol.spec
+    x, t, live = check_points(spec, sol.grid, x, t)
     out = np.empty(x.shape)
-    at_expiry = np.isclose(t, spec.maturity, rtol=0.0, atol=1e-14)
-    out[at_expiry] = np.maximum(x[at_expiry] - spec.strike, 0.0)
-    live = ~at_expiry
+    out[~live] = np.maximum(x[~live] - spec.strike, 0.0)
     if np.any(live):
         tau, y, prefactor = canonical_variables(spec, x[live], t[live])
-        ylo, yhi = sol.y_nodes[0], sol.y_nodes[-1]
-        if np.any(y < ylo) or np.any(y > yhi):
-            raise ValueError(
-                f"log-moneyness outside grid coverage [{ylo:.4g}, {yhi:.4g}]"
-            )
-        if np.any(tau > sol.tau_axis[-1] * (1 + 1e-9)):
-            raise ValueError("time to maturity beyond the solved tau grid")
         out[live] = prefactor * sol.u_values(tau, y)
     return out if out.ndim else float(out)
 
@@ -680,10 +671,7 @@ def surface(sol: PerturbationSolution, t_nodes, x_nodes) -> np.ndarray:
     """Discounted price surface on a (t, x) mesh, rows indexed by time."""
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
-    out = np.empty((t_nodes.size, x_nodes.size))
-    for i, t in enumerate(t_nodes):
-        out[i] = price_discounted(sol, x_nodes, np.full_like(x_nodes, t))
-    return out
+    return price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Paths follow the log-Euler scheme for
 ``dS = S (alpha dt + sigma dW)``; forward, backward and mean stochastic
 derivatives of path functionals are estimated by nearest-neighbour
 regression on the present state (valid for Markov functionals of the
-simulated state).  On top of these sit the portfolio instantaneous-return
-estimator and the self-financing residual.  The empirical arbitrage measure
-needs no regression: it averages the kernel-projected difference quotients.
+simulated state).  The estimators built on top of them, the portfolio
+instantaneous return, the empirical arbitrage measure and the
+self-financing residual, report ensemble means and need no regression: the
+mean of a conditional expectation is the mean of the raw difference
+quotients (tower property).
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ class EstimatorConfig:
 
     ``lag`` is the difference-quotient horizon (>= dt; default 5 dt trades
     O(lag) bias against variance), ``neighbors`` the regression neighbourhood
-    (>= 8), and ``t_min`` the earliest admissible estimation time (>= 10 dt;
-    the 1/(2t) noise correction is applied analytically, never estimated).
+    of :func:`nelson_derivatives` (>= 8), and ``t_min`` the earliest
+    admissible estimation time (>= 10 dt; the 1/(2t) noise correction is
+    applied analytically, never estimated).
     """
 
     lag: float
@@ -215,7 +218,7 @@ def simulate(
 def brownian_paths(m_paths: int, dt: float, horizon: float, seed: int, k: int = 1) -> np.ndarray:
     """Plain Brownian paths, (M, n_steps + 1, K), same splitting rule as
     :func:`simulate`."""
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(dt, horizon)
     noise = np.empty((m_paths, n_steps + 1, k))
     for lo, hi, z in _normal_chunks(seed, m_paths, n_steps, k):
         noise[lo:hi, 0] = 0.0
@@ -231,7 +234,7 @@ class NelsonEstimates:
     estimation time ``times[i]``; ``se`` is the standard error of the
     ensemble mean computed from the raw (unsmoothed) difference quotients,
     since neighbour averaging does not reduce the sampling error of the
-    mean.  ``raw_mean_responses`` keeps those quotients for downstream use.
+    mean.
     """
 
     times: np.ndarray
@@ -239,7 +242,6 @@ class NelsonEstimates:
     backward: np.ndarray
     mean: np.ndarray
     se: np.ndarray
-    raw_mean_responses: np.ndarray
 
 
 def _neighbor_indices(state: np.ndarray, k: int) -> np.ndarray:
@@ -267,10 +269,6 @@ def _gathered_means(idx: np.ndarray, responses: np.ndarray, block: int = 16384) 
     return out
 
 
-def _knn_mean(state: np.ndarray, responses: np.ndarray, k: int) -> np.ndarray:
-    return _gathered_means(_neighbor_indices(state, k), responses)
-
-
 def nelson_derivatives(
     values: np.ndarray,
     state: np.ndarray,
@@ -292,7 +290,7 @@ def nelson_derivatives(
     cfg.validate_against(dt)
     m = int(round(cfg.lag / dt))
     t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
-    out_f, out_b, out_m, out_se, out_raw = [], [], [], [], []
+    out_f, out_b, out_m, out_se = [], [], [], []
     for i in t_indices:
         cfg.check_step(i, dt, values.shape[1])
         fq = (values[:, i + m] - values[:, i]) / cfg.lag
@@ -305,14 +303,12 @@ def nelson_derivatives(
         out_b.append(d_b)
         out_m.append(0.5 * (d_f + d_b))
         out_se.append(raw.std(ddof=1) / np.sqrt(raw.size))
-        out_raw.append(raw)
     return NelsonEstimates(
         times=t_indices * dt,
         forward=np.stack(out_f),
         backward=np.stack(out_b),
         mean=np.stack(out_m),
         se=np.asarray(out_se),
-        raw_mean_responses=np.stack(out_raw),
     )
 
 
@@ -325,32 +321,35 @@ def instantaneous_return(
 ):
     """Expected instantaneous growth of the synthetic-bond portfolio.
 
-    Estimates the mean stochastic derivative of ``log(x . S_t)`` from the
+    Averages the symmetric difference quotient of ``log(x . S_t)`` over the
     ensemble and adds the portfolio short rate; the gauges supply the term
     structures (their deflator components are superseded by the simulated
-    paths), with per-path value weights.  Returns (times, mean, se).
+    paths), with per-path value weights.  The ensemble mean of Nelson's mean
+    derivative is the mean of these raw quotients (tower property), so no
+    neighbour regression is needed.  Returns (times, mean, se).
     """
     if len(gauges) != ens.n_assets:
         raise ValueError("one gauge per simulated asset required")
+    cfg.validate_against(ens.dt)
     t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
     wealth = np.einsum("mtn,n->mt", ens.states, x.x)
     if np.any(np.abs(wealth) <= 0.0):
         raise ValueError("portfolio deflator vanishes along some path")
-    est = nelson_derivatives(np.log(np.abs(wealth)), ens.states, ens.dt, cfg, t_indices)
+    log_w = np.log(np.abs(wealth))
+    m = int(round(cfg.lag / ens.dt))
     rates = np.stack(
         [short_rate(forward_rate(g)) for g in gauges], axis=1
     )  # (n_gauge_times, N)
     mean = np.empty(t_indices.size)
     se = np.empty(t_indices.size)
     for j, i in enumerate(t_indices):
+        cfg.check_step(i, ens.dt, log_w.shape[1])
         g_row = _gauge_row_for_time(gauges[0], i * ens.dt)
         w = ens.states[:, i, :] * x.x / wealth[:, i][:, None]
-        rx = w @ rates[g_row]
-        vals = est.mean[j] + rx
-        raw = est.raw_mean_responses[j] + rx
+        vals = (log_w[:, i + m] - log_w[:, i - m]) / (2 * cfg.lag) + w @ rates[g_row]
         mean[j] = vals.mean()
-        se[j] = raw.std(ddof=1) / np.sqrt(raw.size)
-    return est.times, mean, se
+        se[j] = vals.std(ddof=1) / np.sqrt(vals.size)
+    return t_indices * ens.dt, mean, se
 
 
 def _gauge_row_for_time(g: Gauge, t: float) -> int:
@@ -407,17 +406,14 @@ def empirical_rho(
     lag_steps = int(round(cfg.lag / ens.dt))
     ito = 0.5 * np.einsum("nk,nk->n", model.sigma, model.sigma)
     logs = np.log(ens.states)
-    n = ens.n_assets
     out = np.empty((t_indices.size, basis.B))
     se = np.empty((t_indices.size, basis.B))
     for j, i in enumerate(t_indices):
         cfg.check_step(i, ens.dt, logs.shape[1])
         t = i * ens.dt
-        raw_mean = np.empty((ens.n_paths, n))
-        for a in range(n):
-            fq = (logs[:, i + lag_steps, a] - logs[:, i, a]) / cfg.lag
-            bq = (logs[:, i, a] - logs[:, i - lag_steps, a]) / cfg.lag
-            raw_mean[:, a] = 0.5 * (fq + bq)
+        fq = (logs[:, i + lag_steps] - logs[:, i]) / cfg.lag
+        bq = (logs[:, i] - logs[:, i - lag_steps]) / cfg.lag
+        raw_mean = 0.5 * (fq + bq)
         w_corr = ens.noise[:, i, :] / (2.0 * t)  # exact, never estimated
         raw_hat = raw_mean + ito[None, :] - w_corr @ model.sigma.T
         raw_proj = (raw_hat + model.r[None, :]) @ basis.J
@@ -457,7 +453,8 @@ def self_financing_residual(
     at the current holdings): conditional expectation is linear, so this is
     the same quantity as the difference of the separately smoothed
     derivatives, but free of cross-neighbourhood bias for path-dependent
-    strategies.
+    strategies.  Its ensemble mean is the mean of the raw responses (tower
+    property), so no neighbour regression is needed.
     """
     x_paths = np.asarray(x_paths, dtype=float)
     if x_paths.ndim == 2:
@@ -485,8 +482,7 @@ def self_financing_residual(
             "mn,mn->m", x_paths[:, i, :], d[:, i + m, :] - d[:, i - m, :]
         ) / (2 * cfg.lag)
         responses = wealth_q - hedge_q
-        smoothed = _knn_mean(d[:, i, :], responses, cfg.neighbors)
-        residual[j] = smoothed.mean()
+        residual[j] = responses.mean()
         residual_se[j] = responses.std(ddof=1) / np.sqrt(responses.size)
         back_cov = (cov[:, i] - cov[:, i - m]) / cfg.lag
         cov_term[j] = 0.5 * back_cov.mean()

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bs_oracle import bs_call
 from itoarb import cli
@@ -237,6 +243,46 @@ def test_price_surface_outside_grid_rejected(tmp_path, surface):
     out = tmp_path / "pout"
     assert run(["price", "--config", cfg, "--out", out]) == 2
     assert not any(out.iterdir())
+
+
+def _mostly(inside, edges):
+    # four draws in five from inside the domain, the rest from values on or
+    # just past its edges
+    return st.one_of(*[inside] * 4, st.sampled_from(edges))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    times=st.lists(_mostly(st.floats(0.0, 1.0), [-0.5, -1e-9, -0.0, 1.0, 1.0 + 1e-9, 1.5]),
+                   min_size=1, max_size=3),
+    # exp(0.3) = 1.3499, exp(-0.3) = 0.7408
+    moneyness=st.lists(_mostly(st.floats(0.75, 1.34), [-1.0, 0.0, 1e-300, 0.74, 1.35, 2.0]),
+                       min_size=1, max_size=3),
+)
+@example(times=[1.0], moneyness=[2.0])  # at expiry: priced as the payoff
+def test_price_input_domain(times, moneyness):
+    # exit 2 with no files exactly when some surface point is off the
+    # domain: a time outside [0, 1], a non-positive price, or a point before
+    # expiry with |log m| > y_half = 0.3; otherwise exit 0
+    payload = price_cfg(rho=0.01)
+    payload["surface_output"] = {"times": times, "moneyness": moneyness}
+    t = np.array(times)
+    x = 100.0 * np.array(moneyness)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(x / 100.0)
+    before_expiry = ~np.isclose(t, 1.0, rtol=0.0, atol=1e-14)
+    off = (np.any(t < 0) or np.any(t > 1.0) or np.any(x <= 0)
+           or (np.any(before_expiry) and np.any(np.abs(y) > 0.3)))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "pout"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["price", "--config", write_cfg(Path(tmp), "p.json", payload),
+                        "--out", out])
+        assert code in (0, 2)
+        assert (code == 2) == off
+        assert any(out.iterdir()) == (code == 0)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------- solve-pde

@@ -261,7 +261,7 @@ def test_u1_vanishes_at_small_tau(sol_rho_002):
 
 
 def test_u1_nonnegative_u0_nonnegative(sol_rho_002):
-    assert np.all(sol_rho_002.u0_grid >= 0.0)
+    assert np.all(u0(sol_rho_002.tau_axis[:, None], sol_rho_002.y_nodes[None, :]) >= 0.0)
     assert np.all(sol_rho_002.u1_grid >= 0.0)
 
 
@@ -274,7 +274,7 @@ def test_u2_zero_when_u1_zero():
     tau_axis = np.concatenate([[0.0], grid.tau_nodes])
     y_ext = np.linspace(-2.5, 2.5, 401)
     zero_u1 = np.zeros((tau_axis.size, y_ext.size))
-    u2 = pricing.compute_u2(spec, grid, zero_u1, y_ext)
+    u2 = pricing.compute_u2(grid, zero_u1, y_ext, source_coefficient(spec))
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -317,13 +317,44 @@ def test_correction_homogeneity_in_constant():
     grid = TransformGrid.for_call(
         spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
     )
-    a = solve_perturbation(spec, grid, convention=pricing.SOURCE_STRIKE_FREE,
-                           compute_corrections=True)
-    b = solve_perturbation(spec, grid, convention=pricing.SOURCE_STRIKE_SCALED,
-                           compute_corrections=True)
+    ys = np.linspace(-2.5, 2.5, 401)
+    # compared where the series keeps the tables; in the padded tails the
+    # values underflow (~1e-167) and are not homogeneous to rounding
+    keep = np.abs(ys) <= 0.3
     k = spec.strike
-    np.testing.assert_allclose(b.u1_grid, k * a.u1_grid, rtol=1e-12)
-    np.testing.assert_allclose(b.u2_grid, k * k * a.u2_grid, rtol=1e-12)
+    free = source_coefficient(spec, pricing.SOURCE_STRIKE_FREE)
+    scaled = source_coefficient(spec, pricing.SOURCE_STRIKE_SCALED)
+    u1_a = pricing.compute_u1(grid, ys, free)
+    u1_b = pricing.compute_u1(grid, ys, scaled)
+    np.testing.assert_allclose(u1_b[:, keep], k * u1_a[:, keep], rtol=1e-12)
+    u2_a = pricing.compute_u2(grid, u1_a, ys, free)
+    u2_b = pricing.compute_u2(grid, u1_b, ys, scaled)
+    np.testing.assert_allclose(u2_b[:, keep], k * k * u2_a[:, keep], rtol=1e-12)
+
+
+def test_correction_values_reject_off_grid():
+    spec = CallSpec(100.0, 1.0, 0.2, 0.02)
+    grid = TransformGrid.for_call(
+        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
+    )
+    sol = solve_perturbation(spec, grid)
+    with pytest.raises(ValueError, match="coverage"):
+        sol.correction_values(0.02, [0.3, 0.9, 5.0])
+    with pytest.raises(ValueError, match="coverage"):
+        sol.correction_values(0.01, np.nan)
+    with pytest.raises(ValueError, match="tau grid"):
+        sol.correction_values([-0.01, 0.01], 0.0)
+    with pytest.raises(ValueError, match="tau grid"):
+        sol.correction_values(2.0 * spec.tau_max, 0.0)
+    # the grid's edges are on it
+    u1, u2 = sol.correction_values([0.0, spec.tau_max], [-0.3, 0.3])
+    np.testing.assert_array_equal(u1, [sol.u1_grid[0, 0], sol.u1_grid[-1, -1]])
+    np.testing.assert_array_equal(u2, [sol.u2_grid[0, 0], sol.u2_grid[-1, -1]])
+    # the series value is read through the same check, with or without rho
+    classical = solve_perturbation(CallSpec(100.0, 1.0, 0.2, 0.0), grid)
+    for s in (sol, classical):
+        with pytest.raises(ValueError, match="coverage"):
+            s.u_values(0.02, 0.9)
 
 
 # ---------------------------------------------------------------- prices
@@ -434,6 +465,12 @@ def test_transform_grid_validation():
     with pytest.raises(ValueError, match="unsafe"):
         TransformGrid(
             np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33), z_half_width_sds=4
+        )
+    with pytest.raises(ValueError, match="finite"):
+        TransformGrid(np.full(20, np.nan), np.linspace(-1, 1, 33))
+    with pytest.raises(ValueError, match="finite"):
+        TransformGrid(
+            np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33), z_half_width_sds=np.nan
         )
 
 

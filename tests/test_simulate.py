@@ -91,6 +91,13 @@ def test_schedule_and_validation():
         simulate(coeffs[0], 8, 0.3, 1.0, seed=3)
 
 
+def test_brownian_paths_reject_partial_step():
+    # 1.0 / 0.3 is not a whole number of steps: no silent truncation to 0.9
+    with pytest.raises(ValueError, match="integer number"):
+        brownian_paths(4, 0.3, 1.0, seed=1)
+    assert brownian_paths(4, 0.25, 1.0, seed=1).shape == (4, 5, 1)
+
+
 # ---------------------------------------------------------------- estimators
 
 
