@@ -15,7 +15,7 @@ byte-identical.  Commands turn config sections into library objects and
 write what the library returns.  Exit codes: 0 success / no arbitrage
 flagged, 1 the analysis flags arbitrage or a cross-route mismatch, 2 usage
 or config error (including values the library rejects while building its
-objects), 3 internal failure of the numerics.
+objects, and runs too large to allocate), 3 internal failure of the numerics.
 """
 
 from __future__ import annotations
@@ -372,6 +372,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error [{args.command}]: internal failure: {exc}", file=sys.stderr)

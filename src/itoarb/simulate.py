@@ -9,6 +9,10 @@ instantaneous return, the empirical arbitrage measure and the
 self-financing residual, report ensemble means and need no regression: the
 mean of a conditional expectation is the mean of the raw difference
 quotients (tower property).
+
+Every estimator checks its lag window with :meth:`EstimatorConfig.window`
+and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
+at once, time-major (:func:`_lagged`).
 """
 
 from __future__ import annotations
@@ -74,8 +78,8 @@ class PathEnsemble:
             raise ValueError("states and noise must be (M, n_times, dim) arrays")
         if self.states.shape[:2] != self.noise.shape[:2]:
             raise ValueError("states and noise must share (M, n_times)")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
     @property
     def n_paths(self) -> int:
@@ -112,8 +116,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.neighbors < 8:
             raise ValueError("need at least 8 neighbors")
-        if self.lag <= 0 or self.t_min <= 0:
-            raise ValueError("lag and t_min must be positive")
+        if not (0 < self.lag < np.inf and 0 < self.t_min < np.inf):
+            raise ValueError("lag and t_min must be finite and positive")
 
     @classmethod
     def for_ensemble(cls, ens: PathEnsemble, lag_steps: int = 5) -> "EstimatorConfig":
@@ -123,20 +127,30 @@ class EstimatorConfig:
             t_min=10 * ens.dt,
         )
 
-    def validate_against(self, dt: float) -> None:
+    def window(self, dt: float, n_times: int, t_indices) -> tuple[np.ndarray, int]:
+        """Checked lag window on a grid of ``n_times`` nodes ``dt`` apart.
+
+        Returns the estimation steps as ints and the lag in steps.  Raises
+        ``ValueError`` unless the lag is a whole number (>= 1) of steps,
+        ``t_min`` is at least 10 steps, and every step lies at or after
+        ``t_min`` with its window ``[i - lag, i + lag]`` on the grid.
+        """
         if self.lag < dt - 1e-12:
             raise ValueError("lag must be at least one time step")
+        m = int(round(self.lag / dt))
+        if abs(m * dt - self.lag) > 1e-9 * max(self.lag, 1.0):
+            raise ValueError("lag must be a whole number of time steps")
         if self.t_min < 10 * dt - 1e-12:
             raise ValueError("t_min must be at least 10 time steps")
-
-    def check_step(self, i: int, dt: float, n_times: int) -> None:
-        """Raise unless step ``i`` of a grid of ``n_times`` nodes ``dt``
-        apart is at least ``t_min`` and its lag window stays on the grid."""
-        if i * dt < self.t_min - 1e-12:
-            raise ValueError(f"estimation time {i * dt} below t_min {self.t_min}")
-        m = int(round(self.lag / dt))
-        if i - m < 0 or i + m >= n_times:
+        steps = np.atleast_1d(np.asarray(t_indices, dtype=int))
+        early = steps * dt < self.t_min - 1e-12
+        bad = early | (steps - m < 0) | (steps + m >= n_times)
+        if bad.any():
+            j = int(np.argmax(bad))  # the first offending step decides the message
+            if early[j]:
+                raise ValueError(f"estimation time {steps[j] * dt} below t_min {self.t_min}")
             raise ValueError("lag window leaves the simulated horizon")
+        return steps, m
 
 
 def _normal_chunks(seed: int, m_paths: int, n_steps: int, k: int):
@@ -269,6 +283,18 @@ def _gathered_means(idx: np.ndarray, responses: np.ndarray, block: int = 16384) 
     return out
 
 
+def _rows(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Nodes ``steps`` of the time axis (axis 1) of ``a``, moved to
+    ``(n_steps, M, ...)`` and contiguous, so that reductions over paths run
+    along contiguous rows."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, 0)[steps])
+
+
+def _lagged(a: np.ndarray, steps: np.ndarray, m: int):
+    """The lag window of each step: :func:`_rows` at ``i - m``, ``i``, ``i + m``."""
+    return _rows(a, steps - m), _rows(a, steps), _rows(a, steps + m)
+
+
 def nelson_derivatives(
     values: np.ndarray,
     state: np.ndarray,
@@ -280,35 +306,29 @@ def nelson_derivatives(
 
     ``values`` is (M, n_times); ``state`` is (M, n_times, d) and must carry
     the Markov state the functional depends on; conditioning is k-nearest-
-    neighbour regression on the present state.  Estimation times must satisfy
-    ``t >= max(cfg.t_min, cfg.lag)``.
+    neighbour regression on the present state.  Estimation steps must pass
+    :meth:`EstimatorConfig.window`.
     """
     values = np.asarray(values, dtype=float)
     state = np.asarray(state, dtype=float)
     if values.ndim != 2 or state.ndim != 3 or state.shape[:2] != values.shape:
         raise ValueError("values must be (M, n_times) and state (M, n_times, d)")
-    cfg.validate_against(dt)
-    m = int(round(cfg.lag / dt))
-    t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
-    out_f, out_b, out_m, out_se = [], [], [], []
-    for i in t_indices:
-        cfg.check_step(i, dt, values.shape[1])
-        fq = (values[:, i + m] - values[:, i]) / cfg.lag
-        bq = (values[:, i] - values[:, i - m]) / cfg.lag
-        idx = _neighbor_indices(state[:, i, :], cfg.neighbors)
-        d_f = _gathered_means(idx, fq)
-        d_b = _gathered_means(idx, bq)
-        raw = 0.5 * (fq + bq)
-        out_f.append(d_f)
-        out_b.append(d_b)
-        out_m.append(0.5 * (d_f + d_b))
-        out_se.append(raw.std(ddof=1) / np.sqrt(raw.size))
+    steps, m = cfg.window(dt, values.shape[1], t_indices)
+    before, now, after = _lagged(values, steps, m)
+    fq = (after - now) / cfg.lag
+    bq = (now - before) / cfg.lag
+    raw = 0.5 * (fq + bq)
+    forward, backward = np.empty_like(fq), np.empty_like(bq)
+    for j, s_now in enumerate(_rows(state, steps)):
+        idx = _neighbor_indices(s_now, cfg.neighbors)
+        forward[j] = _gathered_means(idx, fq[j])
+        backward[j] = _gathered_means(idx, bq[j])
     return NelsonEstimates(
-        times=t_indices * dt,
-        forward=np.stack(out_f),
-        backward=np.stack(out_b),
-        mean=np.stack(out_m),
-        se=np.asarray(out_se),
+        times=steps * dt,
+        forward=forward,
+        backward=backward,
+        mean=0.5 * (forward + backward),
+        se=raw.std(axis=1, ddof=1) / np.sqrt(raw.shape[1]),
     )
 
 
@@ -330,33 +350,25 @@ def instantaneous_return(
     """
     if len(gauges) != ens.n_assets:
         raise ValueError("one gauge per simulated asset required")
-    cfg.validate_against(ens.dt)
-    t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
+    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
     wealth = np.einsum("mtn,n->mt", ens.states, x.x)
     if np.any(np.abs(wealth) <= 0.0):
         raise ValueError("portfolio deflator vanishes along some path")
-    log_w = np.log(np.abs(wealth))
-    m = int(round(cfg.lag / ens.dt))
-    rates = np.stack(
-        [short_rate(forward_rate(g)) for g in gauges], axis=1
-    )  # (n_gauge_times, N)
-    mean = np.empty(t_indices.size)
-    se = np.empty(t_indices.size)
-    for j, i in enumerate(t_indices):
-        cfg.check_step(i, ens.dt, log_w.shape[1])
-        g_row = _gauge_row_for_time(gauges[0], i * ens.dt)
-        w = ens.states[:, i, :] * x.x / wealth[:, i][:, None]
-        vals = (log_w[:, i + m] - log_w[:, i - m]) / (2 * cfg.lag) + w @ rates[g_row]
-        mean[j] = vals.mean()
-        se[j] = vals.std(ddof=1) / np.sqrt(vals.size)
-    return t_indices * ens.dt, mean, se
+    log_before, _, log_after = _lagged(np.log(np.abs(wealth)), steps, m)
+    rates = np.stack([short_rate(forward_rate(g)) for g in gauges], axis=1)  # (n_gauge_times, N)
+    times = steps * ens.dt
+    rate_rows = rates[_gauge_rows_for_times(gauges[0], times)]  # (n_steps, N)
+    w = _rows(ens.states, steps) * x.x / _rows(wealth, steps)[:, :, None]
+    vals = (log_after - log_before) / (2 * cfg.lag) + (w @ rate_rows[:, :, None])[:, :, 0]
+    return times, vals.mean(axis=1), vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])
 
 
-def _gauge_row_for_time(g: Gauge, t: float) -> int:
-    i = int(np.argmin(np.abs(g.times - t)))
-    if abs(g.times[i] - t) > 1e-9 + 1e-6 * max(t, 1.0):
-        raise ValueError(f"gauge time grid does not cover t={t}")
-    return i
+def _gauge_rows_for_times(g: Gauge, times: np.ndarray) -> np.ndarray:
+    rows = np.argmin(np.abs(g.times[None, :] - times[:, None]), axis=1)
+    off = np.abs(g.times[rows] - times) > 1e-9 + 1e-6 * np.maximum(times, 1.0)
+    if off.any():
+        raise ValueError(f"gauge time grid does not cover t={times[np.argmax(off)]}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -370,12 +382,10 @@ class RhoEstimate:
 
 
 def estimation_steps(ens: PathEnsemble, cfg: EstimatorConfig, times) -> np.ndarray:
-    """Distinct steps of ``ens`` nearest ``times``, each checked by
-    :meth:`EstimatorConfig.check_step`."""
+    """Distinct steps of ``ens`` nearest ``times``, checked by
+    :meth:`EstimatorConfig.window`."""
     steps = np.unique(np.round(np.asarray(times, dtype=float) / ens.dt).astype(int))
-    for i in steps:
-        cfg.check_step(i, ens.dt, ens.states.shape[1])
-    return steps
+    return cfg.window(ens.dt, ens.states.shape[1], steps)[0]
 
 
 def empirical_rho(
@@ -397,29 +407,22 @@ def empirical_rho(
     property), so ``cfg.neighbors`` is not used.  With B = 0 the estimate is
     empty.
     """
-    t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
+    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
+    times = steps * ens.dt
     basis = kernel_basis(model.sigma)
     if basis.B == 0:
-        empty = np.zeros((t_indices.size, 0))
-        return RhoEstimate(t_indices * ens.dt, empty, empty.copy(), 0)
-    cfg.validate_against(ens.dt)
-    lag_steps = int(round(cfg.lag / ens.dt))
+        empty = np.zeros((steps.size, 0))
+        return RhoEstimate(times, empty, empty.copy(), 0)
     ito = 0.5 * np.einsum("nk,nk->n", model.sigma, model.sigma)
-    logs = np.log(ens.states)
-    out = np.empty((t_indices.size, basis.B))
-    se = np.empty((t_indices.size, basis.B))
-    for j, i in enumerate(t_indices):
-        cfg.check_step(i, ens.dt, logs.shape[1])
-        t = i * ens.dt
-        fq = (logs[:, i + lag_steps] - logs[:, i]) / cfg.lag
-        bq = (logs[:, i] - logs[:, i - lag_steps]) / cfg.lag
-        raw_mean = 0.5 * (fq + bq)
-        w_corr = ens.noise[:, i, :] / (2.0 * t)  # exact, never estimated
-        raw_hat = raw_mean + ito[None, :] - w_corr @ model.sigma.T
-        raw_proj = (raw_hat + model.r[None, :]) @ basis.J
-        out[j] = raw_proj.mean(axis=0)
-        se[j] = raw_proj.std(axis=0, ddof=1) / np.sqrt(raw_proj.shape[0])
-    return RhoEstimate(t_indices * ens.dt, out, se, basis.B)
+    before, now, after = (np.log(a) for a in _lagged(ens.states, steps, m))
+    fq = (after - now) / cfg.lag
+    bq = (now - before) / cfg.lag
+    raw_mean = 0.5 * (fq + bq)  # (n_steps, M, N)
+    w_corr = _rows(ens.noise, steps) / (2.0 * times)[:, None, None]  # exact, never estimated
+    raw_hat = raw_mean + ito - w_corr @ model.sigma.T
+    raw_proj = (raw_hat + model.r) @ basis.J
+    se = raw_proj.std(axis=1, ddof=1) / np.sqrt(raw_proj.shape[1])
+    return RhoEstimate(times, raw_proj.mean(axis=1), se, basis.B)
 
 
 @dataclass(frozen=True)
@@ -461,32 +464,23 @@ def self_financing_residual(
         x_paths = np.broadcast_to(x_paths, (ens.n_paths,) + x_paths.shape)
     if x_paths.shape != ens.states.shape:
         raise ValueError("strategy grid does not match the ensemble grid")
-    cfg.validate_against(ens.dt)
-    t_indices = np.atleast_1d(np.asarray(t_indices, dtype=int))
+    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
     d = ens.states
-    m = int(round(cfg.lag / ens.dt))
     wealth = np.einsum("mtn,mtn->mt", x_paths, d)
     # running discrete covariation sum_j sum_steps dx_j dD_j
     cov = np.zeros((ens.n_paths, d.shape[1]))
     cov[:, 1:] = np.cumsum(
         np.einsum("mtn,mtn->mt", np.diff(x_paths, axis=1), np.diff(d, axis=1)), axis=1
     )
-
-    residual = np.empty(t_indices.size)
-    residual_se = np.empty(t_indices.size)
-    cov_term = np.empty(t_indices.size)
-    for j, i in enumerate(t_indices):
-        cfg.check_step(i, ens.dt, d.shape[1])
-        wealth_q = (wealth[:, i + m] - wealth[:, i - m]) / (2 * cfg.lag)
-        hedge_q = np.einsum(
-            "mn,mn->m", x_paths[:, i, :], d[:, i + m, :] - d[:, i - m, :]
-        ) / (2 * cfg.lag)
-        responses = wealth_q - hedge_q
-        residual[j] = responses.mean()
-        residual_se[j] = responses.std(ddof=1) / np.sqrt(responses.size)
-        back_cov = (cov[:, i] - cov[:, i - m]) / cfg.lag
-        cov_term[j] = 0.5 * back_cov.mean()
-    return SelfFinancingReport(t_indices * ens.dt, residual, residual_se, cov_term)
+    wealth_before, _, wealth_after = _lagged(wealth, steps, m)
+    d_before, _, d_after = _lagged(d, steps, m)
+    cov_before, cov_now, _ = _lagged(cov, steps, m)
+    wealth_q = (wealth_after - wealth_before) / (2 * cfg.lag)
+    hedge_q = np.einsum("smn,smn->sm", _rows(x_paths, steps), d_after - d_before) / (2 * cfg.lag)
+    responses = wealth_q - hedge_q  # (n_steps, M)
+    se = responses.std(axis=1, ddof=1) / np.sqrt(responses.shape[1])
+    cov_term = 0.5 * ((cov_now - cov_before) / cfg.lag).mean(axis=1)
+    return SelfFinancingReport(steps * ens.dt, responses.mean(axis=1), se, cov_term)
 
 
 # ---------------------------------------------------------------------------

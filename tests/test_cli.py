@@ -285,6 +285,49 @@ def test_price_input_domain(times, moneyness):
     assert "Traceback" not in err.getvalue()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dt=st.sampled_from([0.01, 0.02, 0.025, 0.05]),
+    n_steps=st.integers(1, 60),
+    # a horizon between grid nodes: this fraction of a step past node n_steps
+    partial=st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+    lag_steps=st.integers(1, 8),
+    # report times as fractions of the horizon, inside and outside
+    # [10 dt, horizon - lag]; None keeps the default times
+    fractions=st.one_of(st.none(), st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=4)),
+    drivers=st.sampled_from([1, 2]),  # kernel dimension B = 1 or 0
+)
+@example(dt=0.01, n_steps=60, partial=0.0, lag_steps=5, fractions=[0.5], drivers=1)
+@example(dt=0.01, n_steps=60, partial=0.0, lag_steps=5, fractions=None, drivers=2)
+def test_simulate_input_domain(dt, n_steps, partial, lag_steps, fractions, drivers):
+    # exit 2 with no files exactly when the horizon is not a whole number
+    # of steps or a report step (the grid node nearest a report time) lies
+    # before 10 dt or has its lag window off [0, horizon]; otherwise exit 0
+    horizon = (n_steps + partial) * dt
+    payload = sim_cfg(paths=64, dt=dt, horizon=horizon, lag_steps=lag_steps,
+                      export_csv_paths=0)
+    payload["market"]["sigma"] = [[0.2], [0.1]] if drivers == 1 else [[0.2, 0.0], [0.1, 0.1]]
+    if fractions is None:
+        del payload["estimator"]["report_times"]
+        times = np.linspace(0.2, 0.8, 7) * horizon
+    else:
+        times = np.array(fractions) * horizon
+        payload["estimator"]["report_times"] = times.tolist()
+    steps = np.round(times / dt).astype(int)
+    off = partial != 0.0 or np.any((steps < 10) | (steps - lag_steps < 0)
+                                   | (steps + lag_steps > n_steps))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "mout"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["simulate", "--config", write_cfg(Path(tmp), "m.json", payload),
+                        "--out", out])
+        assert code in (0, 2)
+        assert (code == 2) == off
+        assert any(out.iterdir()) == (code == 0)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------- solve-pde
 
 
@@ -371,3 +414,15 @@ def test_simulate_rejects_market_schedule(tmp_path):
     out = tmp_path / "sched"
     assert run(["simulate", "--config", cfg, "--out", out]) == 2
     assert not (out / "rho_estimates.csv").exists()
+
+
+def test_simulate_too_large_to_allocate(tmp_path, capsys):
+    # 10**12 paths x 201 nodes x 2 assets of float64 is 3.2 PB, more than
+    # any address space holds, so the allocation fails at once
+    cfg = write_cfg(tmp_path, "huge.json", sim_cfg(paths=10**12, dt=0.005))
+    out = tmp_path / "huge"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from itoarb.gauges import Gauge, PortfolioNominals
+from itoarb.gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
+    _HEADER,
     EstimatorConfig,
+    _gathered_means,
+    _neighbor_indices,
     brownian_paths,
     empirical_rho,
     ensemble_to_csv,
@@ -106,9 +109,30 @@ def test_estimator_config_guards():
         EstimatorConfig(lag=0.01, neighbors=4, t_min=0.1)
     cfg = EstimatorConfig(lag=0.005, neighbors=8, t_min=0.1)
     with pytest.raises(ValueError, match="one time step"):
-        cfg.validate_against(dt=0.01)
+        cfg.window(dt=0.01, n_times=101, t_indices=[50])
     with pytest.raises(ValueError, match="t_min"):
-        EstimatorConfig(lag=0.05, neighbors=8, t_min=0.05).validate_against(dt=0.01)
+        EstimatorConfig(lag=0.05, neighbors=8, t_min=0.05).window(0.01, 101, [50])
+    for bad in (np.nan, np.inf, 0.0, -0.01):
+        with pytest.raises(ValueError, match="finite and positive"):
+            EstimatorConfig(lag=bad, neighbors=8, t_min=0.1)
+        with pytest.raises(ValueError, match="finite and positive"):
+            EstimatorConfig(lag=0.05, neighbors=8, t_min=bad)
+
+
+def test_estimator_window():
+    cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
+    steps, m = cfg.window(0.01, 101, [10, 50, 95])
+    assert m == 5 and steps.dtype.kind == "i"
+    np.testing.assert_array_equal(steps, [10, 50, 95])
+    with pytest.raises(ValueError, match="whole number"):
+        EstimatorConfig(lag=0.012, neighbors=8, t_min=0.05).window(0.005, 201, [100])
+    with pytest.raises(ValueError, match="estimation time 0.09 below t_min"):
+        cfg.window(0.01, 101, [50, 9])
+    with pytest.raises(ValueError, match="leaves the simulated horizon"):
+        cfg.window(0.01, 101, [50, 96])
+    # the first offending step names the failure
+    with pytest.raises(ValueError, match="leaves the simulated horizon"):
+        cfg.window(0.01, 101, [96, 9])
 
 
 def test_estimator_config_defaults():
@@ -118,7 +142,26 @@ def test_estimator_config_defaults():
     assert cfg.lag == pytest.approx(0.05)
     assert cfg.neighbors == 15
     assert cfg.t_min == pytest.approx(0.1)
-    cfg.validate_against(ens.dt)
+    assert cfg.window(ens.dt, ens.states.shape[1], [10, 45])[1] == 5
+
+
+def test_partial_step_lag_rejected_by_every_estimator():
+    # lag = 2.4 steps: quotients over a 2-step window divided by the lag
+    # would read a planted rho of 0.02 as 0.0174, with a tiny SE
+    sigma = np.array([[0.2], [0.1]])
+    m = ItoCoefficients((sigma @ [0.3]).ravel(), sigma, np.zeros(2))
+    ens = simulate(m, 64, 0.005, 1.0, seed=8)
+    cfg = EstimatorConfig(lag=0.012, neighbors=8, t_min=0.05)
+    gauges = [flat_gauge_on(ens.times, 0.0)] * 2
+    calls = [
+        lambda: empirical_rho(ens, m, cfg, [100]),
+        lambda: nelson_derivatives(ens.states[:, :, 0], ens.states, ens.dt, cfg, [100]),
+        lambda: instantaneous_return(ens, PortfolioNominals(np.ones(2)), gauges, cfg, [100]),
+        lambda: self_financing_residual(np.ones((ens.states.shape[1], 2)), ens, cfg, [100]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="whole number of time steps"):
+            call()
 
 
 def test_insufficient_neighbors_error():
@@ -395,6 +438,20 @@ def test_ensemble_wrong_size_rejected(tmp_path, edit):
         load_ensemble(f)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
+def test_ensemble_bad_header_dt_rejected(tmp_path, dt):
+    ens = simulate(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, seed=6)
+    f = tmp_path / "paths.gate"
+    save_ensemble(ens, f)
+    raw = bytearray(f.read_bytes())
+    fields = list(_HEADER.unpack_from(raw))
+    fields[6] = dt  # magic, version, M, N, K, steps, dt, seed
+    _HEADER.pack_into(raw, 0, *fields)
+    f.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        load_ensemble(f)
+
+
 def test_ensemble_csv_export(tmp_path):
     m = model([0.05], np.array([[0.2]]))
     ens = simulate(m, 5, 0.1, 0.3, seed=6)
@@ -403,3 +460,90 @@ def test_ensemble_csv_export(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "path,t,S_1,W_1"
     assert len(lines) == 1 + 3 * 4
+
+
+# ---------------------------------------------------------------- reference
+
+
+def per_step_reference(ens, m, cfg, steps, x, gauges, x_paths):
+    """The four estimators as per-report-time loops, in the arithmetic they
+    had before they read one gathered window; returns their outputs in the
+    order nelson (forward, backward, mean, se), instantaneous return (mean,
+    se), empirical rho (estimate, se), self-financing (residual, se,
+    covariation term)."""
+    lag, k = cfg.lag, int(round(cfg.lag / ens.dt))
+    out = {name: [] for name in ("nf", "nb", "nm", "nse", "ir", "irse",
+                                 "rho", "rhose", "sf", "sfse", "cov")}
+    logs = np.log(ens.states)
+    wealth_x = np.einsum("mtn,n->mt", ens.states, x.x)
+    log_w = np.log(np.abs(wealth_x))
+    rates = np.stack([short_rate(forward_rate(g)) for g in gauges], axis=1)
+    basis = kernel_basis(m.sigma)
+    ito = 0.5 * np.einsum("nk,nk->n", m.sigma, m.sigma)
+    wealth = np.einsum("mtn,mtn->mt", x_paths, ens.states)
+    cov = np.zeros((ens.n_paths, ens.states.shape[1]))
+    cov[:, 1:] = np.cumsum(np.einsum("mtn,mtn->mt", np.diff(x_paths, axis=1),
+                                     np.diff(ens.states, axis=1)), axis=1)
+    for i in steps:
+        t = i * ens.dt
+        # nelson_derivatives of the first log price
+        fq = (logs[:, i + k, 0] - logs[:, i, 0]) / lag
+        bq = (logs[:, i, 0] - logs[:, i - k, 0]) / lag
+        idx = _neighbor_indices(ens.states[:, i, :], cfg.neighbors)
+        d_f, d_b = _gathered_means(idx, fq), _gathered_means(idx, bq)
+        raw = 0.5 * (fq + bq)
+        out["nf"].append(d_f)
+        out["nb"].append(d_b)
+        out["nm"].append(0.5 * (d_f + d_b))
+        out["nse"].append(raw.std(ddof=1) / np.sqrt(raw.size))
+        # instantaneous_return
+        g_row = int(np.argmin(np.abs(gauges[0].times - t)))
+        w = ens.states[:, i, :] * x.x / wealth_x[:, i][:, None]
+        vals = (log_w[:, i + k] - log_w[:, i - k]) / (2 * lag) + w @ rates[g_row]
+        out["ir"].append(vals.mean())
+        out["irse"].append(vals.std(ddof=1) / np.sqrt(vals.size))
+        # empirical_rho
+        fq = (logs[:, i + k] - logs[:, i]) / lag
+        bq = (logs[:, i] - logs[:, i - k]) / lag
+        w_corr = ens.noise[:, i, :] / (2.0 * t)
+        raw_hat = 0.5 * (fq + bq) + ito[None, :] - w_corr @ m.sigma.T
+        raw_proj = (raw_hat + m.r[None, :]) @ basis.J
+        out["rho"].append(raw_proj.mean(axis=0))
+        out["rhose"].append(raw_proj.std(axis=0, ddof=1) / np.sqrt(raw_proj.shape[0]))
+        # self_financing_residual
+        wealth_q = (wealth[:, i + k] - wealth[:, i - k]) / (2 * lag)
+        hedge_q = np.einsum("mn,mn->m", x_paths[:, i, :],
+                            ens.states[:, i + k, :] - ens.states[:, i - k, :]) / (2 * lag)
+        responses = wealth_q - hedge_q
+        out["sf"].append(responses.mean())
+        out["sfse"].append(responses.std(ddof=1) / np.sqrt(responses.size))
+        out["cov"].append(0.5 * ((cov[:, i] - cov[:, i - k]) / lag).mean())
+    return {name: np.asarray(v) for name, v in out.items()}
+
+
+@pytest.mark.parametrize("sigma", [[[0.2], [0.1]], [[0.2], [0.1], [0.15]]],
+                         ids=["two-assets-B1", "three-assets-B2"])
+def test_estimators_match_per_step_reference(sigma):
+    sigma = np.array(sigma)
+    n = sigma.shape[0]
+    m = ItoCoefficients(np.linspace(0.03, 0.06, n), sigma, np.linspace(0.0, 0.02, n))
+    dt = 0.01
+    ens = simulate(m, 9000, dt, 0.5, seed=17)
+    cfg = EstimatorConfig(lag=3 * dt, neighbors=45, t_min=10 * dt)
+    steps = [10, 20, 33, 47]
+    x = PortfolioNominals(np.linspace(1.0, 2.0, n))
+    gauges = [flat_gauge_on(ens.times, r) for r in m.r]
+    # a path-dependent strategy: holdings follow the lagged price
+    x_paths = np.concatenate([ens.states[:, :1], ens.states[:, :-1]], axis=1)
+    ref = per_step_reference(ens, m, cfg, steps, x, gauges, x_paths)
+
+    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, cfg, steps)
+    _, ir, ir_se = instantaneous_return(ens, x, gauges, cfg, steps)
+    rho = empirical_rho(ens, m, cfg, steps)
+    sf = self_financing_residual(x_paths, ens, cfg, steps)
+    assert rho.B == n - 1
+    for name, got in [("nf", nel.forward), ("nb", nel.backward), ("nm", nel.mean),
+                      ("nse", nel.se), ("ir", ir), ("irse", ir_se),
+                      ("rho", rho.estimate), ("rhose", rho.se), ("sf", sf.residual),
+                      ("sfse", sf.residual_se), ("cov", sf.covariation_term)]:
+        np.testing.assert_array_equal(got, ref[name], err_msg=name)
