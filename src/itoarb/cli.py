@@ -31,6 +31,7 @@ import numpy as np
 
 from . import fdsolver, geometry, pricing, simulate as mc
 from .fdsolver import comparison_report
+from .tables import write_csv
 
 SCHEMA_VERSION = 1
 
@@ -193,11 +194,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_surface_csv(path: Path, t_nodes, x_nodes, surf) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,X,Phi\n")
-        for i, t in enumerate(t_nodes):
-            for j, x in enumerate(x_nodes):
-                fh.write(f"{t:.12g},{x:.12g},{surf[i, j]:.12g}\n")
+    # one block per time row: the whole (n_t * n_x, 3) table is never built
+    write_csv(path, ["t", "X", "Phi"],
+              (np.column_stack([np.full(x_nodes.size, t), x_nodes, row])
+               for t, row in zip(t_nodes, surf)))
 
 
 def _meta_skeleton(cfg: dict, command: str) -> dict:
@@ -284,12 +284,10 @@ def cmd_compare(cfg: dict, out: Path) -> int:
         fdsolver.comparison_inputs(spec, **compare)
     report = comparison_report(spec, **compare)
     adopted = report["candidates"][report["adopted_constant"]]
-    with open(out / "compare_report.csv", "w", newline="") as fh:
-        fh.write("rho,max_abs_error_adopted,max_abs_error_rejected\n")
-        rej = report["candidates"][pricing.SOURCE_STRIKE_SCALED]
-        for i, rho in enumerate(adopted["rhos"]):
-            fh.write(f"{rho:.12g},{adopted['max_abs_error'][i]:.12g},"
-                     f"{rej['max_abs_error'][i]:.12g}\n")
+    rejected = report["candidates"][pricing.SOURCE_STRIKE_SCALED]
+    header = ["rho", "max_abs_error_adopted", "max_abs_error_rejected"]
+    write_csv(out / "compare_report.csv", header, [np.column_stack(
+        [adopted["rhos"], adopted["max_abs_error"], rejected["max_abs_error"]])])
     meta = _meta_skeleton(cfg, "compare")
     meta["comparison"] = report
     _write_json(out / "run_meta.json", meta)
@@ -308,27 +306,24 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     est = cfg["estimator"]
     with _config_values():
         times, coeffs = _market_schedule(cfg)
-        mc.step_count(est["dt"], est["horizon"])
+        n_times = mc.step_count(est["dt"], est["horizon"]) + 1
+        cfg_est = mc.EstimatorConfig.for_ensemble(est["dt"], est["paths"], est.get("lag_steps", 5))
+        report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
+        idx = mc.estimation_steps(est["dt"], n_times, cfg_est, report_times)
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
     model = coeffs[0]
     ens = mc.simulate(model, est["paths"], est["dt"], est["horizon"], cfg.get("seed", 0))
-    with _config_values():
-        cfg_est = mc.EstimatorConfig.for_ensemble(ens, est.get("lag_steps", 5))
-        report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
-        idx = mc.estimation_steps(ens, cfg_est, report_times)
     mc.save_ensemble(ens, out / "ensemble.gate")
     if est.get("export_csv_paths", 0):
         mc.ensemble_to_csv(ens, out / "ensemble.csv", est["export_csv_paths"])
     result = mc.empirical_rho(ens, model, cfg_est, idx)
-    with open(out / "rho_estimates.csv", "w", newline="") as fh:
-        fh.write("t," + ",".join(
-            f"rho_{b + 1},se_{b + 1}" for b in range(max(result.B, 1))
-        ) + "\n")
-        for t, row, se in zip(result.times, result.estimate, result.se):
-            cells = [f"{v:.12g},{s:.12g}" for v, s in zip(row, se)] or ["nan,nan"]
-            fh.write(f"{t:.12g}," + ",".join(cells) + "\n")
+    pairs = np.dstack([result.estimate, result.se]).reshape(result.times.size, -1)
+    if not result.B:  # B = 0 still writes one (nan, nan) pair
+        pairs = np.full((result.times.size, 2), np.nan)
+    header = ["t"] + [f"{c}_{b + 1}" for b in range(max(result.B, 1)) for c in ("rho", "se")]
+    write_csv(out / "rho_estimates.csv", header, [np.column_stack([result.times, pairs])])
     meta = _meta_skeleton(cfg, "simulate")
     meta["kernel_dim"] = result.B
     if result.B:

@@ -10,10 +10,11 @@ deflator-weighted forward-rate averaging.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tables import read_csv, write_csv
 
 __all__ = [
     "CashflowIntensity",
@@ -302,31 +303,24 @@ def portfolio_short_rate(x: PortfolioNominals, gauges) -> np.ndarray:
 
 
 def write_deflator_csv(path, times, values) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, v in zip(times, values):
-            w.writerow([f"{t:.12g}", f"{v:.12g}"])
+    write_csv(path, ["t", "value"], [np.column_stack([times, values])])
 
 
 def read_deflator_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path)
     return data[:, 0], data[:, 1]
 
 
 def write_term_structure_csv(path, gauge: Gauge) -> None:
     """Rows (t, s, value) with absolute maturity ``s = t + offset``."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "s", "value"])
-        for i, t in enumerate(gauge.times):
-            for j, u in enumerate(gauge.offsets):
-                w.writerow([f"{t:.12g}", f"{t + u:.12g}", f"{gauge.term_structure[i, j]:.12g}"])
+    write_csv(path, ["t", "s", "value"],
+              (np.column_stack([np.full(gauge.offsets.size, t), t + gauge.offsets, row])
+               for t, row in zip(gauge.times, gauge.term_structure)))
 
 
 def read_term_structure_csv(path, deflator=None) -> Gauge:
     """Rebuild a gauge from (t, s, value) rows; offsets must form a shared grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path)
     times = np.unique(data[:, 0])
     n_t = times.size
     if data.shape[0] % n_t:
@@ -350,16 +344,12 @@ def read_term_structure_csv(path, deflator=None) -> Gauge:
 
 
 def write_intensity_csv(path, intensity: CashflowIntensity) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "value"])
-        for h, v in zip(intensity.lags, intensity.samples):
-            w.writerow([f"{h:.12g}", f"{v:.12g}"])
+    write_csv(path, ["h", "value"], [np.column_stack([intensity.lags, intensity.samples])])
 
 
 def read_intensity_csv(path, dh: float | None = None) -> CashflowIntensity:
     """Load an intensity; single-row (point mass) files need ``dh`` passed in."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = read_csv(path)
     h = data[:, 0]
     if h.size > 1:
         spacing = h[1] - h[0]

@@ -26,6 +26,7 @@ from scipy.spatial import cKDTree
 
 from .gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from .geometry import ItoCoefficients, kernel_basis
+from .tables import write_csv
 
 __all__ = [
     "PathEnsemble",
@@ -120,11 +121,11 @@ class EstimatorConfig:
             raise ValueError("lag and t_min must be finite and positive")
 
     @classmethod
-    def for_ensemble(cls, ens: PathEnsemble, lag_steps: int = 5) -> "EstimatorConfig":
+    def for_ensemble(cls, dt: float, n_paths: int, lag_steps: int = 5) -> "EstimatorConfig":
         return cls(
-            lag=lag_steps * ens.dt,
-            neighbors=max(8, ens.n_paths // 200),
-            t_min=10 * ens.dt,
+            lag=lag_steps * dt,
+            neighbors=max(8, n_paths // 200),
+            t_min=10 * dt,
         )
 
     def window(self, dt: float, n_times: int, t_indices) -> tuple[np.ndarray, int]:
@@ -381,11 +382,16 @@ class RhoEstimate:
     B: int
 
 
-def estimation_steps(ens: PathEnsemble, cfg: EstimatorConfig, times) -> np.ndarray:
-    """Distinct steps of ``ens`` nearest ``times``, checked by
-    :meth:`EstimatorConfig.window`."""
-    steps = np.unique(np.round(np.asarray(times, dtype=float) / ens.dt).astype(int))
-    return cfg.window(ens.dt, ens.states.shape[1], steps)[0]
+def estimation_steps(dt: float, n_times: int, cfg: EstimatorConfig, times) -> np.ndarray:
+    """Distinct grid steps nearest ``times`` (``n_times`` nodes ``dt`` apart), checked by
+    :meth:`EstimatorConfig.window`; a time outside ``[0, horizon]`` raises ``ValueError``."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    horizon = (n_times - 1) * dt
+    outside = ~((times >= 0) & (times <= horizon))  # nan too; before the int cast
+    if outside.any():
+        raise ValueError(f"report time {times[outside][0]} outside [0, horizon {horizon:g}]")
+    steps = np.unique(np.round(times / dt).astype(int))
+    return cfg.window(dt, n_times, steps)[0]
 
 
 def empirical_rho(
@@ -540,16 +546,7 @@ def ensemble_to_csv(ens: PathEnsemble, path, max_paths: int | None = None) -> No
     """Long-format CSV export for small runs: path, t, S_1..S_N, W_1..W_K."""
     m = ens.n_paths if max_paths is None else min(max_paths, ens.n_paths)
     times = ens.times
-    with open(path, "w", newline="") as fh:
-        cols = (
-            ["path", "t"]
-            + [f"S_{j + 1}" for j in range(ens.n_assets)]
-            + [f"W_{j + 1}" for j in range(ens.n_drivers)]
-        )
-        fh.write(",".join(cols) + "\n")
-        for p in range(m):
-            for i, t in enumerate(times):
-                row = [str(p), f"{t:.12g}"]
-                row += [f"{v:.12g}" for v in ens.states[p, i]]
-                row += [f"{v:.12g}" for v in ens.noise[p, i]]
-                fh.write(",".join(row) + "\n")
+    header = (["path", "t"] + [f"S_{j + 1}" for j in range(ens.n_assets)]
+              + [f"W_{j + 1}" for j in range(ens.n_drivers)])
+    write_csv(path, header, (np.column_stack([np.full(times.size, p), times, ens.states[p],
+                                              ens.noise[p]]) for p in range(m)))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -393,6 +394,45 @@ def test_simulate_command_outputs(tmp_path):
     np.testing.assert_allclose(est, -0.0223606797749979, atol=1e-8)
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["kernel_dim"] == 1
+
+
+def test_simulate_no_kernel_writes_nan_pair(tmp_path):
+    # two drivers span both assets: B = 0, still one (rho, se) column pair
+    payload = sim_cfg(export_csv_paths=0)
+    payload["market"]["sigma"] = [[0.2, 0.0], [0.1, 0.1]]
+    cfg = write_cfg(tmp_path, "b0.json", payload)
+    out = tmp_path / "b0"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 0
+    assert (out / "rho_estimates.csv").read_text() == "t,rho_1,se_1\n" + "".join(
+        f"{t},nan,nan\n" for t in ("0.3", "0.5", "0.7"))
+    assert json.loads((out / "run_meta.json").read_text())["kernel_dim"] == 0
+
+
+@pytest.mark.parametrize("report_times, named", [
+    ([0.001], "estimation time 0.0 below t_min"),  # nearest node is step 0
+    ([1e300], "report time 1e+300 outside"),  # would overflow the int cast
+    ([-0.5], "report time -0.5 outside"),
+], ids=["before-t-min", "huge", "negative"])
+def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, capsys,
+                                                        report_times, named):
+    calls = []
+
+    def no_simulation(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("simulate ran before the report times were checked")
+
+    monkeypatch.setattr(cli.mc, "simulate", no_simulation)
+    payload = sim_cfg(paths=20000, dt=0.005, report_times=report_times)
+    cfg = write_cfg(tmp_path, "early.json", payload)
+    out = tmp_path / "early"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not calls
+    assert not any(out.iterdir())
 
 
 def test_simulate_seed_override_changes_ensemble(tmp_path):

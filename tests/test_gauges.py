@@ -342,3 +342,33 @@ def test_csv_round_trips(tmp_path):
         gauges.read_intensity_csv(i)
     point = gauges.read_intensity_csv(i, dh=0.5)
     assert point.is_point_mass and point.samples[0] == pytest.approx(2.0)
+
+
+def test_csv_readers_accept_crlf_files(tmp_path):
+    # the interchange files once ended their lines in CRLF (csv module default)
+    ts = tmp_path / "ts.csv"
+    ts.write_bytes(b"t,s,value\r\n0,0,1\r\n0,0.5,0.98\r\n1,1,1\r\n1,1.5,0.97\r\n")
+    g = gauges.read_term_structure_csv(ts)
+    np.testing.assert_array_equal(g.times, [0.0, 1.0])
+    np.testing.assert_array_equal(g.offsets, [0.0, 0.5])
+    np.testing.assert_array_equal(g.term_structure, [[1.0, 0.98], [1.0, 0.97]])
+
+    d = tmp_path / "deflator.csv"
+    d.write_bytes(b"t,value\r\n0,1\r\n1,0.99\r\n")
+    t, v = gauges.read_deflator_csv(d)
+    np.testing.assert_array_equal(t, [0.0, 1.0])
+    np.testing.assert_array_equal(v, [1.0, 0.99])
+
+    i = tmp_path / "intensity.csv"
+    i.write_bytes(b"h,value\r\n0,0.5\r\n0.5,1.5\r\n")
+    pi = gauges.read_intensity_csv(i)
+    np.testing.assert_array_equal(pi.samples, [0.5, 1.5])
+    assert pi.dh == 0.5
+
+
+def test_csv_writers_emit_lf_rows(tmp_path):
+    g = flat_gauge(0.04, times=np.array([0.0, 0.5]), offsets=np.array([0.0, 0.25]))
+    p = tmp_path / "ts.csv"
+    gauges.write_term_structure_csv(p, g)
+    assert p.read_bytes() == (b"t,s,value\n0,0,1\n0,0.25,0.990049833749\n"
+                              b"0.5,0.5,1\n0.5,0.75,0.990049833749\n")

@@ -138,7 +138,7 @@ def test_estimator_window():
 def test_estimator_config_defaults():
     m = model([0.05], np.array([[0.2]]))
     ens = simulate(m, 3000, 0.01, 0.5, seed=1)
-    cfg = EstimatorConfig.for_ensemble(ens)
+    cfg = EstimatorConfig.for_ensemble(ens.dt, ens.n_paths)
     assert cfg.lag == pytest.approx(0.05)
     assert cfg.neighbors == 15
     assert cfg.t_min == pytest.approx(0.1)
@@ -460,6 +460,9 @@ def test_ensemble_csv_export(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "path,t,S_1,W_1"
     assert len(lines) == 1 + 3 * 4
+    # path 2 at t = 0.1: integer path index, then %.12g cells
+    assert lines[1 + 2 * 4 + 1] == (f"2,0.1,{ens.states[2, 1, 0]:.12g},"
+                                    f"{ens.noise[2, 1, 0]:.12g}")
 
 
 # ---------------------------------------------------------------- reference
