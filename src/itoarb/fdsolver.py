@@ -15,14 +15,17 @@ Scheme: in log price ``xi`` the diffusion operator is
 a three-point stencil discretizes without convection dispersion.  Diffusion
 is stepped implicitly (theta-weighted, tridiagonal solve) with a Rannacher
 start; the nonlinear source is explicit.  The undiscounted variant adds the
-convection and discounting terms in the same framework.  Only
-:func:`comparison_report`, which checks the series against the oracle, uses
-:mod:`itoarb.pricing` beyond ``CallSpec``.
+convection and discounting terms in the same framework.  One march steps a
+column per ``rho`` and streams its rows from maturity to ``t = 0``: :func:`solve`
+stores every row of its one column, and :func:`comparison_report` (the only
+user of :mod:`itoarb.pricing` beyond ``CallSpec``) keeps the ``t = 0`` row of
+one march over ``[0, *rhos]`` per time resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -54,8 +57,6 @@ class PdeGrid:
     x_nodes: np.ndarray
     t_nodes: np.ndarray
     surface: np.ndarray | None = None
-
-    boundary_policy = ("zero-at-lower", "zero-gamma-at-upper")
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.x_nodes, dtype=float))
@@ -117,28 +118,35 @@ class PdeGrid:
         return cls(np.exp(xi), t)
 
 
-def _march(spec: CallSpec, grid: PdeGrid, rate: float, terminal: np.ndarray) -> np.ndarray:
-    """Backward theta-scheme on the symmetrized unknown; returns (n_t, n_x).
+def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
+    """Backward theta-scheme on the symmetrized unknown, one column per ``rho``.
 
     Solves ``Psi_t + r s Psi_s + a s^2 Psi_ss - r Psi = rho * smooth-source``
-    (``rate = 0`` gives the discounted equation).  A NaN/overflow detector
-    re-runs a failed step with halved substeps, up to ``MAX_HALVINGS``.
+    (``rate = 0`` gives the discounted equation) from the payoff struck at
+    ``strike`` and yields the ``(n_x, n_rho)`` price rows from ``t = T`` down
+    to ``t = 0``, payoff first.  A NaN/overflow detector re-runs a failed step
+    with halved substeps, up to ``MAX_HALVINGS``; one column that needs a
+    halving halves the whole block, so the block can differ from one-column
+    marches only on that path.  The positivity floor is checked at the end.
     """
     x = grid.x_nodes
+    if grid.n_x < 64 or grid.n_t < 64:
+        raise ValueError("resolution below 64 x 64")
+    if not x[0] < strike < x[-1]:
+        raise ValueError("strike must lie strictly inside (x_min, x_max)")
+    if abs(grid.t_nodes[-1] - spec.maturity) > 1e-9 * max(spec.maturity, 1.0):
+        raise ValueError("time grid must end at the maturity")
     xi = np.log(x)
     lk = np.log(spec.strike)
     dxi = xi[1] - xi[0]
-    half = np.exp(0.5 * (xi - lk))
-    a = 0.5 * spec.sigma**2
-    rho = spec.rho
-    r = rate
+    half = np.exp(0.5 * (xi - lk))[:, None]
+    a, r = 0.5 * spec.sigma**2, rate
+    rho = np.asarray(rhos, dtype=float)
 
     # In log coordinates L[Phi] = a(Phi'' - Phi') + r Phi' - r Phi; the
     # substitution Phi = half * V symmetrizes it to
     # L[V] = a V'' + r V' - (a/4 + r/2) V.
-    c2 = a
-    c1 = r
-    c0 = -a / 4.0 - r / 2.0
+    c2, c1, c0 = a, r, -a / 4.0 - r / 2.0
 
     lo = c2 / dxi**2 - c1 / (2 * dxi)
     di = -2 * c2 / dxi**2 + c0
@@ -155,8 +163,6 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, terminal: np.ndarray) -> 
         return out
 
     def source_v(v):
-        if rho == 0.0:
-            return np.zeros_like(v)
         phi = half * v
         phix = np.empty_like(phi)
         phix[1:-1] = (phi[2:] - phi[:-2]) / (2 * dxi)
@@ -165,27 +171,22 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, terminal: np.ndarray) -> 
         # X Phi_x = dPhi/dxi on the log grid
         return rho * np.sqrt(phi * phi + phix * phix) / half
 
-    bands = {}
-
+    @cache
     def banded(th, dtl):
-        key = (th, dtl)
-        if key not in bands:
-            ab = np.zeros((3, x.size))
-            ab[1, :] = 1.0
-            ab[0, 2:] = -th * dtl * up
-            ab[1, 1:-1] = 1.0 - th * dtl * di
-            ab[1, -1] = 1.0 - th * dtl * top_di
-            ab[2, :-2] = -th * dtl * lo
-            ab[2, -2] = -th * dtl * top_lo
-            bands[key] = ab
-        return bands[key]
+        ab = np.zeros((3, x.size))
+        ab[1, :] = 1.0
+        ab[0, 2:] = -th * dtl * up
+        ab[1, 1:-1] = 1.0 - th * dtl * di
+        ab[1, -1] = 1.0 - th * dtl * top_di
+        ab[2, :-2] = -th * dtl * lo
+        ab[2, -2] = -th * dtl * top_lo
+        return ab
 
     def one_step(v, th, dtl):
         src = source_v(v)
         rhs = v + (1.0 - th) * dtl * apply_interior(v) - dtl * src
         rhs[0] = 0.0
-        out = solve_banded((1, 1), banded(th, dtl), rhs)
-        return out
+        return solve_banded((1, 1), banded(th, dtl), rhs)
 
     def robust_step(v, th, dtl, depth=0):
         out = one_step(v, th, dtl)
@@ -199,12 +200,12 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, terminal: np.ndarray) -> 
         mid = robust_step(v, th, dtl / 2, depth + 1)
         return robust_step(mid, th, dtl / 2, depth + 1)
 
-    n_t = grid.t_nodes.size
-    dt = grid.t_nodes[1] - grid.t_nodes[0]
-    out = np.empty((n_t, x.size))
-    out[-1] = terminal
-    v = terminal / half
-    v[0] = 0.0
+    n_t, dt = grid.n_t, grid.t_nodes[1] - grid.t_nodes[0]
+    # the payoff is zero at x_nodes[0], below the strike, as the boundary asks
+    payoff = np.maximum(x - strike, 0.0)[:, None]
+    yield np.broadcast_to(payoff, (x.size, rho.size))
+    v = payoff / half
+    lowest = 0.0
     for i in range(n_t - 2, -1, -1):
         # Rannacher start: fully implicit half steps against the payoff kink
         if n_t - 2 - i < RANNACHER_STEPS:
@@ -212,30 +213,21 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, terminal: np.ndarray) -> 
             v = robust_step(v, 1.0, dt / 2)
         else:
             v = robust_step(v, THETA, dt)
-        out[i] = half * v
-    return out
+        row = half * v
+        lowest = min(lowest, row.min())
+        yield row
+    floor = -1e-10 * spec.strike
+    if lowest < floor:
+        raise RuntimeError(f"positivity violated: min surface value {lowest:.3e} "
+                           f"below tolerance {floor:.3e}")
 
 
 def _solve(spec: CallSpec, grid: PdeGrid, rate: float, strike: float) -> PdeGrid:
-    """Body of :func:`solve` and :func:`solve_undiscounted`: march back from
-    the payoff struck at ``strike`` with convection and discounting at ``rate``."""
-    if grid.n_x < 64 or grid.n_t < 64:
-        raise ValueError("resolution below 64 x 64")
-    if not grid.x_nodes[0] < strike < grid.x_nodes[-1]:
-        raise ValueError("strike must lie strictly inside (x_min, x_max)")
-    if abs(grid.t_nodes[-1] - spec.maturity) > 1e-9 * max(spec.maturity, 1.0):
-        raise ValueError("time grid must end at the maturity")
-    payoff = np.maximum(grid.x_nodes - strike, 0.0)
-    terminal = payoff.copy()
-    terminal[0] = 0.0
-    surf = _march(spec, grid, rate, terminal)
-    surf[-1] = payoff
-    floor = -1e-10 * spec.strike
-    if surf.min() < floor:
-        raise RuntimeError(
-            f"positivity violated: min surface value {surf.min():.3e} "
-            f"below tolerance {floor:.3e}"
-        )
+    """Body of :func:`solve` and :func:`solve_undiscounted`: the one-column
+    :func:`_march` at ``spec.rho``, every row stored in the surface."""
+    surf = np.empty((grid.n_t, grid.n_x))
+    for i, row in enumerate(_march(spec, grid, rate, strike, [spec.rho])):
+        surf[-1 - i] = row[:, 0]
     return replace(grid, surface=surf)
 
 
@@ -253,13 +245,24 @@ def solve_undiscounted(spec: CallSpec, grid: PdeGrid) -> PdeGrid:
     return _solve(spec, grid, spec.rate, spec.strike * np.exp(spec.rate * spec.maturity))
 
 
+def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
+    """Price columns ``(n_x, m)`` on log nodes ``lx`` at log prices ``q``: ``(m, q.size)``."""
+    return CubicSpline(lx, columns, axis=0)(q).T
+
+
+def _t0_prices(spec: CallSpec, grid: PdeGrid, rhos, x) -> np.ndarray:
+    """Discounted prices at ``t = 0`` and ``x``, one row per ``rho``, from one
+    :func:`_march` of which only the last row is kept."""
+    for row in _march(spec, grid, 0.0, spec.strike, rhos):
+        pass
+    return _cubic_in_log_price(np.log(grid.x_nodes), row, np.log(x))
+
+
 def evaluate(result: PdeGrid, t, x):
     """Interpolate a solved surface: cubic in log price, linear in time."""
     if result.surface is None:
         raise ValueError("grid has no solved surface")
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t, x = np.broadcast_arrays(t, x)
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     tn = result.t_nodes
     if np.any(t < tn[0] - 1e-12) or np.any(t > tn[-1] + 1e-12):
         raise ValueError("t outside solved range")
@@ -269,13 +272,11 @@ def evaluate(result: PdeGrid, t, x):
         raise ValueError("x outside solved range")
     i = np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2)
     w = np.clip((t - tn[i]) / (tn[i + 1] - tn[i]), 0.0, 1.0)
-    flat_i = np.atleast_1d(i).ravel()
-    flat_w = np.atleast_1d(w).ravel()
-    flat_q = np.atleast_1d(q).ravel()
+    flat_i, flat_w, flat_q = np.ravel(i), np.ravel(w), np.ravel(q)
     out = np.empty(flat_q.shape)
     for k in np.unique(flat_i):
         sel = flat_i == k
-        lo_row, hi_row = CubicSpline(lx, result.surface[k:k + 2], axis=1)(flat_q[sel])
+        lo_row, hi_row = _cubic_in_log_price(lx, result.surface[k:k + 2].T, flat_q[sel])
         out[sel] = (1.0 - flat_w[sel]) * lo_row + flat_w[sel] * hi_row
     out = out.reshape(q.shape)
     return out if out.ndim else float(out)
@@ -317,7 +318,8 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     :func:`comparison_inputs`.  For each ``rho`` the change from the
     classical price is computed on both routes; the finite-difference change
     is Richardson extrapolated in time (``COMPARE_N_T`` and twice that many
-    steps) and the classical solve is shared across rhos.
+    steps).  Each time resolution is one :func:`_march` over
+    ``[0, *rhos]``, of which only the ``t = 0`` row is kept.
     The residual table is produced for both source constants so the
     printed-constant ambiguity is adjudicated by the data: the adopted
     constant must show third-order decay (halving ratio near 8), the
@@ -326,15 +328,10 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     rhos, moneyness, grid = comparison_inputs(spec0, **inputs)
     probes = moneyness * spec0.strike
     n_x, n_t = COMPARE_N_X, COMPARE_N_T
-
-    def fd_prices(rho: float, nt: int) -> np.ndarray:
-        spec = replace(spec0, rho=rho)
-        return evaluate(solve(spec, PdeGrid.for_call(spec, n_x=n_x, n_t=nt)), 0.0, probes)
-
-    base = {nt: fd_prices(0.0, nt) for nt in (n_t, 2 * n_t)}
-    # change from the classical price, first-order Richardson in time
-    fd = {rho: 2.0 * (fd_prices(rho, 2 * n_t) - base[2 * n_t]) - (fd_prices(rho, n_t) - base[n_t])
-          for rho in rhos}
+    coarse, fine = (_t0_prices(spec0, PdeGrid.for_call(spec0, n_x=n_x, n_t=nt), [0.0, *rhos],
+                               probes) for nt in (n_t, 2 * n_t))
+    # change from the classical price (column 0), first-order Richardson in time
+    fd = dict(zip(rhos, 2.0 * (fine[1:] - fine[0]) - (coarse[1:] - coarse[0])))
 
     # one quadrature build suffices: the corrections are exactly homogeneous
     # in the source constant (U1 linear, U2 quadratic), so each candidate is
@@ -363,7 +360,7 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     classical_series = pricing.price_discounted(
         pricing.solve_perturbation(replace(spec0, rho=0.0), grid), probes, np.zeros(probes.size)
     )
-    classical_gap = float(np.max(np.abs(classical_series - base[2 * n_t])))
+    classical_gap = float(np.max(np.abs(classical_series - fine[0])))
 
     return {
         "series_sign_note": (

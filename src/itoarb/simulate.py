@@ -128,13 +128,14 @@ class EstimatorConfig:
             t_min=10 * dt,
         )
 
-    def window(self, dt: float, n_times: int, t_indices) -> tuple[np.ndarray, int]:
+    def window(self, dt: float, n_times: int, t_indices, times=None) -> tuple[np.ndarray, int]:
         """Checked lag window on a grid of ``n_times`` nodes ``dt`` apart.
 
         Returns the estimation steps as ints and the lag in steps.  Raises
         ``ValueError`` unless the lag is a whole number (>= 1) of steps,
         ``t_min`` is at least 10 steps, and every step lies at or after
-        ``t_min`` with its window ``[i - lag, i + lag]`` on the grid.
+        ``t_min`` with its window ``[i - lag, i + lag]`` on the grid.  The
+        message names a step by its entry of ``times`` (default: its grid time).
         """
         if self.lag < dt - 1e-12:
             raise ValueError("lag must be at least one time step")
@@ -148,9 +149,10 @@ class EstimatorConfig:
         bad = early | (steps - m < 0) | (steps + m >= n_times)
         if bad.any():
             j = int(np.argmax(bad))  # the first offending step decides the message
+            t = steps[j] * dt if times is None else times[j]
             if early[j]:
-                raise ValueError(f"estimation time {steps[j] * dt} below t_min {self.t_min}")
-            raise ValueError("lag window leaves the simulated horizon")
+                raise ValueError(f"estimation time {t} below t_min {self.t_min}")
+            raise ValueError(f"lag window of estimation time {t} leaves the simulated horizon")
         return steps, m
 
 
@@ -390,8 +392,8 @@ def estimation_steps(dt: float, n_times: int, cfg: EstimatorConfig, times) -> np
     outside = ~((times >= 0) & (times <= horizon))  # nan too; before the int cast
     if outside.any():
         raise ValueError(f"report time {times[outside][0]} outside [0, horizon {horizon:g}]")
-    steps = np.unique(np.round(times / dt).astype(int))
-    return cfg.window(dt, n_times, steps)[0]
+    steps = np.round(times / dt).astype(int)
+    return np.unique(cfg.window(dt, n_times, steps, times)[0])
 
 
 def empirical_rho(

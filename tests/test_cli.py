@@ -353,7 +353,6 @@ def test_solve_pde_schema_matches_price(tmp_path):
 # ---------------------------------------------------------------- compare
 
 
-@pytest.mark.slow
 def test_compare_command_adjudicates(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -376,6 +375,18 @@ def test_compare_command_adjudicates(tmp_path):
     rows = (out / "compare_report.csv").read_text().splitlines()
     assert rows[0].startswith("rho,max_abs_error_adopted")
     assert len(rows) == 4
+
+
+def test_compare_step_halving_exhausted_is_internal_failure(tmp_path, capsys):
+    # one column that cannot be stepped halves the whole ladder until it gives up
+    payload = {"schema_version": 1, "call": BASE_CALL, "compare": {"rhos": [0.01, 1e8]}}
+    cfg = write_cfg(tmp_path, "halve.json", payload)
+    out = tmp_path / "halve"
+    assert run(["compare", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "time step failed to converge after 10 halvings" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------- simulate
@@ -409,10 +420,12 @@ def test_simulate_no_kernel_writes_nan_pair(tmp_path):
 
 
 @pytest.mark.parametrize("report_times, named", [
-    ([0.001], "estimation time 0.0 below t_min"),  # nearest node is step 0
+    # each message names the time as the config gives it
+    ([0.001], "estimation time 0.001 below t_min 0.05"),  # nearest node is step 0
+    ([0.999], "lag window of estimation time 0.999 leaves the simulated horizon"),
     ([1e300], "report time 1e+300 outside"),  # would overflow the int cast
     ([-0.5], "report time -0.5 outside"),
-], ids=["before-t-min", "huge", "negative"])
+], ids=["before-t-min", "lag-past-horizon", "huge", "negative"])
 def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, capsys,
                                                         report_times, named):
     calls = []

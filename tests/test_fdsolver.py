@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,34 @@ def test_change_of_variables_consistency():
             psi = evaluate(undisc, t, s)
             mapped = np.exp(r * t) * np.asarray(evaluate(disc, t, np.exp(-r * t) * s))
             assert np.max(np.abs(psi - mapped)) < 1e-2
+
+
+# ---------------------------------------------------------------- compare ladder
+
+LADDER = [0.0, 0.01, 0.02, 0.04]  # the classical column and the default compare rhos
+PROBES = np.array([0.95, 1.0, 1.05]) * SPEC.strike
+
+
+def test_ladder_matches_separate_solves():
+    # one march over the ladder against one solve per rho, as compare ran them
+    spec = replace(SPEC, rho=0.02)
+    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    separate = [evaluate(solve(replace(spec, rho=r), g), 0.0, PROBES) for r in LADDER]
+    np.testing.assert_array_equal(fdsolver._t0_prices(spec, g, LADDER, PROBES), separate)
+
+
+def test_ladder_keeps_one_row_in_memory():
+    # at the compare resolution one (n_t + 1) x n_x float64 surface is 8.4 MB;
+    # the ladder keeps only the t = 0 row of its four columns
+    g = PdeGrid.for_call(SPEC, n_x=fdsolver.COMPARE_N_X, n_t=2 * fdsolver.COMPARE_N_T)
+    half_surface = 0.5 * g.n_x * g.n_t * 8
+    tracemalloc.start()
+    try:
+        fdsolver._t0_prices(SPEC, g, LADDER, PROBES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < half_surface
 
 
 # ---------------------------------------------------------------- robustness

@@ -130,9 +130,11 @@ def test_estimator_window():
         cfg.window(0.01, 101, [50, 9])
     with pytest.raises(ValueError, match="leaves the simulated horizon"):
         cfg.window(0.01, 101, [50, 96])
-    # the first offending step names the failure
-    with pytest.raises(ValueError, match="leaves the simulated horizon"):
+    # the first offending step names the failure, by its given time if any
+    with pytest.raises(ValueError, match="window of estimation time 0.96 leaves the simulated"):
         cfg.window(0.01, 101, [96, 9])
+    with pytest.raises(ValueError, match="estimation time 0.087 below t_min"):
+        cfg.window(0.01, 101, [9, 96], times=[0.087, 0.958])
 
 
 def test_estimator_config_defaults():
