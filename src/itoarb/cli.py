@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fdsolver, geometry, pricing, simulate as mc
 from .fdsolver import comparison_report
-from .tables import write_csv
+from .tables import write_csv, write_long_csv
 
 SCHEMA_VERSION = 1
 
@@ -193,13 +193,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_surface_csv(path: Path, t_nodes, x_nodes, surf) -> None:
-    # one block per time row: the whole (n_t * n_x, 3) table is never built
-    write_csv(path, ["t", "X", "Phi"],
-              (np.column_stack([np.full(x_nodes.size, t), x_nodes, row])
-               for t, row in zip(t_nodes, surf)))
-
-
 def _meta_skeleton(cfg: dict, command: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -252,7 +245,7 @@ def cmd_price(cfg: dict, out: Path) -> int:
         pricing.check_points(spec, grid, x_nodes[None, :], t_nodes[:, None])
     sol, conv = pricing.solve_with_refinement_check(spec, grid)
     surf = pricing.surface(sol, t_nodes, x_nodes)
-    _write_surface_csv(out / "price_surface.csv", t_nodes, x_nodes, surf)
+    write_long_csv(out / "price_surface.csv", ["t", "X", "Phi"], t_nodes, x_nodes, surf)
     meta = _meta_skeleton(cfg, "price")
     meta["diagnostics"] = dict(sol.diagnostics)
     meta["convergence"] = conv
@@ -267,7 +260,8 @@ def cmd_solve_pde(cfg: dict, out: Path) -> int:
         spec = _call_spec(cfg)
         grid = fdsolver.PdeGrid.for_call(spec, **cfg.get("pde_grid", {}))
     result, atm = fdsolver.solve_with_atm_probe(spec, grid)
-    _write_surface_csv(out / "pde_surface.csv", result.t_nodes, result.x_nodes, result.surface)
+    write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], result.t_nodes, result.x_nodes,
+                   result.surface)
     meta = _meta_skeleton(cfg, "solve-pde")
     meta["grid"] = {"n_x": result.n_x, "n_t": result.n_t,
                     "x_min": float(result.x_nodes[0]), "x_max": float(result.x_nodes[-1])}

@@ -9,17 +9,18 @@ smooth form of the source is used everywhere (it is algebraically identical
 to ``rho Phi sqrt(1 + (X Phi_x / Phi)^2)`` for positive prices and extends it
 continuously through zero).
 
-Scheme: in log price ``xi`` the diffusion operator is
-``a (d_xixi - d_xi)`` with ``a = sigma^2/2``; the substitution
-``Phi = e^{(xi - log K)/2} V`` symmetrizes it to ``a (d_xixi - 1/4)``, which
-a three-point stencil discretizes without convection dispersion.  Diffusion
-is stepped implicitly (theta-weighted, tridiagonal solve) with a Rannacher
+Scheme: in log price ``xi`` the diffusion operator is ``a (d_xixi - d_xi)``
+with ``a = sigma^2/2``; the substitution ``Phi = e^{(xi - log K)/2} V``
+symmetrizes it to ``a (d_xixi - 1/4)``, which a three-point stencil
+discretizes without convection dispersion.  Diffusion is stepped implicitly
+(theta-weighted, its tridiagonal factored once per step size) with a Rannacher
 start; the nonlinear source is explicit.  The undiscounted variant adds the
 convection and discounting terms in the same framework.  One march steps a
-column per ``rho`` and streams its rows from maturity to ``t = 0``: :func:`solve`
-stores every row of its one column, and :func:`comparison_report` (the only
-user of :mod:`itoarb.pricing` beyond ``CallSpec``) keeps the ``t = 0`` row of
-one march over ``[0, *rhos]`` per time resolution.
+column per ``rho`` and streams its rows from maturity to ``t = 0``:
+:func:`solve` stores every row of its one column, and
+:func:`comparison_report` (the only user of :mod:`itoarb.pricing` beyond
+``CallSpec``) keeps the ``t = 0`` row of one march over ``[0, *rhos]`` per
+time resolution.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import pricing
 from .pricing import CallSpec
@@ -41,6 +42,7 @@ MAX_HALVINGS = 10
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
 COMPARE_N_X, COMPARE_N_T = 513, 1024  # FD reference grid of comparison_report
+_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,19 @@ class PdeGrid:
         return cls(np.exp(xi), t)
 
 
+def _implicit_factors(n, th_dt, lo, di, up, top_lo, top_di):
+    """``gttrf`` factors, for ``_GTTRS(*factors, rhs)``, of ``I - th_dt L`` on ``n`` nodes:
+    ``L`` is ``(lo, di, up)`` inside and ``(top_lo, top_di)`` on the top row, and the
+    first row pins the boundary value.  A singular matrix raises ``LinAlgError``."""
+    dl = np.append(np.full(n - 2, -th_dt * lo), -th_dt * top_lo)
+    d = np.concatenate([[1.0], np.full(n - 2, 1.0 - th_dt * di), [1.0 - th_dt * top_di]])
+    du = np.append(0.0, np.full(n - 2, -th_dt * up))
+    *factors, info = _GTTRF(dl, d, du)
+    if info:
+        raise np.linalg.LinAlgError(f"implicit step matrix is singular (gttrf info {info})")
+    return factors
+
+
 def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
     """Backward theta-scheme on the symmetrized unknown, one column per ``rho``.
 
@@ -172,22 +187,16 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
         return rho * np.sqrt(phi * phi + phix * phix) / half
 
     @cache
-    def banded(th, dtl):
-        ab = np.zeros((3, x.size))
-        ab[1, :] = 1.0
-        ab[0, 2:] = -th * dtl * up
-        ab[1, 1:-1] = 1.0 - th * dtl * di
-        ab[1, -1] = 1.0 - th * dtl * top_di
-        ab[2, :-2] = -th * dtl * lo
-        ab[2, -2] = -th * dtl * top_lo
-        return ab
+    def factors(th, dtl):
+        return _implicit_factors(x.size, th * dtl, lo, di, up, top_lo, top_di)
 
     def one_step(v, th, dtl):
         src = source_v(v)
         rhs = v + (1.0 - th) * dtl * apply_interior(v) - dtl * src
         rhs[0] = 0.0
-        return solve_banded((1, 1), banded(th, dtl), rhs)
+        return _GTTRS(*factors(th, dtl), rhs)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # the detector judges the step
     def robust_step(v, th, dtl, depth=0):
         out = one_step(v, th, dtl)
         big = 10.0 * (x[-1] + spec.strike)
@@ -264,12 +273,11 @@ def evaluate(result: PdeGrid, t, x):
         raise ValueError("grid has no solved surface")
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     tn = result.t_nodes
-    if np.any(t < tn[0] - 1e-12) or np.any(t > tn[-1] + 1e-12):
+    if not np.all((tn[0] - 1e-12 <= t) & (t <= tn[-1] + 1e-12)):  # so written that NaN fails
         raise ValueError("t outside solved range")
-    lx = np.log(result.x_nodes)
-    q = np.log(x)
-    if np.any(q < lx[0]) or np.any(q > lx[-1]):
+    if not np.all((result.x_nodes[0] <= x) & (x <= result.x_nodes[-1])):
         raise ValueError("x outside solved range")
+    lx, q = np.log(result.x_nodes), np.log(x)
     i = np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2)
     w = np.clip((t - tn[i]) / (tn[i + 1] - tn[i]), 0.0, 1.0)
     flat_i, flat_w, flat_q = np.ravel(i), np.ravel(w), np.ravel(q)

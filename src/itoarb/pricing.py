@@ -627,9 +627,9 @@ def check_points(spec: CallSpec, grid: TransformGrid, x, t):
     grid.  Returns the broadcast ``x``, ``t`` and the mask of points before
     expiry (the rest are priced as the payoff)."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    if np.any(t < 0) or np.any(t > spec.maturity):
+    if not np.all((0 <= t) & (t <= spec.maturity)):  # so written that NaN fails
         raise ValueError("t must lie in [0, maturity]")
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ValueError("underlying price must be positive")
     live = ~np.isclose(t, spec.maturity, rtol=0.0, atol=1e-14)
     tau, y, _ = canonical_variables(spec, x[live], t[live])

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from .gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from .geometry import ItoCoefficients, kernel_basis
-from .tables import write_csv
+from .tables import write_long_csv
 
 __all__ = [
     "PathEnsemble",
@@ -547,8 +547,7 @@ def load_ensemble(path) -> PathEnsemble:
 def ensemble_to_csv(ens: PathEnsemble, path, max_paths: int | None = None) -> None:
     """Long-format CSV export for small runs: path, t, S_1..S_N, W_1..W_K."""
     m = ens.n_paths if max_paths is None else min(max_paths, ens.n_paths)
-    times = ens.times
     header = (["path", "t"] + [f"S_{j + 1}" for j in range(ens.n_assets)]
               + [f"W_{j + 1}" for j in range(ens.n_drivers)])
-    write_csv(path, header, (np.column_stack([np.full(times.size, p), times, ens.states[p],
-                                              ens.noise[p]]) for p in range(m)))
+    write_long_csv(path, header, range(m), ens.times,
+                   (np.hstack([ens.states[p], ens.noise[p]]) for p in range(m)))

@@ -12,6 +12,19 @@ def write_csv(path, header, blocks) -> None:
             fh.write("".join([row % tuple(r) for r in block.tolist()]))
 
 
+def write_long_csv(path, header, keys, axis, values) -> None:
+    """:func:`write_csv` of the rows ``(keys[i], axis[j], *values[i][j])``, ``values``
+    yielding one ``(len(axis), len(header) - 2)`` block per key (1-D for one column),
+    with each axis cell formatted once per table and each key once per block."""
+    # "\x00" marks the key cell; no formatted number contains it (or a "%")
+    tail = ",%.12g" * (len(header) - 2) + "\n"
+    template = "".join(["\x00,%.12g" % x + tail for x in np.asarray(axis, dtype=float).tolist()])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for key, block in zip(np.asarray(keys, dtype=float).tolist(), values):
+            fh.write(template.replace("\x00", "%.12g" % key) % tuple(np.ravel(block).tolist()))
+
+
 def read_csv(path) -> np.ndarray:
     """The rows of a :func:`write_csv` table as a 2-D array."""
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -350,6 +350,21 @@ def test_solve_pde_schema_matches_price(tmp_path):
     assert meta["probe_price_atm_t0"] == pytest.approx(7.9656, abs=5e-3)
 
 
+def test_solve_pde_non_finite_step_exhausts_halvings(tmp_path, capsys):
+    # the source overflows to inf on the first step; the step-halving detector
+    # must see it and give up with its own message
+    payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=1e306),
+               "pde_grid": {"n_x": 65, "n_t": 64}}
+    cfg = write_cfg(tmp_path, "inf.json", payload)
+    out = tmp_path / "inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # rho * T far beyond the series
+        assert run(["solve-pde", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "time step failed to converge after 10 halvings" in err
+    assert "Traceback" not in err and "infs or NaNs" not in err
+
+
 # ---------------------------------------------------------------- compare
 
 

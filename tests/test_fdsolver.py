@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from bs_oracle import bs_call
 from itoarb import fdsolver
@@ -175,18 +178,74 @@ def test_ladder_keeps_one_row_in_memory():
     assert peak < half_surface
 
 
+# ---------------------------------------------------------------- factored step
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+def test_factored_step_matches_solve_banded(rate):
+    # the band matrix and solve_banded every step used to call, against the
+    # gttrf factors cached per step size and one gttrs per step
+    g = PdeGrid.for_call(SPEC, n_x=513, n_t=1024)
+    dxi = np.log(g.x_nodes)[1] - np.log(g.x_nodes)[0]
+    a = 0.5 * SPEC.sigma**2
+    lo, up = a / dxi**2 - rate / (2 * dxi), a / dxi**2 + rate / (2 * dxi)
+    di = -2 * a / dxi**2 - a / 4.0 - rate / 2.0
+    top_lo, top_di = -rate / dxi, rate / dxi - rate / 2.0
+    rhs = np.random.default_rng(5).standard_normal((g.n_x, 4))
+    dt = g.t_nodes[1] - g.t_nodes[0]
+    # the Crank-Nicolson step and the fully implicit Rannacher half step
+    for th, dtl in ((fdsolver.THETA, dt), (1.0, dt / 2)):
+        ab = np.zeros((3, g.n_x))
+        ab[1, :] = 1.0
+        ab[0, 2:] = -th * dtl * up
+        ab[1, 1:-1] = 1.0 - th * dtl * di
+        ab[1, -1] = 1.0 - th * dtl * top_di
+        ab[2, :-2] = -th * dtl * lo
+        ab[2, -2] = -th * dtl * top_lo
+        factors = fdsolver._implicit_factors(g.n_x, th * dtl, lo, di, up, top_lo, top_di)
+        got = fdsolver._GTTRS(*factors, rhs)[0]
+        assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
+
+
+def test_singular_step_matrix_raises():
+    # a zero pivot is a LinAlgError, which is a ValueError (exit 3 in the CLI)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        fdsolver._implicit_factors(64, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@settings(max_examples=8, deadline=None)
+@given(strike=st.floats(50.0, 150.0), maturity=st.floats(0.25, 2.0),
+       sigma=st.floats(0.1, 0.5), rhos=st.lists(st.floats(0.0, 0.1), min_size=2, max_size=4))
+def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
+    spec = CallSpec(strike, maturity, sigma, max(rhos))
+    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    # at zero rate the undiscounted march is the discounted one
+    np.testing.assert_array_equal(solve_undiscounted(spec, g).surface, solve(spec, g).surface)
+    # along an ascending rho ladder every row is non-negative and non-increasing in rho
+    ladder = np.array(list(fdsolver._march(spec, g, 0.0, strike, sorted(rhos))))
+    assert ladder.min() >= 0.0
+    assert np.all(np.diff(ladder, axis=2) <= 0.0)
+
+
 # ---------------------------------------------------------------- robustness
 
 
 def test_step_halving_gives_up_eventually():
     import warnings
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spec = CallSpec(100.0, 1.0, 0.2, 1e8)
-    g = PdeGrid.for_call(spec, n_x=65, n_t=64)
-    with pytest.raises(RuntimeError, match="halvings"):
-        solve(spec, g)
+    # at rho 1e306 the source overflows to inf on the first step: the detector
+    # must see the non-finite step and halve it, not let the solve fail on its input
+    for rho in (1e8, 1e306):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            spec = CallSpec(100.0, 1.0, 0.2, rho)
+        g = PdeGrid.for_call(spec, n_x=65, n_t=64)
+        with pytest.raises(RuntimeError, match="failed to converge after 10 halvings"):
+            solve(spec, g)
 
 
 def test_evaluate_guards():
@@ -198,6 +257,12 @@ def test_evaluate_guards():
         evaluate(res, 0.5, 1e9)
     with pytest.raises(ValueError, match="no solved surface"):
         evaluate(g, 0.5, 100.0)
+    # NaN fails the range checks instead of passing through them
+    with pytest.raises(ValueError, match="t outside"):
+        evaluate(res, np.nan, 100.0)
+    for bad_x in (np.nan, -1.0, [100.0, np.nan]):
+        with pytest.raises(ValueError, match="x outside"):
+            evaluate(res, 0.5, bad_x)
 
 
 def test_surface_immutable_input():

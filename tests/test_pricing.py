@@ -399,6 +399,14 @@ def test_price_guards():
         price_discounted(sol, -1.0, 0.0)
     with pytest.raises(ValueError, match="maturity"):
         price_discounted(sol, 100.0, 1.5)
+    # a NaN point fails the range check it belongs to, not the grid coverage
+    grid = TransformGrid.for_call(SPEC)
+    with pytest.raises(ValueError, match=r"t must lie in \[0, maturity\]"):
+        pricing.check_points(SPEC, grid, 100.0, np.nan)
+    with pytest.raises(ValueError, match="underlying price must be positive"):
+        pricing.check_points(SPEC, grid, np.nan, 0.5)
+    with pytest.raises(ValueError, match="underlying price must be positive"):
+        price_discounted(sol, np.array([100.0, np.nan]), 0.0)
     # a solution built on a short tau grid cannot price far from expiry
     short_grid = TransformGrid(
         np.linspace(1e-4, 0.01, 20), np.linspace(-0.4, 0.4, 33)
