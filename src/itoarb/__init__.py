@@ -1,6 +1,6 @@
 """Arbitrage quantification and nonlinear option pricing for Ito market models.
 
-Subpackages:
+Modules:
 
 - :mod:`itoarb.gauges`: deflators, term structures, cashflow transforms and
   portfolio aggregation;

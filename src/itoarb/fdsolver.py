@@ -26,11 +26,9 @@ time resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import get_lapack_funcs
 
 from . import pricing
 from .pricing import CallSpec
@@ -42,7 +40,6 @@ MAX_HALVINGS = 10
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
 COMPARE_N_X, COMPARE_N_T = 513, 1024  # FD reference grid of comparison_report
-_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -121,16 +118,20 @@ class PdeGrid:
 
 
 def _implicit_factors(n, th_dt, lo, di, up, top_lo, top_di):
-    """``gttrf`` factors, for ``_GTTRS(*factors, rhs)``, of ``I - th_dt L`` on ``n`` nodes:
-    ``L`` is ``(lo, di, up)`` inside and ``(top_lo, top_di)`` on the top row, and the
-    first row pins the boundary value.  A singular matrix raises ``LinAlgError``."""
+    """The ``gttrs`` solve, bound to the ``gttrf`` factors, of ``I - th_dt L`` on ``n``
+    nodes: ``solve(rhs)[0]`` is the solution.  ``L`` is ``(lo, di, up)`` inside and
+    ``(top_lo, top_di)`` on the top row, and the first row pins the boundary value.
+    A singular matrix raises ``LinAlgError``."""
+    from scipy.linalg import get_lapack_funcs
+
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
     dl = np.append(np.full(n - 2, -th_dt * lo), -th_dt * top_lo)
     d = np.concatenate([[1.0], np.full(n - 2, 1.0 - th_dt * di), [1.0 - th_dt * top_di]])
     du = np.append(0.0, np.full(n - 2, -th_dt * up))
-    *factors, info = _GTTRF(dl, d, du)
+    *factors, info = gttrf(dl, d, du)
     if info:
         raise np.linalg.LinAlgError(f"implicit step matrix is singular (gttrf info {info})")
-    return factors
+    return partial(gttrs, *factors)
 
 
 def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
@@ -194,7 +195,7 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
         src = source_v(v)
         rhs = v + (1.0 - th) * dtl * apply_interior(v) - dtl * src
         rhs[0] = 0.0
-        return _GTTRS(*factors(th, dtl), rhs)[0]
+        return factors(th, dtl)(rhs)[0]
 
     @np.errstate(over="ignore", invalid="ignore")  # the detector judges the step
     def robust_step(v, th, dtl, depth=0):
@@ -256,6 +257,8 @@ def solve_undiscounted(spec: CallSpec, grid: PdeGrid) -> PdeGrid:
 
 def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
     """Price columns ``(n_x, m)`` on log nodes ``lx`` at log prices ``q``: ``(m, q.size)``."""
+    from scipy.interpolate import CubicSpline
+
     return CubicSpline(lx, columns, axis=0)(q).T
 
 

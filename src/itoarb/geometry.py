@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "ItoCoefficients",
@@ -194,8 +193,8 @@ def implied_beta(c_series: np.ndarray, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if c_series.shape != times.shape or c_series.ndim != 1:
         raise ValueError("series and time grid must be matching 1-D arrays")
-    integral = cumulative_trapezoid(c_series, times, initial=0.0)
-    return np.exp(-integral)
+    areas = np.diff(times) * (c_series[1:] + c_series[:-1]) / 2
+    return np.exp(-np.concatenate(([0.0], np.cumsum(areas))))
 
 
 def rho_tilde(rho_value: float, x: float, phi: float, dphi_dx: float) -> float:

@@ -48,7 +48,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "CallSpec",
@@ -198,6 +197,8 @@ def heat_kernel(tau, y, s, z):
 
 def _u0_parts(tau, y):
     """Shared evaluation of the two lognormal terms of u0 for tau > 0."""
+    from scipy.special import ndtr
+
     rt = np.sqrt(2.0 * tau)
     a = np.exp(y / 2 + tau / 4) * ndtr((y + tau) / rt)
     b = np.exp(-y / 2 + tau / 4) * ndtr((y - tau) / rt)
@@ -323,6 +324,8 @@ def _heat_weights(t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
     ``F(a) = a N(a) + n(a)``.  Taps beyond ``z_half_width_sds`` kernel
     standard deviations are dropped.
     """
+    from scipy.special import ndtr
+
     sd = np.sqrt(2.0 * t)
     k = int(np.ceil(z_half_width_sds * sd / dy)) + 1
     a = np.arange(-k - 1, k + 2) * (dy / sd)

@@ -22,7 +22,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from .geometry import ItoCoefficients, kernel_basis
@@ -263,6 +262,8 @@ class NelsonEstimates:
 
 def _neighbor_indices(state: np.ndarray, k: int) -> np.ndarray:
     """k-nearest-neighbour indices on the standardized state, (M, k)."""
+    from scipy.spatial import cKDTree
+
     if state.ndim == 1:
         state = state[:, None]
     m = state.shape[0]
@@ -513,8 +514,8 @@ def save_ensemble(ens: PathEnsemble, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(ens.states.astype("<f8").tobytes(order="C"))
-        fh.write(ens.noise.astype("<f8").tobytes(order="C"))
+        fh.write(np.ascontiguousarray(ens.states, dtype="<f8").data)
+        fh.write(np.ascontiguousarray(ens.noise, dtype="<f8").data)
 
 
 def load_ensemble(path) -> PathEnsemble:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -494,3 +497,27 @@ def test_simulate_too_large_to_allocate(tmp_path, capsys):
     assert err.startswith("error: ") and "memory" in err
     assert "Traceback" not in err
     assert not any(out.iterdir())
+
+
+# ---------------------------------------------------------------- imports
+
+
+NO_SCIPY_PROBE = """\
+import json, sys
+from itoarb import cli
+codes = [cli.main(["check-zc", "--config", sys.argv[1], "--out", sys.argv[2] + "/zc"]),
+         cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2] + "/mc"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_check_zc_and_simulate_load_no_scipy(tmp_path):
+    # scipy is imported where it is used; the two cheap diagnostics use none of it
+    cfg = write_cfg(tmp_path, "m.json", sim_cfg())
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(cfg), str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [1, 0]  # the misaligned drift is flagged, and simulate runs
+    assert scipy_modules == []

@@ -202,8 +202,8 @@ def test_factored_step_matches_solve_banded(rate):
         ab[1, -1] = 1.0 - th * dtl * top_di
         ab[2, :-2] = -th * dtl * lo
         ab[2, -2] = -th * dtl * top_lo
-        factors = fdsolver._implicit_factors(g.n_x, th * dtl, lo, di, up, top_lo, top_di)
-        got = fdsolver._GTTRS(*factors, rhs)[0]
+        step_solve = fdsolver._implicit_factors(g.n_x, th * dtl, lo, di, up, top_lo, top_di)
+        got = step_solve(rhs)[0]
         assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
 
 

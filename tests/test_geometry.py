@@ -266,6 +266,18 @@ def test_implied_beta_refinement_rate():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 1001])
+def test_implied_beta_is_scipy_trapezoid(n):
+    # the one-line cumsum is scipy's cumulative_trapezoid, bit for bit
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(0.001, 0.1, n))
+    c = rng.normal(0.02, 0.05, n)
+    np.testing.assert_array_equal(implied_beta(c, t),
+                                  np.exp(-cumulative_trapezoid(c, t, initial=0.0)))
+
+
 # ---------------------------------------------------------------- rho_tilde
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -420,6 +422,27 @@ def test_ensemble_round_trip(tmp_path):
     assert back.dt == ens.dt and back.seed == ens.seed
     with open(f, "rb") as fh:
         assert fh.read(4) == b"GATE"
+
+
+def test_ensemble_written_without_copies(tmp_path):
+    m = model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]]))
+    ens = simulate(m, 3000, 0.01, 1.0, seed=4)  # 9.7 MB of states and noise
+    f = tmp_path / "paths.gate"
+    tracemalloc.start()
+    try:
+        save_ensemble(ens, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = ens.states.nbytes + ens.noise.nbytes
+    assert peak < 0.1 * payload
+    # the layout: header, then states and noise as little-endian float64 in C order
+    header = _HEADER.pack(b"GATE", 1, 3000, 2, 2, 100, 0.01, 4)
+    reference = header + ens.states.astype("<f8").tobytes() + ens.noise.astype("<f8").tobytes()
+    assert f.read_bytes() == reference
+    back = load_ensemble(f)
+    np.testing.assert_array_equal(back.states, ens.states)
+    np.testing.assert_array_equal(back.noise, ens.noise)
 
 
 def test_ensemble_bad_magic(tmp_path):
