@@ -48,7 +48,7 @@ __all__ = [
 
 MAGIC = b"GATE"
 FORMAT_VERSION = 1
-_CHUNK = 4096  # paths per RNG stream (see _normal_chunks)
+_CHUNK = 4096  # paths per RNG stream and per parallel block (see _brownian_blocks)
 
 
 def _frozen(a) -> np.ndarray:
@@ -155,20 +155,36 @@ class EstimatorConfig:
         return steps, m
 
 
-def _normal_chunks(seed: int, m_paths: int, n_steps: int, k: int):
-    """Yield (lo, hi, increments) blocks of standard normals, (hi-lo, n_steps, K).
+def _brownian_blocks(noise: np.ndarray, dt: float, seed: int, fill=None) -> None:
+    """Fill ``noise``, (M, n_steps + 1, K), with Brownian paths block-parallel.
 
     Splitting rule: the master ``SeedSequence(seed)`` spawns one child stream
-    per block of 4096 consecutive paths, so path blocks are independent,
-    reproducible for a given seed, and generation can run block-parallel.
+    per block of 4096 consecutive paths.  After writing its rows of ``noise``,
+    a block passes its increments ``dW``, (hi - lo, n_steps, K), to
+    ``fill(lo, hi, dW)``, which may overwrite them.  Blocks run on one thread
+    per usable CPU (numpy releases the GIL while it fills, multiplies and
+    sums) and each writes only its own rows, so the result does not depend on
+    the number of threads.
     """
-    n_chunks = (m_paths + _CHUNK - 1) // _CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for c, child in enumerate(children):
+    from concurrent.futures import ThreadPoolExecutor
+
+    m_paths, n_steps, k = noise.shape[0], noise.shape[1] - 1, noise.shape[2]
+    n_blocks = (m_paths + _CHUNK - 1) // _CHUNK
+    children = np.random.SeedSequence(seed).spawn(n_blocks)
+
+    def run(c: int) -> None:
         lo = c * _CHUNK
         hi = min(lo + _CHUNK, m_paths)
-        rng = np.random.default_rng(child)
-        yield lo, hi, rng.standard_normal((hi - lo, n_steps, k))
+        dw = np.random.default_rng(children[c]).standard_normal((hi - lo, n_steps, k))
+        dw *= np.sqrt(dt)
+        noise[lo:hi, 0] = 0.0
+        np.cumsum(dw, axis=1, out=noise[lo:hi, 1:])
+        if fill is not None:
+            fill(lo, hi, dw)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max(1, min(n_blocks, cpus or 1))) as pool:
+        list(pool.map(run, range(n_blocks)))  # re-raises a block's exception
 
 
 def _schedule_arrays(model, n_steps: int):
@@ -204,41 +220,45 @@ def simulate(
     s0=None,
 ) -> PathEnsemble:
     """Log-Euler ensemble: ``S_{t+dt} = S_t exp((alpha - diag(sigma sigma^T)/2) dt
-    + sigma dW)``.  Bitwise reproducible for a given seed.
+    + sigma dW)``.  Bitwise reproducible for a given seed, whatever the
+    number of CPUs: each 4096-path block has its own RNG stream and is built
+    in place in the output arrays, one thread per usable CPU.
 
     ``model`` is a constant :class:`~itoarb.geometry.ItoCoefficients` or a
-    per-step sequence of them sampled on the time grid.
+    per-step sequence of them sampled on the time grid.  ``s0`` (default all
+    ones) must be a finite, strictly positive vector of length N.
     """
     n_steps = step_count(dt, horizon)
     alpha, sigma, _ = _schedule_arrays(model, n_steps)
     n, k = sigma.shape[1], sigma.shape[2]
-    if s0 is None:
-        s0 = np.ones(n)
-    s0 = np.asarray(s0, dtype=float)
+    s0 = np.ones(n) if s0 is None else np.asarray(s0, dtype=float)
+    if s0.shape != (n,) or not np.all(np.isfinite(s0) & (s0 > 0)):
+        raise ValueError(f"s0 must be {n} finite, strictly positive initial states")
 
     states = np.empty((m_paths, n_steps + 1, n))
     noise = np.empty((m_paths, n_steps + 1, k))
     ito = 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)  # diag(sigma sigma^T)/2
     drift = (alpha - ito) * dt
-    for lo, hi, z in _normal_chunks(seed, m_paths, n_steps, k):
-        dw = z * np.sqrt(dt)
-        noise[lo:hi, 0] = 0.0
-        np.cumsum(dw, axis=1, out=noise[lo:hi, 1:])
-        dlog = drift[None, :, :] + np.einsum("mtk,tnk->mtn", dw, sigma)
-        logs = np.cumsum(dlog, axis=1)
+    scale = np.tile(s0, (n_steps, 1))  # (n_steps, N) like drift: one long inner loop per path
+
+    def fill(lo: int, hi: int, dw: np.ndarray) -> None:
+        logs = states[lo:hi, 1:]
+        np.einsum("mtk,tnk->mtn", dw, sigma, out=logs)
+        logs += drift
+        np.cumsum(logs, axis=1, out=logs)
+        np.exp(logs, out=logs)
+        logs *= scale
         states[lo:hi, 0] = s0
-        states[lo:hi, 1:] = s0[None, None, :] * np.exp(logs)
+
+    _brownian_blocks(noise, dt, seed, fill)
     return PathEnsemble(states, noise, dt, seed)
 
 
 def brownian_paths(m_paths: int, dt: float, horizon: float, seed: int, k: int = 1) -> np.ndarray:
-    """Plain Brownian paths, (M, n_steps + 1, K), same splitting rule as
-    :func:`simulate`."""
-    n_steps = step_count(dt, horizon)
-    noise = np.empty((m_paths, n_steps + 1, k))
-    for lo, hi, z in _normal_chunks(seed, m_paths, n_steps, k):
-        noise[lo:hi, 0] = 0.0
-        np.cumsum(z * np.sqrt(dt), axis=1, out=noise[lo:hi, 1:])
+    """Plain Brownian paths, (M, n_steps + 1, K), with the block streams and
+    threads of :func:`simulate`."""
+    noise = np.empty((m_paths, step_count(dt, horizon) + 1, k))
+    _brownian_blocks(noise, dt, seed)
     return noise
 
 

@@ -521,3 +521,12 @@ def test_check_zc_and_simulate_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [1, 0]  # the misaligned drift is flagged, and simulate runs
     assert scipy_modules == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    # simulate imports its thread pool when it runs, so start-up does not pay for it
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, itoarb.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.split() == ["False"]
