@@ -23,23 +23,23 @@ the comparison tooling can adjudicate between the two against the
 finite-difference oracle; only the strike-free constant reproduces the
 oracle at third order in ``rho``.
 
-U1 and U2 are built by semigroup steps over ``[0, *tau_nodes]``
-(:func:`stepped_duhamel`): each step carries the previous row forward with
-the heat kernel, applied as a convolution with exact Gaussian-times-hat
-weights, and adds the in-step integral of the source, which is evaluated
-only on the nodes of the padded y grid.  Both tables are built at spacing
-``dy`` and ``dy/2`` and Richardson-combined.  ``n_time_quad`` sets the
-in-step quadrature spacing; ``n_time_quad`` and ``n_space_quad`` also size
-the direct full-history quadrature (:func:`duhamel_integral`) that checks
-the stepped U1 at one node.
+U1 and U2 are built by one march of semigroup steps over ``[0, *tau_nodes]``
+(:func:`compute_corrections`): each step carries the previous rows forward
+with the heat kernel, applied as a convolution with exact Gaussian-times-hat
+weights, and adds the in-step integral of each source, evaluated only on the
+nodes of the padded y grid.  A step evaluates its heat weights and ``u0``
+once for both tables.  Both are built at spacing ``dy`` and ``dy/2`` and
+Richardson-combined.  ``n_time_quad`` sets the in-step quadrature spacing;
+with ``n_space_quad`` it also sizes the direct full-history quadrature
+(:func:`duhamel_integral`) that checks the stepped U1 at one node.
 
 The series has one build and one reader.  ``solve_perturbation(spec, grid,
 quadrature_tolerance)`` builds U1/U2 with the strike-free constant exactly
-when ``spec.rho != 0``; :func:`compute_u1`/:func:`compute_u2` take the
-constant as a number.  ``PerturbationSolution.correction_values`` and
-``u_values`` read the tables at points on the grid and raise ``ValueError``
-off it; :func:`check_points` holds the checks that :func:`price_discounted`
-applies to ``(x, t)``, for callers that vet points before building.
+when ``spec.rho != 0``; :func:`compute_corrections` takes the constant as a
+number.  ``PerturbationSolution.correction_values`` and ``u_values`` read the
+tables at points on the grid and raise ``ValueError`` off it;
+:func:`check_points` holds the checks that :func:`price_discounted` applies
+to ``(x, t)``, for callers that vet points before building.
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ __all__ = [
     "duhamel_integral",
     "stepped_duhamel",
     "richardson_halving",
-    "compute_u1",
-    "compute_u2",
+    "compute_corrections",
     "solve_perturbation",
     "solve_with_refinement_check",
     "canonical_variables",
@@ -314,9 +313,10 @@ def duhamel_integral(
     return out
 
 
-def _heat_weights(t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
-    """Exact weights of the heat kernel of variance ``2 t`` acting on the
-    piecewise-linear interpolant of values at spacing ``dy``.
+def _heat_weights(t: np.ndarray, dy: float, z_half_width_sds: float) -> list[np.ndarray]:
+    """Exact weights of the heat kernels of variance ``2 t``, one array per
+    entry of ``t``, acting on the piecewise-linear interpolant of values at
+    spacing ``dy``.
 
     ``w_m = int G(t, m dy - z) hat(z / dy) dz`` with the unit hat function;
     writing the hat as three ramps gives ``w_m = (sd/dy) (F(a_m + d) -
@@ -327,17 +327,40 @@ def _heat_weights(t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
     from scipy.special import ndtr
 
     sd = np.sqrt(2.0 * t)
-    k = int(np.ceil(z_half_width_sds * sd / dy)) + 1
-    a = np.arange(-k - 1, k + 2) * (dy / sd)
+    k = np.ceil(z_half_width_sds * sd / dy).astype(int) + 1
+    reach = int(k.max())
+    a = np.arange(-reach - 1, reach + 2) * (dy / sd)[:, None]
     f = a * ndtr(a) + np.exp(-0.5 * a * a) / SQRT2PI
-    return (sd / dy) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
+    w = (sd / dy)[:, None] * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2])
+    return [row[reach - kj : reach + kj + 1] for row, kj in zip(w, k)]
 
 
-def _heat_apply(values: np.ndarray, t: float, dy: float, z_half_width_sds: float) -> np.ndarray:
-    """``G(t) * values`` at the nodes, zero beyond the ends of the grid."""
-    w = _heat_weights(t, dy, z_half_width_sds)
-    k = w.size // 2
-    return np.convolve(values, w)[k : k + values.size]
+def _heat_apply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``G * values`` at the nodes for the weights of ``G``, zero off the grid."""
+    k = weights.size // 2
+    return np.convolve(values, weights)[k : k + values.size]
+
+
+def _steps(tau_axis: np.ndarray, ys: np.ndarray, dw: float, z_half_width_sds: float):
+    """Per step ``i >= 1`` over ``tau_axis``: ``i``, the in-step times ``s =
+    tau_i - w^2`` (a column), their midpoint factors ``2 dw_i w`` and the
+    heat weights of ``[h_i, *w^2]`` at the spacing of ``ys``."""
+    dy = float(ys[1] - ys[0])
+    for i in range(1, tau_axis.size):
+        h = tau_axis[i] - tau_axis[i - 1]
+        m = int(np.ceil(np.sqrt(h) / dw))
+        dwi = np.sqrt(h) / m
+        w = (np.arange(m) + 0.5) * dwi
+        weights = _heat_weights(np.concatenate([[h], w * w]), dy, z_half_width_sds)
+        yield i, (tau_axis[i] - w * w)[:, None], 2.0 * dwi * w, weights
+
+
+def _advance(prev: np.ndarray, src: np.ndarray, factors: np.ndarray, weights) -> np.ndarray:
+    """One step ``G(h) prev + sum_k 2 dw w_k G(w_k^2) src_k``, summed in ``k`` order."""
+    out = _heat_apply(prev, weights[0])
+    for c, row, wk in zip(factors, src, weights[1:]):
+        out += c * _heat_apply(row, wk)
+    return out
 
 
 def stepped_duhamel(
@@ -362,17 +385,9 @@ def stepped_duhamel(
     """
     tau_axis = np.asarray(tau_axis, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    dy = float(ys[1] - ys[0])
     out = np.zeros((tau_axis.size, ys.size))
-    for i in range(1, tau_axis.size):
-        h = tau_axis[i] - tau_axis[i - 1]
-        m = int(np.ceil(np.sqrt(h) / dw))
-        dwi = np.sqrt(h) / m
-        w = (np.arange(m) + 0.5) * dwi
-        vals = source_fn((tau_axis[i] - w * w)[:, None], ys[None, :])
-        out[i] = _heat_apply(out[i - 1], h, dy, z_half_width_sds)
-        for wk, row in zip(w, vals):
-            out[i] += 2.0 * dwi * wk * _heat_apply(row, wk * wk, dy, z_half_width_sds)
+    for i, s, factors, weights in _steps(tau_axis, ys, dw, z_half_width_sds):
+        out[i] = _advance(out[i - 1], source_fn(s, ys[None, :]), factors, weights)
     return out
 
 
@@ -405,57 +420,48 @@ def _extended_y(grid: TransformGrid) -> np.ndarray:
     return y[0] + grid.dy * np.arange(-n_pad, y.size + n_pad)
 
 
-def compute_u1(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np.ndarray:
-    """First-order correction ``U1 = int int G f(u0, u0')`` on
+def _u2_source(v1, v2, frac, lo: np.ndarray, hi: np.ndarray, coeff: float):
+    """U2 source ``grad f(v1, v2) . (U1, U1')`` at ``(v1, v2) = (u0, u0')``, with
+    ``(U1, U1')`` mixed by ``frac`` from the stacked ``(2, n)`` rows ``lo``, ``hi``."""
+    u1, u1p = (1.0 - frac) * lo[:, None, :] + frac * hi[:, None, :]
+    g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
+    return g1 * u1 + g2 * u1p
+
+
+def compute_corrections(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np.ndarray:
+    """First- and second-order corrections ``(U1, U2)``, stacked, on
     ``([0, *tau_nodes], ys)`` for the source constant ``coeff``
     (:func:`source_coefficient`); independent of rho.
 
-    ``f = C sqrt(lin^2 + u0^2)`` with ``lin = u0' + u0/2``.  The part ``C lin``
-    is linear in ``(u0, u0')``, which solve the heat equation, so its Duhamel
-    integral is ``tau C lin(tau, y)`` in closed form.  It carries the jump
-    of ``u0'`` at the payoff kink; only the remainder ``f - C lin = C u0^2 /
-    (f/C + lin) >= 0``, which is continuously differentiable there, goes
-    through :func:`stepped_duhamel`.
+    ``U1 = int int G f(u0, u0')`` with ``f = C sqrt(lin^2 + u0^2)`` and
+    ``lin = u0' + u0/2``.  The part ``C lin`` is linear in ``(u0, u0')``,
+    which solve the heat equation, so its Duhamel integral is ``tau C
+    lin(tau, y)`` in closed form.  It carries the jump of ``u0'`` at the
+    payoff kink; only the remainder ``f - C lin = C u0^2 / (f/C + lin) >=
+    0``, which is continuously differentiable there, is stepped.  The source
+    of U2 is ``grad f(u0, u0') . (U1, U1')`` (:func:`_u2_source`).  Each step
+    of the one march advances U1, then U2, whose source reads U1 and its
+    centered y-difference linear in tau between the step's two U1 rows.
     """
     tau_axis = _tau_axis(grid)
     ys = np.asarray(ys, dtype=float)
-
-    def remainder(s, z):
-        v1, v2 = u0_and_prime(s, z)
+    v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
+    out = np.zeros((2, tau_axis.size, ys.size))
+    out[0] = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
+    stepped = np.zeros(ys.size)  # the stepped part of U1
+    hi = np.stack([out[0, 0], np.gradient(out[0, 0], ys)])
+    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(grid), grid.z_half_width_sds):
+        v1, v2 = u0_and_prime(s, ys[None, :])
         lin = v2 + 0.5 * v1
         with np.errstate(invalid="ignore"):
             rest = coeff * v1 * v1 / (np.sqrt(lin * lin + v1 * v1) + lin)
-        return np.where(lin > 0.0, rest, 0.0)
-
-    v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
-    linear = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
-    return linear + stepped_duhamel(remainder, tau_axis, ys, _step_dw(grid), grid.z_half_width_sds)
-
-
-def compute_u2(
-    grid: TransformGrid, u1_table: np.ndarray, ys: np.ndarray, coeff: float
-) -> np.ndarray:
-    """Second-order correction on ``([0, *tau_nodes], ys)`` for the source
-    constant ``coeff``.
-
-    The source ``grad f(u0, u0') . (U1, U1')`` reads U1 and its centered
-    y-difference at the nodes of ``u1_table`` (a U1 table on the same
-    ``([0, *tau_nodes], ys)`` grid), linearly interpolated in tau.
-    """
-    tau_axis = _tau_axis(grid)
-    ys = np.asarray(ys, dtype=float)
-    tables = np.stack([u1_table, np.gradient(u1_table, ys, axis=1)])
-
-    def src(s, z):
-        s = s[:, 0]
-        k = np.searchsorted(tau_axis, s)
-        frac = ((s - tau_axis[k - 1]) / (tau_axis[k] - tau_axis[k - 1]))[:, None]
-        u1, u1p = (1.0 - frac) * tables[:, k - 1] + frac * tables[:, k]
-        v1, v2 = u0_and_prime(s[:, None], z)
-        g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
-        return g1 * u1 + g2 * u1p
-
-    return stepped_duhamel(src, tau_axis, ys, _step_dw(grid), grid.z_half_width_sds)
+        stepped = _advance(stepped, np.where(lin > 0.0, rest, 0.0), factors, weights)
+        out[0, i] += stepped
+        lo, hi = hi, np.stack([out[0, i], np.gradient(out[0, i], ys)])
+        frac = (s - tau_axis[i - 1]) / (tau_axis[i] - tau_axis[i - 1])
+        out[1, i] = _advance(out[1, i - 1], _u2_source(v1, v2, frac, lo, hi, coeff),
+                             factors, weights)
+    return out
 
 
 def _check_coverage(grid: TransformGrid, tau, y) -> None:
@@ -553,20 +559,14 @@ def solve_perturbation(
     }
     if want:
         coeff = source_coefficient(spec)
-
-        def corrections(ys):
-            u1 = compute_u1(grid, ys, coeff)
-            return np.stack([u1, compute_u2(grid, u1, ys, coeff)])
-
         y_ext = _extended_y(grid)
         lo = (y_ext.size - n_y) // 2
         # U1 and U2 are >= 0 exactly: their sources f and grad f . (U1, U1')
         # are >= 0 (u0, u0', u0'' >= 0) under a positive kernel.  Where they
         # are ~0 (left of the kink in the first rows, far tails) the
         # extrapolation can undershoot; clipping there only reduces the error.
-        u1_grid, u2_grid = np.maximum(
-            richardson_halving(corrections, y_ext)[:, :, lo : lo + n_y], 0.0
-        )
+        tables = richardson_halving(lambda ys: compute_corrections(grid, ys, coeff), y_ext)
+        u1_grid, u2_grid = np.maximum(tables[:, :, lo : lo + n_y], 0.0)
         j = int(np.argmin(np.abs(grid.y_nodes)))
         probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
         direct = duhamel_integral(

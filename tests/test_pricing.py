@@ -273,8 +273,14 @@ def test_u2_zero_when_u1_zero():
     )
     tau_axis = np.concatenate([[0.0], grid.tau_nodes])
     y_ext = np.linspace(-2.5, 2.5, 401)
-    zero_u1 = np.zeros((tau_axis.size, y_ext.size))
-    u2 = pricing.compute_u2(grid, zero_u1, y_ext, source_coefficient(spec))
+    zero_rows = np.zeros((2, y_ext.size))
+    coeff = source_coefficient(spec)
+
+    def src(s, z):
+        # (U1, U1') is zero at both ends of every step, whatever the fraction
+        return pricing._u2_source(*u0_and_prime(s, z), 0.5, zero_rows, zero_rows, coeff)
+
+    u2 = stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid), grid.z_half_width_sds)
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -324,12 +330,151 @@ def test_correction_homogeneity_in_constant():
     k = spec.strike
     free = source_coefficient(spec, pricing.SOURCE_STRIKE_FREE)
     scaled = source_coefficient(spec, pricing.SOURCE_STRIKE_SCALED)
-    u1_a = pricing.compute_u1(grid, ys, free)
-    u1_b = pricing.compute_u1(grid, ys, scaled)
+    u1_a, u2_a = pricing.compute_corrections(grid, ys, free)
+    u1_b, u2_b = pricing.compute_corrections(grid, ys, scaled)
     np.testing.assert_allclose(u1_b[:, keep], k * u1_a[:, keep], rtol=1e-12)
-    u2_a = pricing.compute_u2(grid, u1_a, ys, free)
-    u2_b = pricing.compute_u2(grid, u1_b, ys, scaled)
     np.testing.assert_allclose(u2_b[:, keep], k * k * u2_a[:, keep], rtol=1e-12)
+
+
+# the per-table march the fused build replaced: U1 and U2 each stepped on
+# their own, with the heat weights of every t computed one t at a time
+
+
+def reference_heat_weights(t, dy, z_half_width_sds):
+    from scipy.special import ndtr
+
+    sd = np.sqrt(2.0 * t)
+    k = int(np.ceil(z_half_width_sds * sd / dy)) + 1
+    a = np.arange(-k - 1, k + 2) * (dy / sd)
+    f = a * ndtr(a) + np.exp(-0.5 * a * a) / pricing.SQRT2PI
+    return (sd / dy) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
+
+
+def reference_heat_apply(values, t, dy, z_half_width_sds):
+    w = reference_heat_weights(t, dy, z_half_width_sds)
+    k = w.size // 2
+    return np.convolve(values, w)[k : k + values.size]
+
+
+def reference_stepped_duhamel(source_fn, tau_axis, ys, dw, z_half_width_sds):
+    dy = float(ys[1] - ys[0])
+    out = np.zeros((tau_axis.size, ys.size))
+    for i in range(1, tau_axis.size):
+        h = tau_axis[i] - tau_axis[i - 1]
+        m = int(np.ceil(np.sqrt(h) / dw))
+        dwi = np.sqrt(h) / m
+        w = (np.arange(m) + 0.5) * dwi
+        vals = source_fn((tau_axis[i] - w * w)[:, None], ys[None, :])
+        out[i] = reference_heat_apply(out[i - 1], h, dy, z_half_width_sds)
+        for wk, row in zip(w, vals):
+            out[i] += 2.0 * dwi * wk * reference_heat_apply(row, wk * wk, dy, z_half_width_sds)
+    return out
+
+
+def reference_u1(grid, ys, coeff):
+    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+
+    def remainder(s, z):
+        v1, v2 = u0_and_prime(s, z)
+        lin = v2 + 0.5 * v1
+        with np.errstate(invalid="ignore"):
+            rest = coeff * v1 * v1 / (np.sqrt(lin * lin + v1 * v1) + lin)
+        return np.where(lin > 0.0, rest, 0.0)
+
+    v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
+    linear = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
+    return linear + reference_stepped_duhamel(
+        remainder, tau_axis, ys, pricing._step_dw(grid), grid.z_half_width_sds
+    )
+
+
+def reference_u2(grid, u1_table, ys, coeff):
+    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+    tables = np.stack([u1_table, np.gradient(u1_table, ys, axis=1)])
+
+    def src(s, z):
+        s = s[:, 0]
+        k = np.searchsorted(tau_axis, s)
+        frac = ((s - tau_axis[k - 1]) / (tau_axis[k] - tau_axis[k - 1]))[:, None]
+        u1, u1p = (1.0 - frac) * tables[:, k - 1] + frac * tables[:, k]
+        v1, v2 = u0_and_prime(s[:, None], z)
+        g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
+        return g1 * u1 + g2 * u1p
+
+    return reference_stepped_duhamel(
+        src, tau_axis, ys, pricing._step_dw(grid), grid.z_half_width_sds
+    )
+
+
+README_SPEC = CallSpec(100.0, 1.0, 0.2, 0.02)
+# (n_tau, n_y, y_half, n_time_quad, n_space_quad): the README default grid,
+# the halved grid of the series_price benchmark workload and the compare grid
+BUILD_GRIDS = {
+    "readme": (48, 129, 0.8, 64, 161),
+    "series-price": (24, 65, 0.8, 32, 81),
+    "compare": (32, 97, 0.6, 48, 161),
+}
+
+
+def build_grid(name):
+    n_tau, n_y, y_half, n_w, n_xi = BUILD_GRIDS[name]
+    return TransformGrid.for_call(README_SPEC, n_tau=n_tau, n_y=n_y, y_half=y_half,
+                                  n_time_quad=n_w, n_space_quad=n_xi)
+
+
+@pytest.mark.parametrize("convention", [pricing.SOURCE_STRIKE_FREE, pricing.SOURCE_STRIKE_SCALED])
+@pytest.mark.parametrize("grid_name", list(BUILD_GRIDS))
+def test_fused_corrections_match_per_table_march(grid_name, convention):
+    # the fused march does the reference's arithmetic in the reference's
+    # order, so the tables agree bit for bit on both node sets of the build
+    grid = build_grid(grid_name)
+    coeff = source_coefficient(README_SPEC, convention)
+    y_ext = pricing._extended_y(grid)
+    half = y_ext[0] + 0.5 * (y_ext[1] - y_ext[0]) * np.arange(2 * y_ext.size - 1)
+    for ys in (y_ext, half):
+        u1, u2 = pricing.compute_corrections(grid, ys, coeff)
+        ref_u1 = reference_u1(grid, ys, coeff)
+        np.testing.assert_array_equal(u1, ref_u1)
+        np.testing.assert_array_equal(u2, reference_u2(grid, ref_u1, ys, coeff))
+
+
+def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
+    # u0 and u0' at each in-step node serve both sources, and the closed-form
+    # linear part of U1 reads them once on the (tau, y) table
+    grid = build_grid("series-price")
+    ys = pricing._extended_y(grid)
+    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+    dw = pricing._step_dw(grid)
+    m = np.ceil(np.sqrt(np.diff(tau_axis)) / dw).astype(int)
+    points = []
+    original = pricing.u0_and_prime
+
+    def counting(tau, y):
+        points.append(np.broadcast(np.asarray(tau), np.asarray(y)).size)
+        return original(tau, y)
+
+    monkeypatch.setattr(pricing, "u0_and_prime", counting)
+    pricing.compute_corrections(grid, ys, source_coefficient(README_SPEC))
+    assert sum(points) == m.sum() * ys.size + tau_axis.size * ys.size
+
+
+@pytest.mark.parametrize("grid_name, limit_mib", [("series-price", 2.0), ("readme", 5.0)])
+def test_series_build_heap_peak(grid_name, limit_mib):
+    # the march holds one step's nodes and weights at a time (peaks 0.83 and
+    # 3.26 MiB on these grids); evaluating the sources of all steps at once
+    # holds about ten sum(m_i) x n arrays and exceeds both limits
+    import tracemalloc
+
+    import scipy.special  # noqa: F401  (its import is not the build's memory)
+
+    grid = build_grid(grid_name)
+    tracemalloc.start()
+    try:
+        pricing.solve_with_refinement_check(README_SPEC, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_correction_values_reject_off_grid():
