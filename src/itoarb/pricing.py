@@ -539,7 +539,8 @@ def solve_perturbation(
     ``y = 0`` is checked against a direct :func:`duhamel_integral` sized by
     ``n_time_quad`` x ``n_space_quad``; the relative gap is recorded in
     ``diagnostics`` and, when ``quadrature_tolerance`` is given, a gap above
-    it raises an error that reports the achieved gap.
+    it raises an error that reports the achieved gap.  Tables that are not
+    finite (``u0`` overflows on a wide y grid) raise ``RuntimeError``.
     """
     if grid is None:
         grid = TransformGrid.for_call(spec)
@@ -565,8 +566,12 @@ def solve_perturbation(
         # are >= 0 (u0, u0', u0'' >= 0) under a positive kernel.  Where they
         # are ~0 (left of the kink in the first rows, far tails) the
         # extrapolation can undershoot; clipping there only reduces the error.
-        tables = richardson_halving(lambda ys: compute_corrections(grid, ys, coeff), y_ext)
-        u1_grid, u2_grid = np.maximum(tables[:, :, lo : lo + n_y], 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # judged by the check below
+            tables = richardson_halving(lambda ys: compute_corrections(grid, ys, coeff), y_ext)
+        tables = tables[:, :, lo : lo + n_y]
+        if not np.isfinite(tables).all():
+            raise RuntimeError(f"U1/U2 tables are not finite on a y grid padded to {y_ext[-1]:.4g}")
+        u1_grid, u2_grid = np.maximum(tables, 0.0)
         j = int(np.argmin(np.abs(grid.y_nodes)))
         probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
         direct = duhamel_integral(

@@ -249,6 +249,20 @@ def test_price_surface_outside_grid_rejected(tmp_path, surface):
     assert not any(out.iterdir())
 
 
+def test_price_non_finite_series_is_internal_failure(tmp_path, capsys):
+    # u0 overflows on a y grid this wide: the non-finite tables are an internal
+    # failure, not a failed refinement check (exit 1)
+    payload = price_cfg(rho=0.01)
+    payload["pricing_grid"]["y_half"] = 700.0
+    cfg = write_cfg(tmp_path, "wide.json", payload)
+    out = tmp_path / "wide"
+    assert run(["price", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "U1/U2 tables are not finite" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
 def _mostly(inside, edges):
     # four draws in five from inside the domain, the rest from values on or
     # just past its edges
@@ -353,19 +367,45 @@ def test_solve_pde_schema_matches_price(tmp_path):
     assert meta["probe_price_atm_t0"] == pytest.approx(7.9656, abs=5e-3)
 
 
-def test_solve_pde_non_finite_step_exhausts_halvings(tmp_path, capsys):
-    # the source overflows to inf on the first step; the step-halving detector
-    # must see it and give up with its own message
+def test_solve_pde_extreme_rho_prices_zero(tmp_path):
+    # the source rate overflows to inf, an exact zero factor of the source flow
     payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=1e306),
                "pde_grid": {"n_x": 65, "n_t": 64}}
     cfg = write_cfg(tmp_path, "inf.json", payload)
     out = tmp_path / "inf"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # rho * T far beyond the series
+        assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "run_meta.json").read_text())["probe_price_atm_t0"] == 0.0
+
+
+def test_solve_pde_growing_flow_is_internal_failure(tmp_path, capsys):
+    # rho < 0 grows the price until it overflows; the march reports the
+    # non-finite row itself instead of passing it on to the spline
+    payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=-5.0),
+               "pde_grid": {"n_x": 65, "n_t": 64}}
+    cfg = write_cfg(tmp_path, "grow.json", payload)
+    out = tmp_path / "grow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
         assert run(["solve-pde", "--config", cfg, "--out", out]) == 3
     err = capsys.readouterr().err
-    assert "time step failed to converge after 10 halvings" in err
-    assert "Traceback" not in err and "infs or NaNs" not in err
+    assert "non-finite or below the positivity floor" in err
+    assert "Traceback" not in err and "finite values" not in err
+    assert not any(out.iterdir())
+
+
+def test_solve_pde_low_sigma_stays_positive(tmp_path):
+    # low sigma with rho T near 0.8: the source flow cannot push a price below 0
+    call = {"strike": 79.84, "maturity": 2.923, "sigma": 0.0508, "rho": 0.2675}
+    payload = {"schema_version": 1, "call": call, "pde_grid": {"n_x": 129, "n_t": 128}}
+    cfg = write_cfg(tmp_path, "low.json", payload)
+    out = tmp_path / "low"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
+    phi = np.loadtxt(out / "pde_surface.csv", delimiter=",", skiprows=1)[:, 2]
+    assert phi.min() >= 0.0
 
 
 # ---------------------------------------------------------------- compare
@@ -395,16 +435,19 @@ def test_compare_command_adjudicates(tmp_path):
     assert len(rows) == 4
 
 
-def test_compare_step_halving_exhausted_is_internal_failure(tmp_path, capsys):
-    # one column that cannot be stepped halves the whole ladder until it gives up
+def test_compare_extreme_rho_is_mismatch(tmp_path, capsys):
+    # at rho 1e8 the oracle prices 0 and the series is far off: a mismatch,
+    # not an internal failure
     payload = {"schema_version": 1, "call": BASE_CALL, "compare": {"rhos": [0.01, 1e8]}}
-    cfg = write_cfg(tmp_path, "halve.json", payload)
-    out = tmp_path / "halve"
-    assert run(["compare", "--config", cfg, "--out", out]) == 3
-    err = capsys.readouterr().err
-    assert "time step failed to converge after 10 halvings" in err
-    assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    cfg = write_cfg(tmp_path, "far.json", payload)
+    out = tmp_path / "far"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert run(["compare", "--config", cfg, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "[MISMATCH]" in captured.out
+    assert "Traceback" not in captured.err
+    assert json.loads((out / "run_meta.json").read_text())["comparison"]["adjudication_ok"] is False
 
 
 # ---------------------------------------------------------------- simulate

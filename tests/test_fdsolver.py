@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_ladder_matches_separate_solves():
 
 
 def test_ladder_keeps_one_row_in_memory():
-    # at the compare resolution one (n_t + 1) x n_x float64 surface is 8.4 MB;
+    # at the compare resolution one (n_t + 1) x n_x float64 surface is 2.1 MB;
     # the ladder keeps only the t = 0 row of its four columns
     g = PdeGrid.for_call(SPEC, n_x=fdsolver.COMPARE_N_X, n_t=2 * fdsolver.COMPARE_N_T)
     half_surface = 0.5 * g.n_x * g.n_t * 8
@@ -176,6 +177,19 @@ def test_ladder_keeps_one_row_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < half_surface
+
+
+def test_rho_change_second_order_in_time():
+    # successive differences of the rho-change in n_t shrink 4x (a first-order
+    # source step reads 2); n_x is fixed, so the space error cancels
+    spec = CallSpec(100.0, 1.0, 0.2, 0.04)
+    change = []
+    for n_t in (128, 256, 512):
+        g = PdeGrid.for_call(spec, n_x=513, n_t=n_t)
+        classical, arb = fdsolver._t0_prices(spec, g, [0.0, 0.04], PROBES)
+        change.append(arb - classical)
+    ratio = (change[0] - change[1]) / (change[1] - change[2])
+    assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
 
 
 # ---------------------------------------------------------------- factored step
@@ -219,9 +233,12 @@ def test_singular_step_matrix_raises():
 
 @settings(max_examples=8, deadline=None)
 @given(strike=st.floats(50.0, 150.0), maturity=st.floats(0.25, 2.0),
-       sigma=st.floats(0.1, 0.5), rhos=st.lists(st.floats(0.0, 0.1), min_size=2, max_size=4))
+       sigma=st.floats(0.05, 0.5), rhos=st.lists(st.floats(0.0, 0.4), min_size=2, max_size=4))
 def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
-    spec = CallSpec(strike, maturity, sigma, max(rhos))
+    # rho T reaches 0.8, past the series' range
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = CallSpec(strike, maturity, sigma, max(rhos))
     g = PdeGrid.for_call(spec, n_x=129, n_t=128)
     # at zero rate the undiscounted march is the discounted one
     np.testing.assert_array_equal(solve_undiscounted(spec, g).surface, solve(spec, g).surface)
@@ -234,18 +251,27 @@ def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
 # ---------------------------------------------------------------- robustness
 
 
-def test_step_halving_gives_up_eventually():
-    import warnings
-
-    # at rho 1e306 the source overflows to inf on the first step: the detector
-    # must see the non-finite step and halve it, not let the solve fail on its input
+def test_extreme_rho_prices_zero_without_overflow():
+    # at rho 1e306 the source rate overflows to inf, an exact zero factor of
+    # the source flow: the surface stays finite and non-negative, and the
+    # price at t = 0 is 0
     for rho in (1e8, 1e306):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             spec = CallSpec(100.0, 1.0, 0.2, rho)
-        g = PdeGrid.for_call(spec, n_x=65, n_t=64)
-        with pytest.raises(RuntimeError, match="failed to converge after 10 halvings"):
-            solve(spec, g)
+        res = solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
+        assert np.isfinite(res.surface).all()
+        assert res.surface.min() >= 0.0
+        np.testing.assert_array_equal(res.surface[0], 0.0)
+
+
+def test_growing_flow_raises_its_own_error():
+    # rho < 0 grows the price through the source flow until it overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = CallSpec(100.0, 1.0, 0.2, -5.0)
+    with pytest.raises(RuntimeError, match="non-finite or below the positivity floor"):
+        solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
 
 
 def test_evaluate_guards():
