@@ -2,10 +2,9 @@
 
 Modules:
 
-- :mod:`itoarb.gauges`: deflators, term structures, cashflow transforms and
-  portfolio aggregation;
+- :mod:`itoarb.gauges`: deflators, term structures and cashflow transforms;
 - :mod:`itoarb.geometry`: range projections, kernel basis, the arbitrage
-  measure and related diagnostics;
+  measure and the cross-asset spread diagnostic;
 - :mod:`itoarb.pricing`: perturbation-series solution of the nonlinear
   pricing equation for a European call;
 - :mod:`itoarb.fdsolver`: independent finite-difference oracle for the same
@@ -15,7 +14,7 @@ Modules:
 - :mod:`itoarb.cli`: config-driven batch commands.
 """
 
-from .gauges import CashflowIntensity, Gauge, PortfolioNominals, convolve, gauge_transform
+from .gauges import CashflowIntensity, Gauge, convolve, gauge_transform
 from .geometry import ItoCoefficients, KernelBasis, kernel_basis, rho, zc_residual
 from .pricing import CallSpec, TransformGrid, PerturbationSolution, solve_perturbation
 from .fdsolver import PdeGrid, solve, solve_undiscounted
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CashflowIntensity",
     "Gauge",
-    "PortfolioNominals",
     "convolve",
     "gauge_transform",
     "ItoCoefficients",

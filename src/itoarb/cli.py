@@ -69,7 +69,7 @@ CONFIG_SCHEMA = {
                 "strike": {"type": "number", "exclusiveMinimum": 0},
                 "maturity": {"type": "number", "exclusiveMinimum": 0},
                 "sigma": {"type": "number", "exclusiveMinimum": 0},
-                "rho": {"type": "number"},
+                "rho": {"type": "number", "minimum": 0},
                 "rate": {"type": "number"},
             },
         },

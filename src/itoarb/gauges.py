@@ -4,8 +4,7 @@ A financial instrument is modelled as a *gauge*: a deflator time series
 ``D_t`` together with a term structure ``P(t, t+u)`` of synthetic zero-bond
 prices, stored on a rectangular (valuation time) x (maturity offset) grid.
 Deterministic cashflow profiles ("intensities") act on gauges by a transform
-that is closed under convolution; portfolios of gauges aggregate through
-deflator-weighted forward-rate averaging.
+that is closed under convolution.
 """
 
 from __future__ import annotations
@@ -14,33 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import read_csv, write_csv
-
 __all__ = [
     "CashflowIntensity",
     "Gauge",
-    "PortfolioNominals",
-    "dirac",
     "convolve",
     "gauge_transform",
-    "forward_rate",
-    "short_rate",
     "term_structure_from_forward",
-    "portfolio_gauge",
-    "portfolio_short_rate",
-    "read_deflator_csv",
-    "write_deflator_csv",
-    "read_term_structure_csv",
-    "write_term_structure_csv",
-    "read_intensity_csv",
-    "write_intensity_csv",
 ]
 
 _RATIO_TOL = 1e-9
 
 
-def _frozen(a, dtype=float) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=dtype))
+def _frozen(a) -> np.ndarray:
+    out = np.ascontiguousarray(np.asarray(a, dtype=float))
     out.flags.writeable = False
     return out
 
@@ -52,7 +37,7 @@ class CashflowIntensity:
     ``samples[i]`` is the intensity at lag ``i * dh``; samples are zero beyond
     ``support_end``.  A single-sample intensity is interpreted as a point mass
     at lag zero with total mass ``samples[0] * dh``; the unit point mass
-    (see :func:`dirac`) is then an exact identity for :func:`convolve`.
+    ``samples = [1 / dh]`` is then an exact identity for :func:`convolve`.
     """
 
     samples: np.ndarray
@@ -78,11 +63,6 @@ class CashflowIntensity:
     @property
     def lags(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.dh
-
-
-def dirac(dh: float) -> CashflowIntensity:
-    """Unit point mass at lag zero on a grid of spacing ``dh``."""
-    return CashflowIntensity(np.array([1.0 / dh]), dh)
 
 
 def _resample(intensity: CashflowIntensity, dh: float) -> CashflowIntensity:
@@ -158,18 +138,6 @@ class Gauge:
         return float(self.offsets[-1])
 
 
-@dataclass(frozen=True)
-class PortfolioNominals:
-    """Vector of nominal holdings; the weighted deflator must stay nonzero."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(self.x))
-        if self.x.ndim != 1 or self.x.size == 0 or not np.isfinite(self.x).all():
-            raise ValueError("nominals must be a finite non-empty vector")
-
-
 def _intensity_quadrature(pi: CashflowIntensity, values: np.ndarray) -> np.ndarray:
     """``int pi_h f(h) dh`` with ``values[..., j] = f(h_j)`` on pi's lag grid.
 
@@ -210,6 +178,7 @@ def gauge_transform(g: Gauge, pi: CashflowIntensity) -> Gauge:
     return Gauge(g.times, u_out, g.deflator * denom, p_out)
 
 
+# The two rate readers below have no command yet, so they stay off ``__all__``.
 def forward_rate(g: Gauge) -> np.ndarray:
     """Instantaneous forward surface ``f(t, t+u) = -d log P / du``.
 
@@ -246,116 +215,3 @@ def term_structure_from_forward(f: np.ndarray, du: float) -> np.ndarray:
 
     integral = cumulative_trapezoid(f, dx=du, axis=1, initial=0.0)
     return np.exp(-integral)
-
-
-def _check_shared_grids(gauges) -> Gauge:
-    first = gauges[0]
-    for g in gauges[1:]:
-        if g.times.shape != first.times.shape or not np.allclose(
-            g.times, first.times, rtol=0, atol=1e-12
-        ):
-            raise ValueError("gauges must share the valuation-time grid")
-        if g.offsets.shape != first.offsets.shape or not np.allclose(
-            g.offsets, first.offsets, rtol=0, atol=1e-12
-        ):
-            raise ValueError("gauges must share the maturity-offset grid")
-    return first
-
-
-def _portfolio_weights(x: PortfolioNominals, gauges) -> tuple[np.ndarray, np.ndarray]:
-    d = np.stack([g.deflator for g in gauges], axis=1)  # (n_t, N)
-    dx = d @ x.x
-    scale = np.abs(d * x.x).sum(axis=1)
-    if np.any(np.abs(dx) <= 1e-12 * np.maximum(scale, 1e-300)):
-        raise ValueError("degenerate portfolio: weighted deflator vanishes at some time")
-    return dx, (x.x * d) / dx[:, None]
-
-
-def portfolio_gauge(x: PortfolioNominals, gauges) -> Gauge:
-    """Aggregate gauges into a portfolio gauge.
-
-    The deflator is the exact linear combination; the forward surface is the
-    deflator-weighted average of the constituents' surfaces and the term
-    structure is rebuilt from it.
-    """
-    if len(gauges) != x.x.size:
-        raise ValueError("one gauge per nominal required")
-    g0 = _check_shared_grids(gauges)
-    dx, w = _portfolio_weights(x, gauges)
-    f = np.stack([forward_rate(g) for g in gauges], axis=0)  # (N, n_t, n_u)
-    fx = np.einsum("tn,ntu->tu", w, f)
-    px = term_structure_from_forward(fx, g0.du)
-    return Gauge(g0.times, g0.offsets, dx, px)
-
-
-def portfolio_short_rate(x: PortfolioNominals, gauges) -> np.ndarray:
-    """Portfolio short rate: the value-weighted average of constituent rates."""
-    if len(gauges) != x.x.size:
-        raise ValueError("one gauge per nominal required")
-    _check_shared_grids(gauges)
-    _, w = _portfolio_weights(x, gauges)
-    rates = np.stack([short_rate(forward_rate(g)) for g in gauges], axis=1)  # (n_t, N)
-    return (w * rates).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange
-
-
-def write_deflator_csv(path, times, values) -> None:
-    write_csv(path, ["t", "value"], [np.column_stack([times, values])])
-
-
-def read_deflator_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = read_csv(path)
-    return data[:, 0], data[:, 1]
-
-
-def write_term_structure_csv(path, gauge: Gauge) -> None:
-    """Rows (t, s, value) with absolute maturity ``s = t + offset``."""
-    write_csv(path, ["t", "s", "value"],
-              (np.column_stack([np.full(gauge.offsets.size, t), t + gauge.offsets, row])
-               for t, row in zip(gauge.times, gauge.term_structure)))
-
-
-def read_term_structure_csv(path, deflator=None) -> Gauge:
-    """Rebuild a gauge from (t, s, value) rows; offsets must form a shared grid."""
-    data = read_csv(path)
-    times = np.unique(data[:, 0])
-    n_t = times.size
-    if data.shape[0] % n_t:
-        raise ValueError("term-structure rows do not form a rectangular grid")
-    n_u = data.shape[0] // n_t
-    p = np.empty((n_t, n_u))
-    offsets = None
-    for i, t in enumerate(times):
-        rows = data[np.isclose(data[:, 0], t)]
-        order = np.argsort(rows[:, 1])
-        rows = rows[order]
-        u = rows[:, 1] - t
-        if offsets is None:
-            offsets = u
-        elif not np.allclose(u, offsets, rtol=0, atol=1e-9):
-            raise ValueError("maturity offsets differ across valuation times")
-        p[i] = rows[:, 2]
-    if deflator is None:
-        deflator = np.ones(n_t)
-    return Gauge(times, offsets, deflator, p)
-
-
-def write_intensity_csv(path, intensity: CashflowIntensity) -> None:
-    write_csv(path, ["h", "value"], [np.column_stack([intensity.lags, intensity.samples])])
-
-
-def read_intensity_csv(path, dh: float | None = None) -> CashflowIntensity:
-    """Load an intensity; single-row (point mass) files need ``dh`` passed in."""
-    data = read_csv(path)
-    h = data[:, 0]
-    if h.size > 1:
-        spacing = h[1] - h[0]
-        if not np.allclose(np.diff(h), spacing, rtol=1e-9, atol=0):
-            raise ValueError("intensity lag grid must be uniform")
-        dh = float(spacing)
-    elif dh is None:
-        raise ValueError("single-row intensity file: grid spacing dh must be given")
-    return CashflowIntensity(data[:, 1], float(dh))

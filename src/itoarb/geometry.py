@@ -5,8 +5,7 @@ rates ``r``, the obstruction to arbitrage-freeness reduces to whether
 ``alpha + r`` lies in the range of ``sigma``.  This module provides the
 orthogonal projections onto that range and its complement, an orthonormal
 basis ``J`` of the complement with a deterministic orientation, the scalar
-measure ``rho = J^T (alpha + r)``, the cross-asset spread diagnostic, and the
-implied positive deflator built from a sampled drift-of-log series.
+measure ``rho = J^T (alpha + r)`` and the cross-asset spread diagnostic.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ __all__ = [
     "rho",
     "zc_residual",
     "curvature_spread",
-    "implied_beta",
-    "rho_tilde",
-    "load_matrix_csv",
 ]
 
 # singular values below RANK_TOL * s_max count as zero
@@ -182,6 +178,9 @@ def curvature_spread(
     drift = c.alpha - 0.5 * diag_of(c.sigma @ c.sigma.T) + c.sigma @ (w / (2.0 * t))
     v = drift + c.r
     return v - v.mean()
+
+
+# Diagnostics below have no command yet, so they stay off ``__all__``.
 
 
 def implied_beta(c_series: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -56,14 +56,10 @@ __all__ = [
     "SOURCE_STRIKE_FREE",
     "SOURCE_STRIKE_SCALED",
     "source_coefficient",
-    "heat_kernel",
     "u0",
-    "u0_prime",
-    "u0_by_quadrature",
     "nonlinear_f",
     "nonlinear_f_gradient",
     "duhamel_integral",
-    "stepped_duhamel",
     "richardson_halving",
     "compute_corrections",
     "solve_perturbation",
@@ -71,10 +67,7 @@ __all__ = [
     "canonical_variables",
     "check_points",
     "price_discounted",
-    "price_undiscounted",
     "surface",
-    "bss_consistency",
-    "BssReport",
 ]
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -92,7 +85,7 @@ class CallSpec:
     maturity: float
     sigma: float
     rho: float = 0.0
-    rate: float = 0.0  # used only when mapping to undiscounted prices
+    rate: float = 0.0  # used only by the undiscounted FD solve
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.strike, self.maturity, self.sigma, self.rho, self.rate])):
@@ -182,18 +175,6 @@ class TransformGrid:
         return cls(taus, ys, **quad)
 
 
-def heat_kernel(tau, y, s, z):
-    """Gaussian kernel of the canonical heat equation, variance ``2 (tau - s)``."""
-    tau = np.asarray(tau, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(tau <= s):
-        raise ValueError("heat kernel requires tau > s")
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    dt = tau - s
-    return np.exp(-((y - z) ** 2) / (4.0 * dt)) / (2.0 * np.sqrt(np.pi * dt))
-
-
 def _u0_parts(tau, y):
     """Shared evaluation of the two lognormal terms of u0 for tau > 0."""
     from scipy.special import ndtr
@@ -234,20 +215,6 @@ def u0_and_prime(tau, y):
 
 def u0(tau, y):
     return u0_and_prime(tau, y)[0]
-
-
-def u0_prime(tau, y):
-    return u0_and_prime(tau, y)[1]
-
-
-def u0_by_quadrature(tau: float, y: float, n: int = 200001, span_sds: float = 14.0) -> float:
-    """Direct trapezoid quadrature of the defining integral; validation fallback."""
-    if tau <= 0:
-        return float(np.maximum(np.exp(y / 2) - np.exp(-y / 2), 0.0))
-    width = span_sds * np.sqrt(2.0 * tau)
-    z = np.linspace(0.0, max(y + width, width), n)
-    payoff = np.exp(z / 2) - np.exp(-z / 2)
-    return float(np.trapezoid(heat_kernel(tau, y, 0.0, z) * payoff, z))
 
 
 def nonlinear_f(v1, v2, coefficient: float):
@@ -360,34 +327,6 @@ def _advance(prev: np.ndarray, src: np.ndarray, factors: np.ndarray, weights) ->
     out = _heat_apply(prev, weights[0])
     for c, row, wk in zip(factors, src, weights[1:]):
         out += c * _heat_apply(row, wk)
-    return out
-
-
-def stepped_duhamel(
-    source_fn,
-    tau_axis,
-    ys,
-    dw: float,
-    z_half_width_sds: float = 10.0,
-) -> np.ndarray:
-    """Duhamel integral on a (tau, y) node grid built by semigroup steps.
-
-    ``U(tau_0) = 0`` and ``U(tau_i) = G(h_i) * U(tau_{i-1}) +
-    int_{tau_{i-1}}^{tau_i} G(tau_i - s) * src(s) ds`` with ``h_i = tau_i -
-    tau_{i-1}``.  ``G`` acts on the piecewise-linear interpolant of node
-    values through exact weights (:func:`_heat_weights`), so the error is
-    second order in the spacing of the uniform ``ys``.  The in-step integral
-    uses the substitution ``s = tau_i - w^2`` and the midpoint rule with
-    ``ceil(sqrt(h_i) / dw)`` points.
-
-    ``source_fn(s, z)`` is called once per step with ``s`` of shape
-    ``(m, 1)`` and ``z = ys[None, :]``, and returns the source at those nodes.
-    """
-    tau_axis = np.asarray(tau_axis, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros((tau_axis.size, ys.size))
-    for i, s, factors, weights in _steps(tau_axis, ys, dw, z_half_width_sds):
-        out[i] = _advance(out[i - 1], source_fn(s, ys[None, :]), factors, weights)
     return out
 
 
@@ -662,96 +601,9 @@ def price_discounted(sol: PerturbationSolution, x, t):
     return out if out.ndim else float(out)
 
 
-def price_undiscounted(sol: PerturbationSolution, s, t):
-    """Undiscounted price ``Psi(t, S) = e^{rt} Phi(t, e^{-rt} S)``.
-
-    The strike applies to the discounted value, so at expiry the payoff is
-    ``(S - K e^{rT})+`` in undiscounted terms (it reduces to ``(S - K)+``
-    when the rate is zero).
-    """
-    r = sol.spec.rate
-    t = np.asarray(t, dtype=float)
-    disc = np.exp(-r * t)
-    return price_discounted(sol, np.asarray(s, dtype=float) * disc, t) / disc
-
-
 def surface(sol: PerturbationSolution, t_nodes, x_nodes) -> np.ndarray:
     """Discounted price surface on a (t, x) mesh, rows indexed by time."""
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
     return price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
 
-
-@dataclass(frozen=True)
-class BssReport:
-    """Self-consistency of a price surface with the two-equation system that
-    defines the arbitrage measure."""
-
-    implied_rho: np.ndarray   # (n_t, n_x), NaN where masked
-    implied_tau: np.ndarray   # volatility loading of the derivative
-    mask: np.ndarray          # True where the report is valid
-    rho_input: float
-    max_abs_dev: float
-    mean_abs_dev: float
-
-
-def bss_consistency(
-    t_nodes,
-    x_nodes,
-    phi: np.ndarray,
-    spec: CallSpec,
-    alpha: float = 0.0,
-    floor: float = 1e-6,
-) -> BssReport:
-    """Recover the arbitrage measure implied by a solved surface.
-
-    From the surface the derivative's volatility loading is
-    ``tau_t = sigma X Phi_x / Phi``; the drift pair ``(alpha, beta)`` is
-    reconstructed from the pricing system (``alpha`` is a free input: it
-    cancels exactly in the projection) and projected onto the kernel of the
-    2x1 volatility matrix ``(sigma, tau_t)^T``, which in closed form is
-    ``(-tau_t, sigma) / hypot(sigma, tau_t)``; that orientation makes the
-    recovered sign match the source convention of the pricing equation.
-    Nodes where ``Phi`` falls below ``floor * K`` and boundary bands are
-    masked.
-    """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (t_nodes.size, x_nodes.size):
-        raise ValueError("surface shape must be (n_t, n_x)")
-    phi_t = np.gradient(phi, t_nodes, axis=0)
-    phi_x = np.gradient(phi, x_nodes, axis=1)
-    phi_xx = np.gradient(phi_x, x_nodes, axis=1)
-
-    xx = x_nodes[None, :]
-    mask = phi > floor * spec.strike
-    mask[:, :2] = False
-    mask[:, -2:] = False
-    mask[0, :] = False
-    mask[-1, :] = False
-
-    implied_tau = np.full_like(phi, np.nan)
-    implied_rho = np.full_like(phi, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tau_l = spec.sigma * xx * phi_x / phi
-    implied_tau[mask] = tau_l[mask]
-
-    xm = np.broadcast_to(xx, phi.shape)[mask]
-    tl = tau_l[mask]
-    beta = (
-        phi_t[mask] + phi_x[mask] * xm * alpha + 0.5 * spec.sigma**2 * xm**2 * phi_xx[mask]
-    ) / phi[mask]
-    implied_rho[mask] = (spec.sigma * beta - tl * alpha) / np.hypot(spec.sigma, tl)
-
-    dev = np.abs(implied_rho[mask] - spec.rho)
-    if dev.size == 0:
-        raise ValueError("no valid nodes to report on")
-    return BssReport(
-        implied_rho=implied_rho,
-        implied_tau=implied_tau,
-        mask=mask,
-        rho_input=spec.rho,
-        max_abs_dev=float(dev.max()),
-        mean_abs_dev=float(dev.mean()),
-    )

@@ -4,11 +4,9 @@ Paths follow the log-Euler scheme for
 ``dS = S (alpha dt + sigma dW)``; forward, backward and mean stochastic
 derivatives of path functionals are estimated by nearest-neighbour
 regression on the present state (valid for Markov functionals of the
-simulated state).  The estimators built on top of them, the portfolio
-instantaneous return, the empirical arbitrage measure and the
-self-financing residual, report ensemble means and need no regression: the
-mean of a conditional expectation is the mean of the raw difference
-quotients (tower property).
+simulated state).  The empirical arbitrage measure built on top of them
+reports ensemble means and needs no regression: the mean of a conditional
+expectation is the mean of the raw difference quotients (tower property).
 
 Every estimator checks its lag window with :meth:`EstimatorConfig.window`
 and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from .geometry import ItoCoefficients, kernel_basis
 from .tables import write_long_csv
 
@@ -36,11 +33,8 @@ __all__ = [
     "brownian_paths",
     "estimation_steps",
     "nelson_derivatives",
-    "instantaneous_return",
     "empirical_rho",
     "RhoEstimate",
-    "self_financing_residual",
-    "SelfFinancingReport",
     "save_ensemble",
     "load_ensemble",
     "ensemble_to_csv",
@@ -356,45 +350,6 @@ def nelson_derivatives(
     )
 
 
-def instantaneous_return(
-    ens: PathEnsemble,
-    x: PortfolioNominals,
-    gauges,
-    cfg: EstimatorConfig,
-    t_indices,
-):
-    """Expected instantaneous growth of the synthetic-bond portfolio.
-
-    Averages the symmetric difference quotient of ``log(x . S_t)`` over the
-    ensemble and adds the portfolio short rate; the gauges supply the term
-    structures (their deflator components are superseded by the simulated
-    paths), with per-path value weights.  The ensemble mean of Nelson's mean
-    derivative is the mean of these raw quotients (tower property), so no
-    neighbour regression is needed.  Returns (times, mean, se).
-    """
-    if len(gauges) != ens.n_assets:
-        raise ValueError("one gauge per simulated asset required")
-    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
-    wealth = np.einsum("mtn,n->mt", ens.states, x.x)
-    if np.any(np.abs(wealth) <= 0.0):
-        raise ValueError("portfolio deflator vanishes along some path")
-    log_before, _, log_after = _lagged(np.log(np.abs(wealth)), steps, m)
-    rates = np.stack([short_rate(forward_rate(g)) for g in gauges], axis=1)  # (n_gauge_times, N)
-    times = steps * ens.dt
-    rate_rows = rates[_gauge_rows_for_times(gauges[0], times)]  # (n_steps, N)
-    w = _rows(ens.states, steps) * x.x / _rows(wealth, steps)[:, :, None]
-    vals = (log_after - log_before) / (2 * cfg.lag) + (w @ rate_rows[:, :, None])[:, :, 0]
-    return times, vals.mean(axis=1), vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])
-
-
-def _gauge_rows_for_times(g: Gauge, times: np.ndarray) -> np.ndarray:
-    rows = np.argmin(np.abs(g.times[None, :] - times[:, None]), axis=1)
-    off = np.abs(g.times[rows] - times) > 1e-9 + 1e-6 * np.maximum(times, 1.0)
-    if off.any():
-        raise ValueError(f"gauge time grid does not cover t={times[np.argmax(off)]}")
-    return rows
-
-
 @dataclass(frozen=True)
 class RhoEstimate:
     """Empirical arbitrage measure per time bucket, with standard errors."""
@@ -452,64 +407,6 @@ def empirical_rho(
     raw_proj = (raw_hat + model.r) @ basis.J
     se = raw_proj.std(axis=1, ddof=1) / np.sqrt(raw_proj.shape[1])
     return RhoEstimate(times, raw_proj.mean(axis=1), se, basis.B)
-
-
-@dataclass(frozen=True)
-class SelfFinancingReport:
-    """Residual of the self-financing identity per time bucket.
-
-    ``residual`` estimates ``D(x . S) - x . DS`` (mean derivatives); for a
-    self-financing continuous strategy it vanishes.  The backward derivative
-    of the discrete covariation between strategy and prices is estimated and
-    reported separately in ``covariation_term`` (it is zero for
-    continuous-path strategies but the estimator computes it regardless).
-    """
-
-    times: np.ndarray
-    residual: np.ndarray
-    residual_se: np.ndarray
-    covariation_term: np.ndarray
-
-
-def self_financing_residual(
-    x_paths: np.ndarray,
-    ens: PathEnsemble,
-    cfg: EstimatorConfig,
-    t_indices,
-) -> SelfFinancingReport:
-    """Check a sampled strategy against the self-financing identity.
-
-    ``x_paths`` is (M, n_times, N) or (n_times, N) for deterministic
-    strategies, sampled on the ensemble grid.  The residual is estimated from
-    the combined pathwise response (wealth quotient minus the hedge quotient
-    at the current holdings): conditional expectation is linear, so this is
-    the same quantity as the difference of the separately smoothed
-    derivatives, but free of cross-neighbourhood bias for path-dependent
-    strategies.  Its ensemble mean is the mean of the raw responses (tower
-    property), so no neighbour regression is needed.
-    """
-    x_paths = np.asarray(x_paths, dtype=float)
-    if x_paths.ndim == 2:
-        x_paths = np.broadcast_to(x_paths, (ens.n_paths,) + x_paths.shape)
-    if x_paths.shape != ens.states.shape:
-        raise ValueError("strategy grid does not match the ensemble grid")
-    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
-    d = ens.states
-    wealth = np.einsum("mtn,mtn->mt", x_paths, d)
-    # running discrete covariation sum_j sum_steps dx_j dD_j
-    cov = np.zeros((ens.n_paths, d.shape[1]))
-    cov[:, 1:] = np.cumsum(
-        np.einsum("mtn,mtn->mt", np.diff(x_paths, axis=1), np.diff(d, axis=1)), axis=1
-    )
-    wealth_before, _, wealth_after = _lagged(wealth, steps, m)
-    d_before, _, d_after = _lagged(d, steps, m)
-    cov_before, cov_now, _ = _lagged(cov, steps, m)
-    wealth_q = (wealth_after - wealth_before) / (2 * cfg.lag)
-    hedge_q = np.einsum("smn,smn->sm", _rows(x_paths, steps), d_after - d_before) / (2 * cfg.lag)
-    responses = wealth_q - hedge_q  # (n_steps, M)
-    se = responses.std(axis=1, ddof=1) / np.sqrt(responses.shape[1])
-    cov_term = 0.5 * ((cov_now - cov_before) / cfg.lag).mean(axis=1)
-    return SelfFinancingReport(steps * ens.dt, responses.mean(axis=1), se, cov_term)
 
 
 # ---------------------------------------------------------------------------

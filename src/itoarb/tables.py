@@ -24,7 +24,3 @@ def write_long_csv(path, header, keys, axis, values) -> None:
         for key, block in zip(np.asarray(keys, dtype=float).tolist(), values):
             fh.write(template.replace("\x00", "%.12g" % key) % tuple(np.ravel(block).tolist()))
 
-
-def read_csv(path) -> np.ndarray:
-    """The rows of a :func:`write_csv` table as a 2-D array."""
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -379,20 +379,19 @@ def test_solve_pde_extreme_rho_prices_zero(tmp_path):
     assert json.loads((out / "run_meta.json").read_text())["probe_price_atm_t0"] == 0.0
 
 
-def test_solve_pde_growing_flow_is_internal_failure(tmp_path, capsys):
-    # rho < 0 grows the price until it overflows; the march reports the
-    # non-finite row itself instead of passing it on to the spline
+def test_solve_pde_negative_rho_is_config_error(tmp_path, capsys):
+    # rho is a norm: a negative value fails the schema before anything is
+    # built (the FD march would grow the price until it overflows)
     payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=-5.0),
                "pde_grid": {"n_x": 65, "n_t": 64}}
     cfg = write_cfg(tmp_path, "grow.json", payload)
     out = tmp_path / "grow"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert run(["solve-pde", "--config", cfg, "--out", out]) == 3
+    assert run(["solve-pde", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "non-finite or below the positivity floor" in err
-    assert "Traceback" not in err and "finite values" not in err
-    assert not any(out.iterdir())
+    assert err.startswith("error: config schema violation: ")
+    assert "-5.0 is less than the minimum of 0" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_solve_pde_low_sigma_stays_positive(tmp_path):

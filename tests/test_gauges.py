@@ -4,17 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from itoarb import gauges
 from itoarb.gauges import (
     CashflowIntensity,
     Gauge,
-    PortfolioNominals,
     convolve,
-    dirac,
     forward_rate,
     gauge_transform,
-    portfolio_gauge,
-    portfolio_short_rate,
     short_rate,
     term_structure_from_forward,
 )
@@ -33,7 +28,7 @@ def flat_gauge(rate, times=None, offsets=None, deflator=None):
 
 def test_dirac_is_identity():
     pi = CashflowIntensity(np.array([0.3, 1.0, 0.5, 0.0]), 0.25)
-    out = convolve(pi, dirac(0.25))
+    out = convolve(pi, CashflowIntensity(np.array([1.0 / 0.25]), 0.25))  # unit point mass
     assert np.allclose(out.samples[: pi.samples.size], pi.samples, atol=1e-14)
     assert np.allclose(out.samples[pi.samples.size :], 0.0)
 
@@ -116,7 +111,7 @@ def test_intensity_validation():
 
 def test_transform_dirac_keeps_gauge():
     g = flat_gauge(0.04)
-    out = gauge_transform(g, dirac(0.05))
+    out = gauge_transform(g, CashflowIntensity(np.array([1.0 / 0.05]), 0.05))
     np.testing.assert_allclose(out.deflator, g.deflator, atol=1e-14)
     np.testing.assert_allclose(out.term_structure, g.term_structure, atol=1e-14)
 
@@ -224,70 +219,16 @@ def test_short_rate_empty_axis_error():
         short_rate(np.empty((3, 0)))
 
 
-# ---------------------------------------------------------------- portfolios
-
-
-def test_portfolio_single_asset_identity():
-    g = flat_gauge(0.05)
-    out = portfolio_gauge(PortfolioNominals(np.array([2.0])), [g])
-    np.testing.assert_allclose(out.deflator, 2.0 * g.deflator)
-    np.testing.assert_allclose(out.term_structure, g.term_structure, rtol=1e-10)
-
-
-def test_portfolio_identical_gauges():
-    g = flat_gauge(0.03)
-    x = PortfolioNominals(np.array([0.7, 2.5]))
-    out = portfolio_gauge(x, [g, g])
-    np.testing.assert_allclose(out.term_structure, g.term_structure, rtol=1e-10)
-    np.testing.assert_allclose(out.deflator, 3.2 * g.deflator)
-
-
-def test_portfolio_value_weighted_short_rate():
-    g1 = flat_gauge(0.01)
-    g2 = flat_gauge(0.03)
-    x = PortfolioNominals(np.array([1.0, 1.0]))  # equal value: deflators are 1
-    r = portfolio_short_rate(x, [g1, g2])
-    np.testing.assert_allclose(r, 0.02, atol=1e-10)
-
-
-def test_portfolio_short_rate_weighted_sum_oracle():
-    rng = np.random.default_rng(7)
-    times = np.linspace(0.0, 1.0, 4)
-    rates = [0.01, 0.025, 0.04]
-    defl = [1.0 + rng.uniform(0.1, 1.0) * (1 + times) for _ in rates]
-    gs = [flat_gauge(r, times=times, deflator=d) for r, d in zip(rates, defl)]
-    x = PortfolioNominals(rng.uniform(0.5, 2.0, size=3))
-    r = portfolio_short_rate(x, gs)
-    d = np.stack([g.deflator for g in gs], axis=1)
-    w = x.x * d / (d @ x.x)[:, None]
-    expected = w @ np.asarray(rates)
-    np.testing.assert_allclose(r, expected, atol=1e-10)
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_portfolio_zero_rates():
-    gs = [flat_gauge(0.0), flat_gauge(0.0)]
-    r = portfolio_short_rate(PortfolioNominals(np.array([1.0, 3.0])), gs)
-    assert np.allclose(r, 0.0, atol=1e-14)
-
-
-def test_portfolio_short_rate_single_asset():
-    g = flat_gauge(0.035)
-    r = portfolio_short_rate(PortfolioNominals(np.array([4.0])), [g])
-    np.testing.assert_allclose(r, short_rate(forward_rate(g)), atol=1e-14)
-
-
-def test_portfolio_degenerate_error():
-    g = flat_gauge(0.02)
-    with pytest.raises(ValueError, match="degenerate portfolio"):
-        portfolio_gauge(PortfolioNominals(np.array([1.0, -1.0])), [g, g])
-
-
-def test_portfolio_grid_mismatch_error():
-    g1 = flat_gauge(0.02)
-    g2 = flat_gauge(0.02, offsets=np.linspace(0.0, 3.0, 31))
-    with pytest.raises(ValueError, match="share"):
-        portfolio_gauge(PortfolioNominals(np.array([1.0, 1.0])), [g1, g2])
+def test_term_structure_from_forward_matches_closed_form():
+    # P = exp(-int_0^u f) for f = 0.02 + 0.03 v^2 / (1 + v); the trapezoid
+    # rule is second order, so at du = 1e-3 the error is far below 1e-6
+    du = 1e-3
+    offsets = np.arange(0, 2001) * du
+    f = np.tile(0.02 + 0.03 * offsets**2 / (1 + offsets), (2, 1))
+    integral = 0.02 * offsets + 0.03 * (0.5 * offsets**2 - offsets + np.log1p(offsets))
+    p = term_structure_from_forward(f, du)
+    assert p.shape == f.shape and np.all(p[:, 0] == 1.0)
+    np.testing.assert_allclose(p, np.tile(np.exp(-integral), (2, 1)), rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------- gauge type
@@ -311,64 +252,3 @@ def test_gauge_immutable():
     g = flat_gauge(0.02)
     with pytest.raises(ValueError):
         g.term_structure[0, 0] = 2.0
-
-
-# ---------------------------------------------------------------- CSV
-
-
-def test_csv_round_trips(tmp_path):
-    g = flat_gauge(0.04, times=np.linspace(0, 1, 3), offsets=np.linspace(0, 2, 21))
-    p = tmp_path / "ts.csv"
-    gauges.write_term_structure_csv(p, g)
-    back = gauges.read_term_structure_csv(p)
-    np.testing.assert_allclose(back.term_structure, g.term_structure, rtol=1e-10)
-    np.testing.assert_allclose(back.offsets, g.offsets, atol=1e-10)
-
-    d = tmp_path / "deflator.csv"
-    gauges.write_deflator_csv(d, g.times, g.deflator)
-    t, v = gauges.read_deflator_csv(d)
-    np.testing.assert_allclose(t, g.times)
-    np.testing.assert_allclose(v, g.deflator)
-
-    i = tmp_path / "intensity.csv"
-    pi = CashflowIntensity(np.array([0.5, 1.5, 0.25]), 0.5)
-    gauges.write_intensity_csv(i, pi)
-    back_pi = gauges.read_intensity_csv(i)
-    np.testing.assert_allclose(back_pi.samples, pi.samples)
-    assert back_pi.dh == pytest.approx(pi.dh)
-
-    gauges.write_intensity_csv(i, dirac(0.5))
-    with pytest.raises(ValueError, match="dh"):
-        gauges.read_intensity_csv(i)
-    point = gauges.read_intensity_csv(i, dh=0.5)
-    assert point.is_point_mass and point.samples[0] == pytest.approx(2.0)
-
-
-def test_csv_readers_accept_crlf_files(tmp_path):
-    # the interchange files once ended their lines in CRLF (csv module default)
-    ts = tmp_path / "ts.csv"
-    ts.write_bytes(b"t,s,value\r\n0,0,1\r\n0,0.5,0.98\r\n1,1,1\r\n1,1.5,0.97\r\n")
-    g = gauges.read_term_structure_csv(ts)
-    np.testing.assert_array_equal(g.times, [0.0, 1.0])
-    np.testing.assert_array_equal(g.offsets, [0.0, 0.5])
-    np.testing.assert_array_equal(g.term_structure, [[1.0, 0.98], [1.0, 0.97]])
-
-    d = tmp_path / "deflator.csv"
-    d.write_bytes(b"t,value\r\n0,1\r\n1,0.99\r\n")
-    t, v = gauges.read_deflator_csv(d)
-    np.testing.assert_array_equal(t, [0.0, 1.0])
-    np.testing.assert_array_equal(v, [1.0, 0.99])
-
-    i = tmp_path / "intensity.csv"
-    i.write_bytes(b"h,value\r\n0,0.5\r\n0.5,1.5\r\n")
-    pi = gauges.read_intensity_csv(i)
-    np.testing.assert_array_equal(pi.samples, [0.5, 1.5])
-    assert pi.dh == 0.5
-
-
-def test_csv_writers_emit_lf_rows(tmp_path):
-    g = flat_gauge(0.04, times=np.array([0.0, 0.5]), offsets=np.array([0.0, 0.25]))
-    p = tmp_path / "ts.csv"
-    gauges.write_term_structure_csv(p, g)
-    assert p.read_bytes() == (b"t,s,value\n0,0,1\n0,0.25,0.990049833749\n"
-                              b"0.5,0.5,1\n0.5,0.75,0.990049833749\n")

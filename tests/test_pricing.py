@@ -6,21 +6,15 @@ from itoarb import pricing
 from itoarb.pricing import (
     CallSpec,
     TransformGrid,
-    bss_consistency,
     duhamel_integral,
-    heat_kernel,
     nonlinear_f,
     nonlinear_f_gradient,
     price_discounted,
-    price_undiscounted,
     richardson_halving,
     solve_perturbation,
     source_coefficient,
-    stepped_duhamel,
     u0,
     u0_and_prime,
-    u0_by_quadrature,
-    u0_prime,
 )
 
 SPEC = CallSpec(strike=100.0, maturity=1.0, sigma=0.2, rho=0.0)
@@ -29,6 +23,30 @@ SPEC = CallSpec(strike=100.0, maturity=1.0, sigma=0.2, rho=0.0)
 # 2/sigma^2 = 50: frozen from the direct quadrature's refinement ladder
 # (0.5493261 at 48x161 through 0.5493265 at 512x1281)
 U1_PROBE = 0.549326
+
+
+def heat_kernel(tau, y, s, z):
+    """Gaussian kernel of the canonical heat equation, variance ``2 (tau - s)``."""
+    tau = np.asarray(tau, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(tau <= s):
+        raise ValueError("heat kernel requires tau > s")
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
+    dt = tau - s
+    return np.exp(-((y - z) ** 2) / (4.0 * dt)) / (2.0 * np.sqrt(np.pi * dt))
+
+
+def u0_by_quadrature(tau, y, n=200001, span_sds=14.0):
+    """Trapezoid quadrature of the integral that defines ``u0``."""
+    width = span_sds * np.sqrt(2.0 * tau)
+    z = np.linspace(0.0, max(y + width, width), n)
+    payoff = np.exp(z / 2) - np.exp(-z / 2)
+    return float(np.trapezoid(heat_kernel(tau, y, 0.0, z) * payoff, z))
+
+
+def u0_prime(tau, y):
+    return u0_and_prime(tau, y)[1]
 
 
 def u0_second(tau, y):
@@ -189,15 +207,16 @@ def test_duhamel_linear_stub_second_order():
     np.testing.assert_allclose(got, expected, rtol=2e-4)
 
 
-# the same closed-form stubs through the stepped build: 16 sqrt-spaced steps
-# up to tau = 0.02 on a padded y grid, extrapolated over dy and dy/2
+# the same closed-form stubs through semigroup steps (reference_stepped_duhamel
+# below, which the fused build must match): 16 sqrt-spaced steps up to
+# tau = 0.02 on a padded y grid, extrapolated over dy and dy/2
 STUB_TAUS = 0.02 * (np.arange(17) / 16) ** 2
 STUB_YS = np.linspace(-2.5, 2.5, 401)
 STUB_PROBES = [int(np.argmin(np.abs(STUB_YS - y))) for y in (-0.2, 0.0, 0.3)]
 
 
 def stepped_top_row(src):
-    build = lambda ys: stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96)
+    build = lambda ys: reference_stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96, 10.0)
     return richardson_halving(build, STUB_YS)[-1, STUB_PROBES]
 
 
@@ -280,7 +299,8 @@ def test_u2_zero_when_u1_zero():
         # (U1, U1') is zero at both ends of every step, whatever the fraction
         return pricing._u2_source(*u0_and_prime(s, z), 0.5, zero_rows, zero_rows, coeff)
 
-    u2 = stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid), grid.z_half_width_sds)
+    u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid),
+                                   grid.z_half_width_sds)
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -561,34 +581,6 @@ def test_price_guards():
         price_discounted(short, 100.0, 0.0)
 
 
-def test_price_undiscounted_zero_rate_identity():
-    sol = solve_perturbation(SPEC)
-    x = np.array([90.0, 100.0, 110.0])
-    np.testing.assert_array_equal(
-        price_undiscounted(sol, x, 0.25), price_discounted(sol, x, 0.25)
-    )
-
-
-def test_price_undiscounted_matches_rate_oracle():
-    spec = CallSpec(100.0, 1.0, 0.2, 0.0, rate=0.05)
-    sol = solve_perturbation(spec)
-    s = np.array([95.0, 100.0, 105.0, 112.0])
-    got = price_undiscounted(sol, s, 0.0)
-    # strike on the discounted value = growing strike K e^{rT} in cash terms
-    expected = bs_call(s, 100.0 * np.exp(0.05), 0.2, 1.0, rate=0.05)
-    np.testing.assert_allclose(got, expected, rtol=1e-10)
-
-
-def test_price_undiscounted_terminal_payoff():
-    spec = CallSpec(100.0, 1.0, 0.2, 0.0, rate=0.05)
-    sol = solve_perturbation(spec)
-    s = np.array([80.0, 105.0, 130.0])
-    got = price_undiscounted(sol, s, 1.0)
-    np.testing.assert_allclose(
-        got, np.maximum(s - 100.0 * np.exp(0.05), 0.0), atol=1e-12
-    )
-
-
 @pytest.mark.parametrize("field", ["rho", "rate", "strike"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_call_spec_rejects_non_finite(field, value):
@@ -645,40 +637,7 @@ def test_solution_determinism():
     np.testing.assert_array_equal(a.u2_grid, b.u2_grid)
 
 
-# ---------------------------------------------------------------- system check
-
-
-def test_bss_consistency_classical_surface():
-    spec = CallSpec(100.0, 1.0, 0.2, 0.0)
-    t_nodes = np.linspace(0.0, 0.8, 41)
-    x_nodes = np.exp(np.linspace(np.log(75), np.log(135), 61))
-    surf = np.array([bs_call(x_nodes, 100.0, 0.2, 1.0 - t) for t in t_nodes])
-    rep = bss_consistency(t_nodes, x_nodes, surf, spec, floor=1e-2)
-    assert rep.max_abs_dev < 5e-3
-    assert rep.mean_abs_dev < 5e-4
-
-
-def test_bss_consistency_alpha_free():
-    spec = CallSpec(100.0, 1.0, 0.2, 0.0)
-    t_nodes = np.linspace(0.0, 0.8, 17)
-    x_nodes = np.exp(np.linspace(np.log(80), np.log(125), 31))
-    surf = np.array([bs_call(x_nodes, 100.0, 0.2, 1.0 - t) for t in t_nodes])
-    a = bss_consistency(t_nodes, x_nodes, surf, spec, alpha=0.0, floor=1e-2)
-    b = bss_consistency(t_nodes, x_nodes, surf, spec, alpha=0.37, floor=1e-2)
-    np.testing.assert_allclose(
-        a.implied_rho[a.mask], b.implied_rho[b.mask], atol=1e-10
-    )
-
-
-def test_bss_consistency_perturbation_surface(sol_rho_002):
-    spec = sol_rho_002.spec
-    t_nodes = np.linspace(0.0, 0.8, 33)
-    x_nodes = np.exp(np.linspace(np.log(82), np.log(122), 41))
-    surf = pricing.surface(sol_rho_002, t_nodes, x_nodes)
-    rep = bss_consistency(t_nodes, x_nodes, surf, spec, floor=1e-2)
-    assert rep.rho_input == 0.02
-    assert rep.mean_abs_dev < 1e-3
-    assert rep.max_abs_dev < 8e-3
+# ---------------------------------------------------------------- Black-Scholes oracle
 
 
 def test_bss_deep_itm_loading_tends_to_sigma():

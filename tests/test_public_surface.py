@@ -1,0 +1,69 @@
+"""Every public name of the library has a consumer.
+
+A name in the ``__all__`` of an ``itoarb`` module must be used by the library
+(``src/itoarb/``) or by an acceptance criterion (``tests/test_acceptance.py``).
+A use is a read of the name in its own module, a read of a name imported from
+the module, or an attribute of the module (``pricing.surface``); definitions,
+imports and ``__all__`` entries are not uses.  The package ``__init__`` only
+re-exports names of the modules and is checked through them.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import itoarb
+
+SRC = Path(itoarb.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+# no library code reads it: it loads the ensemble.gate file that `simulate` writes
+EXEMPT = {("simulate", "load_ensemble")}
+
+
+def uses(path: Path, own: str | None) -> set[tuple[str, str]]:
+    """The ``(module, name)`` pairs of ``itoarb`` that the file at ``path`` reads;
+    ``own`` names the module the file is, for its reads of its own names."""
+    tree = ast.parse(path.read_text())
+    modules, names = {}, {}  # local name -> module; local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # relative imports occur only inside the package
+            base = f"itoarb.{node.module or ''}".rstrip(".") if node.level else node.module or ""
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base == "itoarb" and alias.name in MODULES:
+                    modules[local] = alias.name
+                elif base.startswith("itoarb."):
+                    names[local] = (base.split(".")[1], alias.name)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in names:
+                found.add(names[node.id])
+            elif own:
+                found.add((own, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+USED = set().union(*(uses(p, p.stem) for p in SRC.glob("*.py")), uses(ACCEPTANCE, None))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_consumer(module):
+    public = getattr(importlib.import_module(f"itoarb.{module}"), "__all__", [])
+    unused = [n for n in public if (module, n) not in USED | EXEMPT]
+    assert not unused, f"itoarb.{module}.__all__ names that nothing uses: {unused}"
+
+
+def test_package_exports_are_module_exports():
+    modules = [importlib.import_module(f"itoarb.{m}") for m in MODULES]
+    exported = [getattr(mod, n) for mod in modules for n in getattr(mod, "__all__", [])]
+    for name in itoarb.__all__:
+        if name != "__version__":
+            assert any(getattr(itoarb, name) is obj for obj in exported), name

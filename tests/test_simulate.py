@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from itoarb.gauges import Gauge, PortfolioNominals, forward_rate, short_rate
 from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
@@ -15,19 +14,11 @@ from itoarb.simulate import (
     brownian_paths,
     empirical_rho,
     ensemble_to_csv,
-    instantaneous_return,
     load_ensemble,
     nelson_derivatives,
     save_ensemble,
-    self_financing_residual,
     simulate,
 )
-
-
-def flat_gauge_on(times, rate):
-    offsets = np.linspace(0.0, 2.0, 41)
-    p = np.exp(-rate * offsets)[None, :].repeat(times.size, axis=0)
-    return Gauge(times, offsets, np.ones(times.size), p)
 
 
 def model(alpha, sigma, r=None):
@@ -218,12 +209,9 @@ def test_partial_step_lag_rejected_by_every_estimator():
     m = ItoCoefficients((sigma @ [0.3]).ravel(), sigma, np.zeros(2))
     ens = simulate(m, 64, 0.005, 1.0, seed=8)
     cfg = EstimatorConfig(lag=0.012, neighbors=8, t_min=0.05)
-    gauges = [flat_gauge_on(ens.times, 0.0)] * 2
     calls = [
         lambda: empirical_rho(ens, m, cfg, [100]),
         lambda: nelson_derivatives(ens.states[:, :, 0], ens.states, ens.dt, cfg, [100]),
-        lambda: instantaneous_return(ens, PortfolioNominals(np.ones(2)), gauges, cfg, [100]),
-        lambda: self_financing_residual(np.ones((ens.states.shape[1], 2)), ens, cfg, [100]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="whole number of time steps"):
@@ -307,58 +295,6 @@ def test_gbm_mean_derivative_matches_analytic():
         assert abs(est.mean[0][sel].mean() - target[sel].mean()) < 5 * se
 
 
-# ---------------------------------------------------------------- returns
-
-
-def test_instantaneous_return_deterministic_growth():
-    dt = 0.01
-    mu = 0.07
-    m = model([mu], np.array([[0.0]]))
-    ens = simulate(m, 16, dt, 1.0, seed=0)
-    gauges = [flat_gauge_on(ens.times, 0.0)]
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
-    times, mean, se = instantaneous_return(
-        ens, PortfolioNominals(np.array([1.0])), gauges, cfg, [40, 60]
-    )
-    np.testing.assert_allclose(mean, mu, rtol=1e-9)
-
-
-def test_instantaneous_return_flat_asset_rate_only():
-    dt = 0.01
-    m = model([0.0], np.array([[0.0]]))
-    ens = simulate(m, 16, dt, 1.0, seed=0)  # D identically 1
-    gauges = [flat_gauge_on(ens.times, 0.04)]
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
-    _, mean, _ = instantaneous_return(
-        ens, PortfolioNominals(np.array([2.0])), gauges, cfg, [50]
-    )
-    np.testing.assert_allclose(mean, 0.04, rtol=1e-9)
-
-
-def test_instantaneous_return_portfolio_invariant_under_zc():
-    # aligned-volatility no-arbitrage model: the return is the same for all
-    # portfolios up to estimator noise
-    dt = 0.005
-    row = 0.15
-    sigma = np.array([[row], [row]])
-    r = np.array([0.01, 0.03])
-    lam = 0.4
-    diag = np.array([row**2, row**2])
-    alpha = (sigma @ [lam]) - r + 0.5 * diag
-    m = ItoCoefficients(alpha, sigma, r)
-    ens = simulate(m, 4000, dt, 1.0, seed=33)
-    gauges = [flat_gauge_on(ens.times, ri) for ri in r]
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=64, t_min=10 * dt)
-    idx = [100, 140]
-    _, mean_a, se_a = instantaneous_return(
-        ens, PortfolioNominals(np.array([1.0, 1.0])), gauges, cfg, idx
-    )
-    _, mean_b, se_b = instantaneous_return(
-        ens, PortfolioNominals(np.array([3.0, 0.5])), gauges, cfg, idx
-    )
-    assert np.all(np.abs(mean_a - mean_b) < 3 * (se_a + se_b))
-
-
 # ---------------------------------------------------------------- empirical rho
 
 
@@ -422,52 +358,6 @@ def test_empirical_rho_single_asset_empty():
     est = empirical_rho(ens, m, cfg, [60])
     assert est.B == 0
     assert est.estimate.shape == (1, 0)
-
-
-# ---------------------------------------------------------------- self-financing
-
-
-def test_self_financing_constant_strategy():
-    m = model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]]))
-    ens = simulate(m, 2000, 0.005, 1.0, seed=12)
-    x = np.broadcast_to(np.array([1.0, 2.0]), (ens.states.shape[1], 2))
-    cfg = EstimatorConfig(lag=0.025, neighbors=32, t_min=0.05)
-    rep = self_financing_residual(x, ens, cfg, [100, 150])
-    assert np.all(np.abs(rep.residual) <= np.maximum(3 * rep.residual_se, 1e-10))
-
-
-def test_self_financing_unfinanced_drift_flagged():
-    # deterministic smooth strategy on a deterministic asset: the residual
-    # is the unfinanced inflow xdot * D
-    dt = 0.01
-    mu = 0.06
-    m = model([mu], np.array([[0.0]]))
-    ens = simulate(m, 16, dt, 1.0, seed=0)
-    t_grid = ens.times
-    x = (1.0 + 0.5 * np.sin(t_grid))[:, None]
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
-    rep = self_financing_residual(x, ens, cfg, [50])
-    t = 0.5
-    expected = 0.5 * np.cos(t) * np.exp(mu * t)
-    assert rep.residual[0] == pytest.approx(expected, rel=1e-3)
-    assert abs(rep.residual[0]) > 10 * max(rep.residual_se[0], 1e-12)
-
-
-def test_self_financing_rebalanced_strategy():
-    rng = np.random.default_rng(99)
-    dt = 0.005
-    m = model([0.04, 0.02], np.array([[0.18, 0.0], [0.05, 0.12]]))
-    ens = simulate(m, 3000, dt, 1.0, seed=13)
-    n_times = ens.states.shape[1]
-    x = np.empty((ens.n_paths, n_times, 2))
-    x[:, :, :] = np.array([1.0, 1.0])
-    for t_r, target in ((60, np.array([0.3, 0.7])), (130, np.array([0.8, 0.2]))):
-        wealth = np.einsum("mn,mn->m", x[:, t_r, :], ens.states[:, t_r, :])
-        new_x = wealth[:, None] * target[None, :] / ens.states[:, t_r, :]
-        x[:, t_r:, :] = new_x[:, None, :]
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=48, t_min=10 * dt)
-    rep = self_financing_residual(x, ens, cfg, [40, 100, 170])
-    assert np.all(np.abs(rep.residual) <= 3 * rep.residual_se + 1e-6)
 
 
 # ---------------------------------------------------------------- persistence
@@ -539,6 +429,24 @@ def test_ensemble_bad_header_dt_rejected(tmp_path, dt):
         load_ensemble(f)
 
 
+def test_ensemble_header_bit_flips_rejected(tmp_path):
+    # every single-bit flip of magic, version, M, N, K and steps (bytes 0-31)
+    # breaks the magic, the version or the size the header promises; dt and
+    # seed are left out, because a flipped mantissa bit can leave them valid
+    ens = simulate(model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]])), 5, 0.1, 0.3,
+                   seed=6)
+    f = tmp_path / "paths.gate"
+    save_ensemble(ens, f)
+    good = f.read_bytes()
+    assert _HEADER.size == 32 + 16
+    for bit in range(32 * 8):
+        raw = bytearray(good)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        f.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            load_ensemble(f)
+
+
 def test_ensemble_csv_export(tmp_path):
     m = model([0.05], np.array([[0.2]]))
     ens = simulate(m, 5, 0.1, 0.3, seed=6)
@@ -555,25 +463,16 @@ def test_ensemble_csv_export(tmp_path):
 # ---------------------------------------------------------------- reference
 
 
-def per_step_reference(ens, m, cfg, steps, x, gauges, x_paths):
-    """The four estimators as per-report-time loops, in the arithmetic they
+def per_step_reference(ens, m, cfg, steps):
+    """The two estimators as per-report-time loops, in the arithmetic they
     had before they read one gathered window; returns their outputs in the
-    order nelson (forward, backward, mean, se), instantaneous return (mean,
-    se), empirical rho (estimate, se), self-financing (residual, se,
-    covariation term)."""
+    order nelson (forward, backward, mean, se), empirical rho (estimate,
+    se)."""
     lag, k = cfg.lag, int(round(cfg.lag / ens.dt))
-    out = {name: [] for name in ("nf", "nb", "nm", "nse", "ir", "irse",
-                                 "rho", "rhose", "sf", "sfse", "cov")}
+    out = {name: [] for name in ("nf", "nb", "nm", "nse", "rho", "rhose")}
     logs = np.log(ens.states)
-    wealth_x = np.einsum("mtn,n->mt", ens.states, x.x)
-    log_w = np.log(np.abs(wealth_x))
-    rates = np.stack([short_rate(forward_rate(g)) for g in gauges], axis=1)
     basis = kernel_basis(m.sigma)
     ito = 0.5 * np.einsum("nk,nk->n", m.sigma, m.sigma)
-    wealth = np.einsum("mtn,mtn->mt", x_paths, ens.states)
-    cov = np.zeros((ens.n_paths, ens.states.shape[1]))
-    cov[:, 1:] = np.cumsum(np.einsum("mtn,mtn->mt", np.diff(x_paths, axis=1),
-                                     np.diff(ens.states, axis=1)), axis=1)
     for i in steps:
         t = i * ens.dt
         # nelson_derivatives of the first log price
@@ -586,12 +485,6 @@ def per_step_reference(ens, m, cfg, steps, x, gauges, x_paths):
         out["nb"].append(d_b)
         out["nm"].append(0.5 * (d_f + d_b))
         out["nse"].append(raw.std(ddof=1) / np.sqrt(raw.size))
-        # instantaneous_return
-        g_row = int(np.argmin(np.abs(gauges[0].times - t)))
-        w = ens.states[:, i, :] * x.x / wealth_x[:, i][:, None]
-        vals = (log_w[:, i + k] - log_w[:, i - k]) / (2 * lag) + w @ rates[g_row]
-        out["ir"].append(vals.mean())
-        out["irse"].append(vals.std(ddof=1) / np.sqrt(vals.size))
         # empirical_rho
         fq = (logs[:, i + k] - logs[:, i]) / lag
         bq = (logs[:, i] - logs[:, i - k]) / lag
@@ -600,14 +493,6 @@ def per_step_reference(ens, m, cfg, steps, x, gauges, x_paths):
         raw_proj = (raw_hat + m.r[None, :]) @ basis.J
         out["rho"].append(raw_proj.mean(axis=0))
         out["rhose"].append(raw_proj.std(axis=0, ddof=1) / np.sqrt(raw_proj.shape[0]))
-        # self_financing_residual
-        wealth_q = (wealth[:, i + k] - wealth[:, i - k]) / (2 * lag)
-        hedge_q = np.einsum("mn,mn->m", x_paths[:, i, :],
-                            ens.states[:, i + k, :] - ens.states[:, i - k, :]) / (2 * lag)
-        responses = wealth_q - hedge_q
-        out["sf"].append(responses.mean())
-        out["sfse"].append(responses.std(ddof=1) / np.sqrt(responses.size))
-        out["cov"].append(0.5 * ((cov[:, i] - cov[:, i - k]) / lag).mean())
     return {name: np.asarray(v) for name, v in out.items()}
 
 
@@ -621,19 +506,11 @@ def test_estimators_match_per_step_reference(sigma):
     ens = simulate(m, 9000, dt, 0.5, seed=17)
     cfg = EstimatorConfig(lag=3 * dt, neighbors=45, t_min=10 * dt)
     steps = [10, 20, 33, 47]
-    x = PortfolioNominals(np.linspace(1.0, 2.0, n))
-    gauges = [flat_gauge_on(ens.times, r) for r in m.r]
-    # a path-dependent strategy: holdings follow the lagged price
-    x_paths = np.concatenate([ens.states[:, :1], ens.states[:, :-1]], axis=1)
-    ref = per_step_reference(ens, m, cfg, steps, x, gauges, x_paths)
+    ref = per_step_reference(ens, m, cfg, steps)
 
     nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, cfg, steps)
-    _, ir, ir_se = instantaneous_return(ens, x, gauges, cfg, steps)
     rho = empirical_rho(ens, m, cfg, steps)
-    sf = self_financing_residual(x_paths, ens, cfg, steps)
     assert rho.B == n - 1
     for name, got in [("nf", nel.forward), ("nb", nel.backward), ("nm", nel.mean),
-                      ("nse", nel.se), ("ir", ir), ("irse", ir_se),
-                      ("rho", rho.estimate), ("rhose", rho.se), ("sf", sf.residual),
-                      ("sfse", sf.residual_se), ("cov", sf.covariation_term)]:
+                      ("nse", nel.se), ("rho", rho.estimate), ("rhose", rho.se)]:
         np.testing.assert_array_equal(got, ref[name], err_msg=name)
