@@ -186,6 +186,9 @@ def _market_schedule(cfg: dict) -> tuple[np.ndarray, list[geometry.ItoCoefficien
 def _call_spec(cfg: dict) -> pricing.CallSpec:
     if "call" not in cfg:
         raise ConfigError("this command requires a 'call' section")
+    if cfg["call"].get("rate", 0.0) != 0.0:
+        raise ConfigError(f"call.rate {cfg['call']['rate']} is not supported: the commands "
+                          "price the discounted call, so only a rate of 0 is accepted")
     return pricing.CallSpec(**cfg["call"])
 
 

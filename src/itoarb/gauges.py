@@ -178,40 +178,9 @@ def gauge_transform(g: Gauge, pi: CashflowIntensity) -> Gauge:
     return Gauge(g.times, u_out, g.deflator * denom, p_out)
 
 
-# The two rate readers below have no command yet, so they stay off ``__all__``.
-def forward_rate(g: Gauge) -> np.ndarray:
-    """Instantaneous forward surface ``f(t, t+u) = -d log P / du``.
-
-    Central differences interiorly, one-sided at the offset edges.  The
-    surface reproduces ``P = exp(-int f)`` to second order interiorly.
-    """
-    if np.any(g.term_structure <= 0.0):
-        raise ValueError("term structure must be positive")
-    logp = np.log(g.term_structure)
-    f = np.empty_like(logp)
-    du = g.du
-    f[:, 1:-1] = -(logp[:, 2:] - logp[:, :-2]) / (2 * du)
-    f[:, 0] = -(logp[:, 1] - logp[:, 0]) / du
-    f[:, -1] = -(logp[:, -1] - logp[:, -2]) / du
-    return f
-
-
-def short_rate(f: np.ndarray) -> np.ndarray:
-    """Short-rate series from a forward surface.
-
-    Returns the forward rate at the shortest offset, which the edge rule of
-    :func:`forward_rate` derives from the first off-diagonal maturity node;
-    the contract is convergence to the true limit under offset refinement.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2 or f.shape[1] == 0:
-        raise ValueError("forward surface must be 2-D with a non-empty maturity axis")
-    return f[:, 0]
-
-
 def term_structure_from_forward(f: np.ndarray, du: float) -> np.ndarray:
-    """Rebuild ``P = exp(-int_0^u f dv)`` by cumulative trapezoid."""
-    from scipy.integrate import cumulative_trapezoid
-
-    integral = cumulative_trapezoid(f, dx=du, axis=1, initial=0.0)
-    return np.exp(-integral)
+    """Rebuild ``P = exp(-int_0^u f dv)`` by cumulative trapezoid along the
+    offset axis (bit for bit ``scipy.integrate.cumulative_trapezoid``)."""
+    f = np.asarray(f, dtype=float)
+    integral = np.cumsum(du * (f[:, 1:] + f[:, :-1]) / 2.0, axis=1)
+    return np.exp(-np.concatenate([np.zeros((f.shape[0], 1)), integral], axis=1))

@@ -179,38 +179,3 @@ def curvature_spread(
     v = drift + c.r
     return v - v.mean()
 
-
-# Diagnostics below have no command yet, so they stay off ``__all__``.
-
-
-def implied_beta(c_series: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Positive deflator ``beta_t = exp(-int_0^t C_u du)`` by trapezoid.
-
-    ``beta`` starts at one and stays strictly positive for any finite input.
-    """
-    c_series = np.asarray(c_series, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if c_series.shape != times.shape or c_series.ndim != 1:
-        raise ValueError("series and time grid must be matching 1-D arrays")
-    areas = np.diff(times) * (c_series[1:] + c_series[:-1]) / 2
-    return np.exp(-np.concatenate(([0.0], np.cumsum(areas))))
-
-
-def rho_tilde(rho_value: float, x: float, phi: float, dphi_dx: float) -> float:
-    """Convert ``rho`` to the alternative arbitrage measure of the same PDE.
-
-    With ``L = x * dphi_dx / phi`` the conversion is
-    ``-(1/sqrt(2)) * sqrt((1 + L^2) / (1 - L + L^2)) * rho``.
-    """
-    if phi == 0.0:
-        raise ValueError("phi must be nonzero")
-    ell = x * dphi_dx / phi
-    denom = 1.0 - ell + ell * ell
-    if not denom > 0.0:
-        raise ValueError("nonpositive denominator in conversion factor")
-    return float(-np.sqrt(0.5 * (1.0 + ell * ell) / denom) * rho_value)
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Row-major numeric CSV block (test-fixture format)."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)

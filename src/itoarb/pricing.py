@@ -75,6 +75,9 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 SOURCE_STRIKE_FREE = "strike-free"      # 2 / sigma^2 (adopted)
 SOURCE_STRIKE_SCALED = "strike-scaled"  # 2 K / sigma^2 (rejected candidate)
 REFINEMENT_THRESHOLD = 1e-4  # relative ATM change allowed on halving the grid
+# heat kernels and the direct quadrature's z-integration are truncated at this
+# many kernel standard deviations: the Gaussian tails beyond are below 1e-22
+Z_HALF_WIDTH_SDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,8 @@ class TransformGrid:
     """Grid in the heat-equation variables (tau, y) plus quadrature controls.
 
     ``tau_nodes`` are strictly increasing in ``(0, sigma^2 T / 2]``;
-    ``y_nodes`` are uniform with ``y_min < 0 < y_max``.  Heat-kernel weights
-    and the z-integration of the direct quadrature are truncated at
-    ``z_half_width_sds`` kernel standard deviations (the default 10 leaves
-    Gaussian tails below 1e-22), and the y grid is padded by that reach.
+    ``y_nodes`` are uniform with ``y_min < 0 < y_max``; the build pads the y
+    grid by the heat kernel's reach of ``Z_HALF_WIDTH_SDS`` standard deviations.
     ``n_time_quad`` sets the in-step w spacing of the stepped build to
     ``sqrt(tau_nodes[-1]) / n_time_quad``; with ``n_space_quad`` it also
     sizes the direct quadrature that checks the stepped U1.
@@ -128,7 +129,6 @@ class TransformGrid:
 
     tau_nodes: np.ndarray
     y_nodes: np.ndarray
-    z_half_width_sds: float = 10.0
     n_time_quad: int = 64
     n_space_quad: int = 161
 
@@ -141,9 +141,8 @@ class TransformGrid:
         object.__setattr__(self, "y_nodes", y)
         if tau.size < 16 or y.size < 16:
             raise ValueError("need at least 16 nodes per axis")
-        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(y))
-                and np.isfinite(self.z_half_width_sds)):
-            raise ValueError("grid nodes and z truncation must be finite")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(y))):
+            raise ValueError("grid nodes must be finite")
         if np.any(np.diff(tau) <= 0) or tau[0] <= 0:
             raise ValueError("tau nodes must be strictly increasing and positive")
         if not (y[0] < 0 < y[-1]):
@@ -151,8 +150,6 @@ class TransformGrid:
         dy = np.diff(y)
         if not np.allclose(dy, dy[0], rtol=1e-9, atol=0):
             raise ValueError("y grid must be uniform")
-        if self.z_half_width_sds < 6:
-            raise ValueError("z truncation below 6 standard deviations is unsafe")
         if self.n_time_quad < 8 or self.n_space_quad < 21:
             raise ValueError("quadrature rules too coarse")
 
@@ -249,7 +246,6 @@ def duhamel_integral(
     ys,
     n_time_quad: int = 64,
     n_space_quad: int = 161,
-    z_half_width_sds: float = 10.0,
 ) -> np.ndarray:
     """Space-time quadrature of ``int_0^tau ds int dz G(tau,y;s,z) src(s,z)``.
 
@@ -259,13 +255,13 @@ def duhamel_integral(
     the source may be kinked at ``s = 0``).  In the standardized variable
     ``z = y + sqrt(2) w xi`` the kernel becomes the standard normal density,
     integrated by a Gaussian-weighted trapezoid rule truncated at
-    ``z_half_width_sds`` standard deviations.
+    ``Z_HALF_WIDTH_SDS`` standard deviations.
 
     ``source_fn(s, z)`` must broadcast over same-shaped arrays.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    xi = np.linspace(-z_half_width_sds, z_half_width_sds, n_space_quad)
+    xi = np.linspace(-Z_HALF_WIDTH_SDS, Z_HALF_WIDTH_SDS, n_space_quad)
     cxi = np.exp(-0.5 * xi * xi) / SQRT2PI * (xi[1] - xi[0])
     cxi[0] *= 0.5
     cxi[-1] *= 0.5
@@ -280,7 +276,7 @@ def duhamel_integral(
     return out
 
 
-def _heat_weights(t: np.ndarray, dy: float, z_half_width_sds: float) -> list[np.ndarray]:
+def _heat_weights(t: np.ndarray, dy: float) -> list[np.ndarray]:
     """Exact weights of the heat kernels of variance ``2 t``, one array per
     entry of ``t``, acting on the piecewise-linear interpolant of values at
     spacing ``dy``.
@@ -288,13 +284,13 @@ def _heat_weights(t: np.ndarray, dy: float, z_half_width_sds: float) -> list[np.
     ``w_m = int G(t, m dy - z) hat(z / dy) dz`` with the unit hat function;
     writing the hat as three ramps gives ``w_m = (sd/dy) (F(a_m + d) -
     2 F(a_m) + F(a_m - d))`` with ``a_m = m dy / sd``, ``d = dy / sd`` and
-    ``F(a) = a N(a) + n(a)``.  Taps beyond ``z_half_width_sds`` kernel
+    ``F(a) = a N(a) + n(a)``.  Taps beyond ``Z_HALF_WIDTH_SDS`` kernel
     standard deviations are dropped.
     """
     from scipy.special import ndtr
 
     sd = np.sqrt(2.0 * t)
-    k = np.ceil(z_half_width_sds * sd / dy).astype(int) + 1
+    k = np.ceil(Z_HALF_WIDTH_SDS * sd / dy).astype(int) + 1
     reach = int(k.max())
     a = np.arange(-reach - 1, reach + 2) * (dy / sd)[:, None]
     f = a * ndtr(a) + np.exp(-0.5 * a * a) / SQRT2PI
@@ -308,7 +304,7 @@ def _heat_apply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.convolve(values, weights)[k : k + values.size]
 
 
-def _steps(tau_axis: np.ndarray, ys: np.ndarray, dw: float, z_half_width_sds: float):
+def _steps(tau_axis: np.ndarray, ys: np.ndarray, dw: float):
     """Per step ``i >= 1`` over ``tau_axis``: ``i``, the in-step times ``s =
     tau_i - w^2`` (a column), their midpoint factors ``2 dw_i w`` and the
     heat weights of ``[h_i, *w^2]`` at the spacing of ``ys``."""
@@ -318,7 +314,7 @@ def _steps(tau_axis: np.ndarray, ys: np.ndarray, dw: float, z_half_width_sds: fl
         m = int(np.ceil(np.sqrt(h) / dw))
         dwi = np.sqrt(h) / m
         w = (np.arange(m) + 0.5) * dwi
-        weights = _heat_weights(np.concatenate([[h], w * w]), dy, z_half_width_sds)
+        weights = _heat_weights(np.concatenate([[h], w * w]), dy)
         yield i, (tau_axis[i] - w * w)[:, None], 2.0 * dwi * w, weights
 
 
@@ -353,7 +349,7 @@ def _step_dw(grid: TransformGrid) -> float:
 def _extended_y(grid: TransformGrid) -> np.ndarray:
     """Pad the y grid by the kernel's reach over the whole tau range, so that
     the zero values assumed beyond the padded grid cannot reach ``y_nodes``."""
-    pad = grid.z_half_width_sds * np.sqrt(2.0 * grid.tau_nodes[-1]) * 1.05
+    pad = Z_HALF_WIDTH_SDS * np.sqrt(2.0 * grid.tau_nodes[-1]) * 1.05
     n_pad = int(np.ceil(pad / grid.dy))
     y = grid.y_nodes
     return y[0] + grid.dy * np.arange(-n_pad, y.size + n_pad)
@@ -389,7 +385,7 @@ def compute_corrections(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np
     out[0] = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
     stepped = np.zeros(ys.size)  # the stepped part of U1
     hi = np.stack([out[0, 0], np.gradient(out[0, 0], ys)])
-    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(grid), grid.z_half_width_sds):
+    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(grid)):
         v1, v2 = u0_and_prime(s, ys[None, :])
         lin = v2 + 0.5 * v1
         with np.errstate(invalid="ignore"):
@@ -495,7 +491,7 @@ def solve_perturbation(
         "corrections_computed": want,
         "n_time_quad": grid.n_time_quad,
         "n_space_quad": grid.n_space_quad,
-        "z_half_width_sds": grid.z_half_width_sds,
+        "z_half_width_sds": Z_HALF_WIDTH_SDS,
     }
     if want:
         coeff = source_coefficient(spec)
@@ -515,7 +511,7 @@ def solve_perturbation(
         probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
         direct = duhamel_integral(
             lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [probe_tau], [probe_y],
-            grid.n_time_quad, grid.n_space_quad, grid.z_half_width_sds,
+            grid.n_time_quad, grid.n_space_quad,
         )[0, 0]
         gap = abs(u1_grid[-1, j] - direct) / max(abs(direct), 1e-300)
         diag["u1_stepped_vs_direct_gap"] = float(gap)
@@ -542,7 +538,6 @@ def solve_with_refinement_check(
         n_tau=max(grid.tau_nodes.size // 2, 16),
         n_y=max((grid.y_nodes.size - 1) // 2 + 1, 17),
         y_half=float(grid.y_nodes[-1]),
-        z_half_width_sds=grid.z_half_width_sds,
         n_time_quad=max(grid.n_time_quad // 2, 8),
         n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, 21),
     )

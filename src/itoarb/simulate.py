@@ -205,35 +205,23 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def simulate(
-    model,
-    m_paths: int,
-    dt: float,
-    horizon: float,
-    seed: int,
-    s0=None,
-) -> PathEnsemble:
+def simulate(model, m_paths: int, dt: float, horizon: float, seed: int) -> PathEnsemble:
     """Log-Euler ensemble: ``S_{t+dt} = S_t exp((alpha - diag(sigma sigma^T)/2) dt
-    + sigma dW)``.  Bitwise reproducible for a given seed, whatever the
-    number of CPUs: each 4096-path block has its own RNG stream and is built
-    in place in the output arrays, one thread per usable CPU.
+    + sigma dW)`` from ``S_0 = 1`` in every asset.  Bitwise reproducible for a
+    given seed, whatever the number of CPUs: each 4096-path block has its own
+    RNG stream and is built in place in the output arrays, one thread per
+    usable CPU.
 
     ``model`` is a constant :class:`~itoarb.geometry.ItoCoefficients` or a
-    per-step sequence of them sampled on the time grid.  ``s0`` (default all
-    ones) must be a finite, strictly positive vector of length N.
+    per-step sequence of them sampled on the time grid.
     """
     n_steps = step_count(dt, horizon)
     alpha, sigma, _ = _schedule_arrays(model, n_steps)
     n, k = sigma.shape[1], sigma.shape[2]
-    s0 = np.ones(n) if s0 is None else np.asarray(s0, dtype=float)
-    if s0.shape != (n,) or not np.all(np.isfinite(s0) & (s0 > 0)):
-        raise ValueError(f"s0 must be {n} finite, strictly positive initial states")
-
     states = np.empty((m_paths, n_steps + 1, n))
     noise = np.empty((m_paths, n_steps + 1, k))
     ito = 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)  # diag(sigma sigma^T)/2
     drift = (alpha - ito) * dt
-    scale = np.tile(s0, (n_steps, 1))  # (n_steps, N) like drift: one long inner loop per path
 
     def fill(lo: int, hi: int, dw: np.ndarray) -> None:
         logs = states[lo:hi, 1:]
@@ -241,8 +229,7 @@ def simulate(
         logs += drift
         np.cumsum(logs, axis=1, out=logs)
         np.exp(logs, out=logs)
-        logs *= scale
-        states[lo:hi, 0] = s0
+        states[lo:hi, 0] = 1.0
 
     _brownian_blocks(noise, dt, seed, fill)
     return PathEnsemble(states, noise, dt, seed)

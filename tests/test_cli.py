@@ -394,6 +394,17 @@ def test_solve_pde_negative_rho_is_config_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["price", "solve-pde", "compare"])
+def test_nonzero_call_rate_is_config_error(tmp_path, capsys, command):
+    # every command prices the discounted call: a rate would be ignored
+    cfg = write_cfg(tmp_path, "rate.json", dict(price_cfg(), call=dict(BASE_CALL, rate=0.05)))
+    out = tmp_path / "rate"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: call.rate 0.05 ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_solve_pde_low_sigma_stays_positive(tmp_path):
     # low sigma with rho T near 0.8: the source flow cannot push a price below 0
     call = {"strike": 79.84, "maturity": 2.923, "sigma": 0.0508, "rho": 0.2675}

@@ -8,9 +8,7 @@ from itoarb.gauges import (
     CashflowIntensity,
     Gauge,
     convolve,
-    forward_rate,
     gauge_transform,
-    short_rate,
     term_structure_from_forward,
 )
 
@@ -166,57 +164,21 @@ def test_transform_composition_first_order():
     assert g1 / g2 == pytest.approx(2.0, rel=0.15)
 
 
-# ---------------------------------------------------------------- rates
+# ---------------------------------------------------------------- term structure
 
 
-def test_forward_rate_flat():
-    g = flat_gauge(0.0)
-    assert np.allclose(forward_rate(g), 0.0, atol=1e-14)
+@pytest.mark.parametrize("n", [2, 3, 17, 1001, 2001])
+def test_term_structure_from_forward_is_scipy_trapezoid(n):
+    # the one-line cumsum is scipy's cumulative_trapezoid, bit for bit
+    from scipy.integrate import cumulative_trapezoid
 
-
-def test_forward_rate_exponential():
-    g = flat_gauge(0.07)
-    np.testing.assert_allclose(forward_rate(g), 0.07, rtol=1e-9)
-
-
-def test_forward_rate_round_trip():
-    # differentiate a reconstructed term structure: interior error is O(du^2)
-    du = 1e-3
-    offsets = np.arange(0, 2001) * du
-    times = np.array([0.0, 0.5])
-    f_true = 0.02 + 0.03 * offsets**2 / (1 + offsets)
-    f_surface = np.tile(f_true, (2, 1))
-    p = term_structure_from_forward(f_surface, du)
-    g = Gauge(times, offsets, np.ones(2), p)
-    f_back = forward_rate(g)
-    interior = slice(1, -1)
-    assert np.max(np.abs(f_back[:, interior] - f_surface[:, interior])) < 1e-6
-
-
-def test_short_rate_constant_and_zero():
-    assert np.allclose(short_rate(forward_rate(flat_gauge(0.0))), 0.0, atol=1e-14)
-    np.testing.assert_allclose(
-        short_rate(forward_rate(flat_gauge(0.03))), 0.03, rtol=1e-9
+    rng = np.random.default_rng(n)
+    f = rng.normal(0.02, 0.05, (3, n))
+    du = rng.uniform(0.001, 0.1)
+    np.testing.assert_array_equal(
+        term_structure_from_forward(f, du),
+        np.exp(-cumulative_trapezoid(f, dx=du, axis=1, initial=0.0)),
     )
-
-
-def test_short_rate_grid_refinement():
-    # sloped forward curve: the edge estimate is c + m du / 2, converging to c
-    c, m = 0.02, 0.05
-    errs = []
-    for du in (0.1, 0.05, 0.025):
-        offsets = np.arange(0, int(2 / du) + 1) * du
-        p = np.exp(-(c * offsets + 0.5 * m * offsets**2))[None, :]
-        g = Gauge(np.array([0.0]), offsets, np.ones(1), p)
-        errs.append(abs(short_rate(forward_rate(g))[0] - c))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[0] / errs[2] == pytest.approx(4.0, rel=0.1)
-    assert errs[2] == pytest.approx(m * 0.025 / 2, rel=1e-6)
-
-
-def test_short_rate_empty_axis_error():
-    with pytest.raises(ValueError, match="maturity axis"):
-        short_rate(np.empty((3, 0)))
 
 
 def test_term_structure_from_forward_matches_closed_form():

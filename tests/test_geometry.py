@@ -5,12 +5,9 @@ from itoarb.geometry import (
     ItoCoefficients,
     curvature_spread,
     diag_of,
-    implied_beta,
     kernel_basis,
-    load_matrix_csv,
     range_projections,
     rho,
-    rho_tilde,
     zc_residual,
 )
 
@@ -243,58 +240,6 @@ def test_spread_time_guard():
         curvature_spread(c, np.zeros(1), 1e-9)
 
 
-# ---------------------------------------------------------------- beta
-
-
-def test_implied_beta_constant_cases():
-    t = np.linspace(0.0, 2.0, 41)
-    np.testing.assert_allclose(implied_beta(np.zeros_like(t), t), 1.0, atol=1e-15)
-    out = implied_beta(np.full_like(t, 0.3), t)
-    np.testing.assert_allclose(out, np.exp(-0.3 * t), rtol=1e-13)
-    assert out[0] == 1.0
-    assert np.all(out > 0.0)
-
-
-def test_implied_beta_refinement_rate():
-    errs = []
-    for n in (51, 101, 201):
-        t = np.linspace(0.0, 1.0, n)
-        c = np.sin(3.0 * t)
-        exact = np.exp(-(1.0 - np.cos(3.0 * t)) / 3.0)
-        errs.append(np.max(np.abs(implied_beta(c, t) - exact)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-
-@pytest.mark.parametrize("n", [2, 3, 17, 1001])
-def test_implied_beta_is_scipy_trapezoid(n):
-    # the one-line cumsum is scipy's cumulative_trapezoid, bit for bit
-    from scipy.integrate import cumulative_trapezoid
-
-    rng = np.random.default_rng(n)
-    t = np.cumsum(rng.uniform(0.001, 0.1, n))
-    c = rng.normal(0.02, 0.05, n)
-    np.testing.assert_array_equal(implied_beta(c, t),
-                                  np.exp(-cumulative_trapezoid(c, t, initial=0.0)))
-
-
-# ---------------------------------------------------------------- rho_tilde
-
-
-def test_rho_tilde_values():
-    assert rho_tilde(0.0, 1.0, 2.0, 0.3) == 0.0
-    assert rho_tilde(0.04, 5.0, 2.0, 0.0) == pytest.approx(-0.04 / np.sqrt(2))
-    # X Phi_x / Phi = 1: the conversion factor is exactly one
-    assert rho_tilde(0.04, 2.0, 2.0, 1.0) == pytest.approx(-0.04)
-
-
-def test_rho_tilde_guards():
-    with pytest.raises(ValueError, match="nonzero"):
-        rho_tilde(0.01, 1.0, 0.0, 0.1)
-    with pytest.raises(ValueError, match="denominator"):
-        rho_tilde(0.01, 1.0, np.nan, 0.1)
-
-
 # ---------------------------------------------------------------- misc
 
 
@@ -304,9 +249,3 @@ def test_coefficients_validation():
     with pytest.raises(ValueError, match="length N"):
         ItoCoefficients(np.array([0.1, 0.2]), np.array([[0.2]]), np.array([0.0]))
 
-
-def test_matrix_csv(tmp_path):
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    p = tmp_path / "m.csv"
-    np.savetxt(p, m, delimiter=",")
-    np.testing.assert_allclose(load_matrix_csv(p), m)

@@ -216,7 +216,7 @@ STUB_PROBES = [int(np.argmin(np.abs(STUB_YS - y))) for y in (-0.2, 0.0, 0.3)]
 
 
 def stepped_top_row(src):
-    build = lambda ys: reference_stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96, 10.0)
+    build = lambda ys: reference_stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96)
     return richardson_halving(build, STUB_YS)[-1, STUB_PROBES]
 
 
@@ -299,8 +299,7 @@ def test_u2_zero_when_u1_zero():
         # (U1, U1') is zero at both ends of every step, whatever the fraction
         return pricing._u2_source(*u0_and_prime(s, z), 0.5, zero_rows, zero_rows, coeff)
 
-    u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid),
-                                   grid.z_half_width_sds)
+    u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid))
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -360,23 +359,23 @@ def test_correction_homogeneity_in_constant():
 # their own, with the heat weights of every t computed one t at a time
 
 
-def reference_heat_weights(t, dy, z_half_width_sds):
+def reference_heat_weights(t, dy):
     from scipy.special import ndtr
 
     sd = np.sqrt(2.0 * t)
-    k = int(np.ceil(z_half_width_sds * sd / dy)) + 1
+    k = int(np.ceil(pricing.Z_HALF_WIDTH_SDS * sd / dy)) + 1
     a = np.arange(-k - 1, k + 2) * (dy / sd)
     f = a * ndtr(a) + np.exp(-0.5 * a * a) / pricing.SQRT2PI
     return (sd / dy) * (f[2:] - 2.0 * f[1:-1] + f[:-2])
 
 
-def reference_heat_apply(values, t, dy, z_half_width_sds):
-    w = reference_heat_weights(t, dy, z_half_width_sds)
+def reference_heat_apply(values, t, dy):
+    w = reference_heat_weights(t, dy)
     k = w.size // 2
     return np.convolve(values, w)[k : k + values.size]
 
 
-def reference_stepped_duhamel(source_fn, tau_axis, ys, dw, z_half_width_sds):
+def reference_stepped_duhamel(source_fn, tau_axis, ys, dw):
     dy = float(ys[1] - ys[0])
     out = np.zeros((tau_axis.size, ys.size))
     for i in range(1, tau_axis.size):
@@ -385,9 +384,9 @@ def reference_stepped_duhamel(source_fn, tau_axis, ys, dw, z_half_width_sds):
         dwi = np.sqrt(h) / m
         w = (np.arange(m) + 0.5) * dwi
         vals = source_fn((tau_axis[i] - w * w)[:, None], ys[None, :])
-        out[i] = reference_heat_apply(out[i - 1], h, dy, z_half_width_sds)
+        out[i] = reference_heat_apply(out[i - 1], h, dy)
         for wk, row in zip(w, vals):
-            out[i] += 2.0 * dwi * wk * reference_heat_apply(row, wk * wk, dy, z_half_width_sds)
+            out[i] += 2.0 * dwi * wk * reference_heat_apply(row, wk * wk, dy)
     return out
 
 
@@ -403,9 +402,7 @@ def reference_u1(grid, ys, coeff):
 
     v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
     linear = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
-    return linear + reference_stepped_duhamel(
-        remainder, tau_axis, ys, pricing._step_dw(grid), grid.z_half_width_sds
-    )
+    return linear + reference_stepped_duhamel(remainder, tau_axis, ys, pricing._step_dw(grid))
 
 
 def reference_u2(grid, u1_table, ys, coeff):
@@ -421,9 +418,7 @@ def reference_u2(grid, u1_table, ys, coeff):
         g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
         return g1 * u1 + g2 * u1p
 
-    return reference_stepped_duhamel(
-        src, tau_axis, ys, pricing._step_dw(grid), grid.z_half_width_sds
-    )
+    return reference_stepped_duhamel(src, tau_axis, ys, pricing._step_dw(grid))
 
 
 README_SPEC = CallSpec(100.0, 1.0, 0.2, 0.02)
@@ -607,16 +602,8 @@ def test_transform_grid_validation():
         TransformGrid(np.zeros(20), np.linspace(-1, 1, 33))
     with pytest.raises(ValueError, match="uniform"):
         TransformGrid(np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33) ** 3)
-    with pytest.raises(ValueError, match="unsafe"):
-        TransformGrid(
-            np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33), z_half_width_sds=4
-        )
     with pytest.raises(ValueError, match="finite"):
         TransformGrid(np.full(20, np.nan), np.linspace(-1, 1, 33))
-    with pytest.raises(ValueError, match="finite"):
-        TransformGrid(
-            np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33), z_half_width_sds=np.nan
-        )
 
 
 def test_tau_grid_must_fit_call():

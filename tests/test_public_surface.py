@@ -1,7 +1,9 @@
 """Every public name of the library has a consumer.
 
-A name in the ``__all__`` of an ``itoarb`` module must be used by the library
-(``src/itoarb/``) or by an acceptance criterion (``tests/test_acceptance.py``).
+A name in the ``__all__`` of an ``itoarb`` module, and every function or class
+that a module defines at top level under a name without a leading underscore,
+must be used by the library (``src/itoarb/``) or by an acceptance criterion
+(``tests/test_acceptance.py``).
 A use is a read of the name in its own module, a read of a name imported from
 the module, or an attribute of the module (``pricing.surface``); definitions,
 imports and ``__all__`` entries are not uses.  The package ``__init__`` only
@@ -51,14 +53,22 @@ def uses(path: Path, own: str | None) -> set[tuple[str, str]]:
     return found
 
 
+def public_names(module: str) -> list[str]:
+    """The module's ``__all__`` plus its top-level public functions and classes."""
+    defs = [node.name for node in ast.parse((SRC / f"{module}.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    exported = getattr(importlib.import_module(f"itoarb.{module}"), "__all__", [])
+    return sorted({*exported, *defs})
+
+
 USED = set().union(*(uses(p, p.stem) for p in SRC.glob("*.py")), uses(ACCEPTANCE, None))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_consumer(module):
-    public = getattr(importlib.import_module(f"itoarb.{module}"), "__all__", [])
-    unused = [n for n in public if (module, n) not in USED | EXEMPT]
-    assert not unused, f"itoarb.{module}.__all__ names that nothing uses: {unused}"
+    unused = [n for n in public_names(module) if (module, n) not in USED | EXEMPT]
+    assert not unused, f"itoarb.{module} public names that nothing uses: {unused}"
 
 
 def test_package_exports_are_module_exports():

@@ -89,15 +89,7 @@ def test_schedule_and_validation():
         simulate(coeffs[0], 8, 0.3, 1.0, seed=3)
 
 
-@pytest.mark.parametrize("s0", [[2.0], [1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]],
-                         ids=["wrong-length", "zero", "negative", "nan"])
-def test_bad_initial_state_rejected(s0):
-    m = model([0.05, 0.02], np.array([[0.2], [0.1]]))
-    with pytest.raises(ValueError, match="s0"):
-        simulate(m, 8, 0.1, 1.0, seed=1, s0=s0)
-
-
-def sequential_reference(seed, m_paths, dt, n_steps, k, sigma=None, drift=None, s0=None):
+def sequential_reference(seed, m_paths, dt, n_steps, k, sigma=None, drift=None):
     """Noise (and states, given per-step ``sigma`` and ``drift``) built block by
     block in one thread from the spawned 4096-path streams."""
     children = np.random.SeedSequence(seed).spawn(-(-m_paths // 4096))
@@ -110,8 +102,7 @@ def sequential_reference(seed, m_paths, dt, n_steps, k, sigma=None, drift=None, 
     if sigma is None:
         return noise, None
     logs = np.cumsum(drift[None] + np.einsum("mtk,tnk->mtn", dw, sigma), axis=1)
-    states = np.concatenate([np.broadcast_to(s0, (m_paths, 1, s0.size)), s0 * np.exp(logs)],
-                            axis=1)
+    states = np.concatenate([np.ones((m_paths, 1, logs.shape[2])), np.exp(logs)], axis=1)
     return noise, states
 
 
@@ -121,14 +112,13 @@ def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
     const = model([0.05, -0.02], np.array([[0.2, 0.05], [0.1, 0.3]]))
     schedule = [model([0.01 * i, -0.02], np.array([[0.2, 0.01 * i], [0.1, 0.3]]))
                 for i in range(n_steps)]
-    s0 = np.array([1.5, 0.7])
     expected = []
     for m in (const, schedule):
         ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
         sigma = np.stack([c.sigma for c in ms])
         drift = (np.stack([c.alpha for c in ms])
                  - 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)) * dt
-        expected.append(sequential_reference(seed, m_paths, dt, n_steps, 2, sigma, drift, s0))
+        expected.append(sequential_reference(seed, m_paths, dt, n_steps, 2, sigma, drift))
     expected_bm = sequential_reference(seed, m_paths, dt, n_steps, 3)[0]
     # the thread count follows the usable CPUs and must not change a bit, also
     # with more threads than cores switching as often as the interpreter allows
@@ -140,7 +130,7 @@ def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
                                 raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             for m, (noise, states) in zip((const, schedule), expected):
-                ens = simulate(m, m_paths, dt, n_steps * dt, seed=seed, s0=s0)
+                ens = simulate(m, m_paths, dt, n_steps * dt, seed=seed)
                 np.testing.assert_array_equal(ens.noise, noise)
                 np.testing.assert_array_equal(ens.states, states)
             np.testing.assert_array_equal(brownian_paths(m_paths, dt, n_steps * dt, seed, k=3),
