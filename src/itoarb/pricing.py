@@ -33,10 +33,11 @@ Richardson-combined.  ``n_time_quad`` sets the in-step quadrature spacing;
 with ``n_space_quad`` it also sizes the direct full-history quadrature
 (:func:`duhamel_integral`) that checks the stepped U1 at one node.
 
-The series has one build and one reader.  ``solve_perturbation(spec, grid,
-quadrature_tolerance)`` builds U1/U2 with the strike-free constant exactly
-when ``spec.rho != 0``; :func:`compute_corrections` takes the constant as a
-number.  ``PerturbationSolution.correction_values`` and ``u_values`` read the
+The series has one build and one reader.  ``solve_perturbation(spec, grid)``
+builds U1/U2 with the strike-free constant exactly when ``spec.rho != 0``
+and records the stepped-vs-direct U1 gap in its diagnostics;
+:func:`compute_corrections` takes the constant as a number.
+``PerturbationSolution.correction_values`` and ``u_values`` read the
 tables at points on the grid and raise ``ValueError`` off it;
 :func:`check_points` holds the checks that :func:`price_discounted` applies
 to ``(x, t)``, for callers that vet points before building.
@@ -460,11 +461,7 @@ class PerturbationSolution:
         return u0(tau, y) - rho * u1 + rho * rho * u2
 
 
-def solve_perturbation(
-    spec: CallSpec,
-    grid: TransformGrid | None = None,
-    quadrature_tolerance: float | None = None,
-) -> PerturbationSolution:
+def solve_perturbation(spec: CallSpec, grid: TransformGrid | None = None) -> PerturbationSolution:
     """Build the series tables.
 
     U1 and U2 are built exactly when ``rho != 0`` (otherwise they do not
@@ -473,9 +470,8 @@ def solve_perturbation(
     :func:`richardson_halving`.  The stepped U1 at the top tau node nearest
     ``y = 0`` is checked against a direct :func:`duhamel_integral` sized by
     ``n_time_quad`` x ``n_space_quad``; the relative gap is recorded in
-    ``diagnostics`` and, when ``quadrature_tolerance`` is given, a gap above
-    it raises an error that reports the achieved gap.  Tables that are not
-    finite (``u0`` overflows on a wide y grid) raise ``RuntimeError``.
+    ``diagnostics``.  Tables that are not finite (``u0`` overflows on a wide
+    y grid) raise ``RuntimeError``.
     """
     if grid is None:
         grid = TransformGrid.for_call(spec)
@@ -508,19 +504,12 @@ def solve_perturbation(
             raise RuntimeError(f"U1/U2 tables are not finite on a y grid padded to {y_ext[-1]:.4g}")
         u1_grid, u2_grid = np.maximum(tables, 0.0)
         j = int(np.argmin(np.abs(grid.y_nodes)))
-        probe_tau, probe_y = float(tau_axis[-1]), float(grid.y_nodes[j])
         direct = duhamel_integral(
-            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [probe_tau], [probe_y],
+            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [tau_axis[-1]], [grid.y_nodes[j]],
             grid.n_time_quad, grid.n_space_quad,
         )[0, 0]
         gap = abs(u1_grid[-1, j] - direct) / max(abs(direct), 1e-300)
         diag["u1_stepped_vs_direct_gap"] = float(gap)
-        if quadrature_tolerance is not None and gap > quadrature_tolerance:
-            raise RuntimeError(
-                f"stepped U1 disagrees with the direct quadrature at (tau, y) = "
-                f"({probe_tau:.4g}, {probe_y:.4g}): achieved relative gap "
-                f"{gap:.3e} exceeds tolerance {quadrature_tolerance:.3e}"
-            )
     return PerturbationSolution(spec, grid, tau_axis, u1_grid, u2_grid, diag)
 
 

@@ -3,9 +3,9 @@
 Paths follow the log-Euler scheme for
 ``dS = S (alpha dt + sigma dW)``; forward, backward and mean stochastic
 derivatives of path functionals are estimated by nearest-neighbour
-regression on the present state (valid for Markov functionals of the
-simulated state).  The empirical arbitrage measure built on top of them
-reports ensemble means and needs no regression: the mean of a conditional
+regression on a scalar present state (valid for Markov functionals of that
+state).  The empirical arbitrage measure built on top of them reports
+ensemble means and needs no regression: the mean of a conditional
 expectation is the mean of the raw difference quotients (tower property).
 
 Every estimator checks its lag window with :meth:`EstimatorConfig.window`
@@ -97,10 +97,10 @@ class EstimatorConfig:
     """Controls for the conditional-expectation estimators.
 
     ``lag`` is the difference-quotient horizon (>= dt; default 5 dt trades
-    O(lag) bias against variance), ``neighbors`` the regression neighbourhood
-    of :func:`nelson_derivatives` (>= 8), and ``t_min`` the earliest
-    admissible estimation time (>= 10 dt; the 1/(2t) noise correction is
-    applied analytically, never estimated).
+    O(lag) bias against variance), ``neighbors`` the number of paths nearest
+    in state that :func:`nelson_derivatives` averages (8 to M), and ``t_min``
+    the earliest admissible estimation time (>= 10 dt; the 1/(2t) noise
+    correction is applied analytically, never estimated).
     """
 
     lag: float
@@ -261,30 +261,29 @@ class NelsonEstimates:
     se: np.ndarray
 
 
-def _neighbor_indices(state: np.ndarray, k: int) -> np.ndarray:
-    """k-nearest-neighbour indices on the standardized state, (M, k)."""
-    from scipy.spatial import cKDTree
+def _window_means(x: np.ndarray, responses, k: int) -> np.ndarray:
+    """Means of each response over the ``k`` paths nearest each path's scalar
+    state ``x``, (len(responses), M).
 
-    if state.ndim == 1:
-        state = state[:, None]
-    m = state.shape[0]
+    In sorted order the ``k`` nearest neighbours of a point are the window
+    ``[s, s + k)``, which moves right while the entering point is nearer than
+    the leaving one (``x[s] + x[s + k] < 2 x``) and is clipped to hold the
+    point itself.  Window sums are differences of prefix sums of the centred
+    response, so their rounding does not grow with its mean.
+    """
+    m = x.size
     if k > m:
         raise ValueError(f"insufficient neighbors: requested {k} of {m} paths")
-    scale = state.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    scaled = state / scale
-    tree = cKDTree(scaled)
-    _, idx = tree.query(scaled, k=k)
-    return np.atleast_2d(idx)
-
-
-def _gathered_means(idx: np.ndarray, responses: np.ndarray, block: int = 16384) -> np.ndarray:
-    """Neighbourhood means of a response vector, gathering in blocks to keep
-    the (M, k) index expansion memory-bounded."""
-    out = np.empty(idx.shape[0])
-    for lo in range(0, idx.shape[0], block):
-        hi = min(lo + block, idx.shape[0])
-        out[lo:hi] = responses[idx[lo:hi]].mean(axis=1)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    i = np.arange(m)
+    s = np.clip(np.searchsorted(xs[:-k] + xs[k:], 2.0 * xs), np.maximum(i - k + 1, 0),
+                np.minimum(i, m - k))
+    out = np.empty((len(responses), m))
+    for row, r in zip(out, responses):
+        centre = r.mean()
+        csum = np.concatenate(([0.0], np.cumsum(r[order] - centre)))
+        row[order] = (csum[s + k] - csum[s]) / k + centre
     return out
 
 
@@ -309,25 +308,26 @@ def nelson_derivatives(
 ) -> NelsonEstimates:
     """Forward, backward and mean stochastic derivatives of a path functional.
 
-    ``values`` is (M, n_times); ``state`` is (M, n_times, d) and must carry
-    the Markov state the functional depends on; conditioning is k-nearest-
-    neighbour regression on the present state.  Estimation steps must pass
-    :meth:`EstimatorConfig.window`.
+    ``values`` is (M, n_times); ``state`` is (M, n_times, 1) and must carry
+    the scalar Markov state the functional depends on; conditioning is
+    k-nearest-neighbour regression on the present state
+    (:func:`_window_means`).  Estimation steps must pass
+    :meth:`EstimatorConfig.window`; a state with ``d > 1`` raises ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     state = np.asarray(state, dtype=float)
     if values.ndim != 2 or state.ndim != 3 or state.shape[:2] != values.shape:
         raise ValueError("values must be (M, n_times) and state (M, n_times, d)")
     steps, m = cfg.window(dt, values.shape[1], t_indices)
+    if state.shape[2] != 1:
+        raise ValueError(f"state must be scalar, (M, n_times, 1); got dimension {state.shape[2]}")
     before, now, after = _lagged(values, steps, m)
     fq = (after - now) / cfg.lag
     bq = (now - before) / cfg.lag
     raw = 0.5 * (fq + bq)
     forward, backward = np.empty_like(fq), np.empty_like(bq)
-    for j, s_now in enumerate(_rows(state, steps)):
-        idx = _neighbor_indices(s_now, cfg.neighbors)
-        forward[j] = _gathered_means(idx, fq[j])
-        backward[j] = _gathered_means(idx, bq[j])
+    for j, x in enumerate(_rows(state[:, :, 0], steps)):
+        forward[j], backward[j] = _window_means(x, (fq[j], bq[j]), cfg.neighbors)
     return NelsonEstimates(
         times=steps * dt,
         forward=forward,

@@ -576,6 +576,24 @@ def test_check_zc_and_simulate_load_no_scipy(tmp_path):
     assert scipy_modules == []
 
 
+NELSON_NO_SCIPY_PROBE = """\
+import json, sys
+from itoarb.simulate import EstimatorConfig, brownian_paths, nelson_derivatives
+w = brownian_paths(400, 0.01, 1.0, seed=3)
+cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
+nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [20, 50])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_nelson_derivatives_loads_no_scipy():
+    # the neighbourhood means come from one sorted window, not a k-d tree
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NELSON_NO_SCIPY_PROBE], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_cli_import_loads_no_thread_pool():
     # simulate imports its thread pool when it runs, so start-up does not pay for it
     src = Path(cli.__file__).resolve().parents[1]

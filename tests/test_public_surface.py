@@ -6,8 +6,8 @@ must be used by the library (``src/itoarb/``) or by an acceptance criterion
 (``tests/test_acceptance.py``).
 A use is a read of the name in its own module, a read of a name imported from
 the module, or an attribute of the module (``pricing.surface``); definitions,
-imports and ``__all__`` entries are not uses.  The package ``__init__`` only
-re-exports names of the modules and is checked through them.
+imports and ``__all__`` entries are not uses.  The package ``__init__``
+defines no name but ``__version__``.
 """
 
 import ast
@@ -69,11 +69,3 @@ USED = set().union(*(uses(p, p.stem) for p in SRC.glob("*.py")), uses(ACCEPTANCE
 def test_every_public_name_has_a_consumer(module):
     unused = [n for n in public_names(module) if (module, n) not in USED | EXEMPT]
     assert not unused, f"itoarb.{module} public names that nothing uses: {unused}"
-
-
-def test_package_exports_are_module_exports():
-    modules = [importlib.import_module(f"itoarb.{m}") for m in MODULES]
-    exported = [getattr(mod, n) for mod in modules for n in getattr(mod, "__all__", [])]
-    for name in itoarb.__all__:
-        if name != "__version__":
-            assert any(getattr(itoarb, name) is obj for obj in exported), name

@@ -9,8 +9,7 @@ from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
     EstimatorConfig,
-    _gathered_means,
-    _neighbor_indices,
+    _window_means,
     brownian_paths,
     empirical_rho,
     ensemble_to_csv,
@@ -213,6 +212,46 @@ def test_insufficient_neighbors_error():
     cfg = EstimatorConfig(lag=0.05, neighbors=64, t_min=0.1)
     with pytest.raises(ValueError, match="insufficient neighbors: requested 64"):
         nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [50])
+
+
+def test_vector_state_rejected():
+    # the estimator conditions on one scalar state; a second asset would be ignored
+    w = brownian_paths(64, 0.01, 1.0, seed=2, k=2)
+    cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
+    with pytest.raises(ValueError, match="dimension 2"):
+        nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [50])
+
+
+@pytest.mark.parametrize("k", [8, 250, 2000])
+def test_window_means_are_kd_tree_neighbourhood_means(k):
+    # on tie-free states the sorted window is the k-nearest-neighbour set
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal(2000)
+    r = rng.standard_normal(2000)
+    responses = (r, r + 1e3, x**2)
+    if k < x.size:
+        idx = cKDTree(x[:, None]).query(x[:, None], k=k)[1].reshape(x.size, k)
+    else:  # every path's neighbourhood is the whole ensemble (and the tree query is slow)
+        idx = np.broadcast_to(np.arange(x.size), (x.size, k))
+    for got, resp in zip(_window_means(x, responses, k), responses):
+        np.testing.assert_allclose(got, resp[idx].mean(axis=1), rtol=0,
+                                   atol=1e-12 * resp.std())
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2])
+def test_tied_windows_are_nearest_neighbour_sets(decimals):
+    # with ties the window is one of several valid k-nearest sets: it holds
+    # its own path and reaches no farther than the k-th smallest distance
+    k, m = 8, 500
+    x = np.round(np.random.default_rng(decimals).standard_normal(m), decimals)
+    member = _window_means(x, np.eye(m), k) > 0.5 / k  # member[p, i]: p in window(i)
+    for i in range(m):
+        window = np.flatnonzero(member[:, i])
+        dist = np.abs(x - x[i])
+        assert window.size == k and i in window
+        assert abs(dist[window].max() - np.sort(dist)[k - 1]) <= 1e-12
 
 
 def test_deterministic_functional_recovers_time_derivative():
@@ -468,8 +507,7 @@ def per_step_reference(ens, m, cfg, steps):
         # nelson_derivatives of the first log price
         fq = (logs[:, i + k, 0] - logs[:, i, 0]) / lag
         bq = (logs[:, i, 0] - logs[:, i - k, 0]) / lag
-        idx = _neighbor_indices(ens.states[:, i, :], cfg.neighbors)
-        d_f, d_b = _gathered_means(idx, fq), _gathered_means(idx, bq)
+        d_f, d_b = _window_means(ens.states[:, i, 0], (fq, bq), cfg.neighbors)
         raw = 0.5 * (fq + bq)
         out["nf"].append(d_f)
         out["nb"].append(d_b)
@@ -498,7 +536,7 @@ def test_estimators_match_per_step_reference(sigma):
     steps = [10, 20, 33, 47]
     ref = per_step_reference(ens, m, cfg, steps)
 
-    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, cfg, steps)
+    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states[:, :, :1], dt, cfg, steps)
     rho = empirical_rho(ens, m, cfg, steps)
     assert rho.B == n - 1
     for name, got in [("nf", nel.forward), ("nb", nel.backward), ("nm", nel.mean),
