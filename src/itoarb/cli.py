@@ -8,14 +8,16 @@ Commands::
     itoarb compare    --config cfg.json --out DIR [--seed N]
     itoarb simulate   --config cfg.json --out DIR [--seed N]
 
-Configs are JSON trees validated against a published schema (unknown keys
-rejected; ``schema_version`` is 1).  All randomness flows from the single
-``seed`` field; outputs carry no wall-clock entropy, so reruns are
-byte-identical.  Commands turn config sections into library objects and
-write what the library returns.  Exit codes: 0 success / no arbitrage
-flagged, 1 the analysis flags arbitrage or a cross-route mismatch, 2 usage
-or config error (including values the library rejects while building its
-objects, and runs too large to allocate), 3 internal failure of the numerics.
+Configs are JSON trees checked against ``CONFIG_SCHEMA`` (unknown keys
+rejected; integer fields take JSON integers only; ``schema_version`` is 1).
+All randomness flows from the single ``seed`` field; outputs carry no
+wall-clock entropy, so reruns are byte-identical.  Commands turn config
+sections into library objects and write what the library returns.  Exit
+codes: 0 success / no arbitrage flagged, 1 the analysis flags arbitrage or a
+cross-route mismatch, 2 usage or config error (including values the library
+rejects while building its objects, runs too large to allocate, and an output
+directory that cannot be written), 3 internal failure of the numerics or any
+other unexpected exception.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import fdsolver, geometry, pricing, simulate as mc
@@ -131,8 +132,54 @@ CONFIG_SCHEMA = {
     },
 }
 
+# a bool is none of these; an integral float such as 512.0 is not an integer
+_TYPES = {"object": dict, "array": list, "number": (int, float), "integer": int}
 
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+def _violation(schema: dict, value, path: str) -> str | None:
+    """The first way ``value`` breaks ``schema``, as ``"<path>: <message>"``, or
+    None.  Implements exactly the JSON Schema keywords ``CONFIG_SCHEMA`` uses."""
+    where = path or "(top level)"
+    kind = schema.get("type")
+    if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
+        return f"{where}: {value!r} is not of type {kind!r}"
+    if "const" in schema and (value != schema["const"]
+                              or isinstance(value, bool) != isinstance(schema["const"], bool)):
+        return f"{where}: {schema['const']!r} was expected"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return (f"{where}: {value!r} is less than or equal to the minimum of "
+                    f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, dict):
+        prefix = f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{prefix}{key}: required key is missing"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                found = _violation(properties[key], item, prefix + key)
+                if found:
+                    return found
+            elif schema.get("additionalProperties") is False:
+                return f"{prefix}{key}: unknown key"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{where}: {value!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(value if "items" in schema else ()):
+            found = _violation(schema["items"], item, f"{path}[{i}]")
+            if found:
+                return found
+        # after the item checks, so the items are numbers and hashable
+        if schema.get("uniqueItems") and len(set(value)) < len(value):
+            return f"{where}: {value!r} has non-unique elements"
+    if "oneOf" in schema:
+        matches = sum(_violation(branch, value, path) is None for branch in schema["oneOf"])
+        if matches != 1:
+            return f"{where}: matches {matches} of the {len(schema['oneOf'])} allowed forms"
+    return None
 
 
 class ConfigError(Exception):
@@ -162,9 +209,9 @@ def load_config(path) -> dict:
             cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or bad JSON
         raise ConfigError(f"cannot read config: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    error = _violation(CONFIG_SCHEMA, cfg, "")
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        raise ConfigError(f"config schema violation: {error}")
     return cfg
 
 
@@ -368,8 +415,15 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory for this config: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:  # the config was read in load_config, so this is the output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error [{args.command}]: internal failure: {exc}", file=sys.stderr)
+        return INTERNAL_FAILURE
+    except Exception as exc:  # a bug, not a finding: never the exit code of one
+        print(f"error [{args.command}]: internal failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return INTERNAL_FAILURE
 
 

@@ -1,7 +1,11 @@
+import ast
 import contextlib
+import copy
+import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -74,6 +78,189 @@ def test_schema_is_valid():
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(cli.CONFIG_SCHEMA)
 
 
+def subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for child in [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]:
+        yield from subschemas(child)
+    if "items" in schema:
+        yield from subschemas(schema["items"])
+
+
+def schema_fields(schema, path=()):
+    """``(key path, schema)`` of every config field, found through ``properties``."""
+    for key, sub in schema.get("properties", {}).items():
+        yield path + (key,), sub
+        yield from schema_fields(sub, path + (key,))
+
+
+# the keywords cli._violation implements
+WALKER_KEYWORDS = {"type", "const", "minimum", "exclusiveMinimum", "required", "properties",
+                   "additionalProperties", "items", "minItems", "uniqueItems", "oneOf"}
+
+
+def test_schema_uses_only_keywords_the_checker_implements():
+    # a keyword the checker does not know would be ignored without a word
+    for schema in subschemas(cli.CONFIG_SCHEMA):
+        assert set(schema) <= WALKER_KEYWORDS, schema
+        assert schema.get("type", "number") in cli._TYPES, schema
+        assert schema.get("additionalProperties", False) is False, schema
+
+
+# every section and every field of the schema, each at a valid value
+FULL_CFG = {
+    "schema_version": 1,
+    "seed": 7,
+    "zc_tolerance": 1e-8,
+    "market": {"times": [0.0, 0.5], "alpha": [[0.05, 0.05], [0.04, 0.05]],
+               "sigma": [[[0.2], [0.1]], [[0.2], [0.1]]], "short_rate": [0.0, 0.0]},
+    "call": dict(BASE_CALL, rho=0.02),
+    "pricing_grid": {"n_tau": 48, "n_y": 129, "y_half": 0.8,
+                     "n_time_quad": 64, "n_space_quad": 161},
+    "pde_grid": {"n_x": 257, "n_t": 256, "x_min": 20.0, "x_max": 500.0},
+    "surface_output": {"times": [0.0, 0.5, 1.0], "moneyness": [0.9, 1.0, 1.1]},
+    "compare": {"rhos": [0.01, 0.02, 0.04], "probe_moneyness": [0.9, 1.0]},
+    "estimator": {"paths": 20000, "dt": 0.005, "horizon": 1.0, "lag_steps": 5,
+                  "report_times": [0.3, 0.5], "export_csv_paths": 2},
+}
+INTEGER_FIELDS = [path for path, sub in schema_fields(cli.CONFIG_SCHEMA)
+                  if sub.get("type") == "integer"]
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS, ids=".".join)
+def test_integral_float_in_integer_field_is_usage_error(tmp_path, capsys, field):
+    # JSON Schema counts 512.0 as an integer, but the library needs an int
+    # (an array size, a seed, a slice bound): such a config once passed the
+    # schema and crashed its command with a TypeError
+    payload = copy.deepcopy(FULL_CFG)
+    assert cli._violation(cli.CONFIG_SCHEMA, payload, "") is None
+    *sections, key = field
+    section = functools.reduce(dict.__getitem__, sections, payload)
+    section[key] = float(section[key])
+    cfg = write_cfg(tmp_path, "float.json", payload)
+    command = {"pricing_grid": "price", "pde_grid": "solve-pde",
+               "estimator": "simulate"}.get(field[0], "check-zc")
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"error: config schema violation: {'.'.join(field)}: "
+                                       f"{section[key]!r} is not of type 'integer'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"call": dict(BASE_CALL, rho=-5.0)}, "call.rho: -5.0 is less than the minimum of 0"),
+    ({"seed": True}, "seed: True is not of type 'integer'"),
+    ({"market": {"alpha": [0.05], "sigma": [[0.2]]}},
+     "market.short_rate: required key is missing"),
+    ({"estimator": dict(sim_cfg()["estimator"], neighbors=16)},
+     "estimator.neighbors: unknown key"),
+    ({"compare": {"rhos": [0.01, -0.02]}},
+     "compare.rhos[1]: -0.02 is less than or equal to the minimum of 0"),
+    ({"compare": {"rhos": [0.02, 0.02]}}, "compare.rhos: [0.02, 0.02] has non-unique elements"),
+    ({"market": {"alpha": [0.05], "sigma": [0.2], "short_rate": [0.0]}},
+     "market.sigma: matches 0 of the 2 allowed forms"),
+    ({"surface_output": {"times": []}}, "surface_output.times: [] has fewer than 1 items"),
+], ids=["minimum", "bool", "required", "unknown", "item", "unique", "one-of", "min-items"])
+def test_schema_violation_names_the_field(tmp_path, payload, message):
+    cfg = write_cfg(tmp_path, "bad.json", {"schema_version": 1, **payload})
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_config(cfg)
+    assert str(info.value) == f"config schema violation: {message}"
+
+
+# jsonschema is the oracle; with "integer" read as a JSON integer (an int
+# that is not a bool) it must agree with the checker on every config
+_Draft = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+STOCK = _Draft(cli.CONFIG_SCHEMA)
+STRICT = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
+    "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))(cli.CONFIG_SCHEMA)
+BOUNDS = sorted({s[k] for s in subschemas(cli.CONFIG_SCHEMA)
+                 for k in ("minimum", "exclusiveMinimum") if k in s})
+NUMBERS = [v for b in BOUNDS for v in (b, b - 1, b + 1, float(b), b - 0.5, b + 0.5, -b)]
+NUMBERS += [-0.0, 1e-300, 0.25, 2**40, 1e300]
+ODD_VALUES = ["x", None, True, False, {}, [], {"a": 1}, [1.0], [[1.0]]]
+
+
+def _slots(value, parent, key):
+    """``(container, key)`` of ``value`` and of everything nested in it."""
+    yield parent, key
+    if isinstance(value, (dict, list)):
+        for k, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _slots(child, value, k)
+
+
+def _mutate(box, rng):
+    """Apply one random mutation somewhere in the config held in ``box[0]``."""
+    slots = list(_slots(box[0], box, 0))
+    op = rng.choice(["odd", "number", "float", "delete", "unknown", "empty", "wrap",
+                     "unwrap", "duplicate"])
+    if op == "float":  # an int turned into the float of the same value
+        slots = [(p, k) for p, k in slots if type(p[k]) is int] or slots
+    parent, key = rng.choice(slots)
+    value = parent[key]
+    if op == "odd":
+        parent[key] = rng.choice(ODD_VALUES)
+    elif op == "number":
+        parent[key] = rng.choice(NUMBERS)
+    elif op == "float" and type(value) is int:
+        parent[key] = float(value)
+    elif op == "delete" and isinstance(value, (dict, list)) and value:
+        del value[rng.choice(list(value) if isinstance(value, dict) else range(len(value)))]
+    elif op == "unknown" and isinstance(value, dict):
+        value["bogus"] = 1
+    elif op == "empty":
+        parent[key] = {} if isinstance(value, dict) else []
+    elif op == "wrap":
+        parent[key] = [value]
+    elif op == "unwrap" and isinstance(value, list) and value:
+        parent[key] = value[0]
+    elif op == "duplicate" and isinstance(value, list) and value:
+        value.append(copy.deepcopy(value[rng.randrange(len(value))]))
+
+
+def test_one_of_means_exactly_one_branch():
+    # CONFIG_SCHEMA's branches are disjoint, so only a schema of its own shows it
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    for value in (2.5, 3, "x"):  # one branch, both, none
+        assert (cli._violation(schema, value, "v") is None) == oracle.is_valid(value)
+
+
+README_CALL = {"schema_version": 1, "call": dict(BASE_CALL, rho=0.02),
+               "pricing_grid": {"n_tau": 48, "n_y": 129, "y_half": 0.8},
+               "pde_grid": {"n_x": 257, "n_t": 256}, "compare": {"rhos": [0.01, 0.02, 0.04]},
+               "surface_output": {"times": [0.0, 0.5, 1.0], "moneyness": [0.9, 1.0, 1.1]}}
+BENCH_MARKET = {"schema_version": 1, "seed": 1234,
+                "market": {"alpha": [0.0634, 0.0312], "sigma": [[0.3], [0.15]],
+                           "short_rate": [0.0, 0.0]},
+                "estimator": {"paths": 20000, "dt": 0.005, "horizon": 1.0}}
+
+
+@pytest.mark.parametrize("seed, base", [(11, FULL_CFG), (12, README_CALL), (13, BENCH_MARKET),
+                                        (14, sim_cfg())],
+                         ids=["full", "readme-call", "bench-market", "sim-market"])
+def test_checker_agrees_with_jsonschema(seed, base):
+    rng = random.Random(seed)
+    verdicts = {"accepted": 0, "rejected": 0, "integral float": 0}
+    for _ in range(1000):
+        box = [copy.deepcopy(base)]
+        for _ in range(rng.randint(1, 3)):
+            _mutate(box, rng)
+        cfg = box[0]
+        found = cli._violation(cli.CONFIG_SCHEMA, cfg, "")
+        assert (found is None) == STRICT.is_valid(cfg), (cfg, found)
+        if found is None:  # then the stock reading accepts it too
+            verdicts["accepted"] += 1
+        elif STOCK.is_valid(cfg):  # the one intended difference
+            literal = found.split(": ", 1)[1].removesuffix(" is not of type 'integer'")
+            value = ast.literal_eval(literal)
+            assert isinstance(value, float) and value.is_integer(), (cfg, found)
+            verdicts["integral float"] += 1
+        else:
+            verdicts["rejected"] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
 def test_malformed_json_rejected(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -120,7 +307,8 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, payload):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("exc", [ValueError, RuntimeError, FloatingPointError])
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError, FloatingPointError, TypeError,
+                                 KeyError])
 def test_internal_failure_has_own_exit_code(tmp_path, monkeypatch, capsys, exc):
     def failing(cfg, out):
         raise exc("boom")
@@ -128,7 +316,19 @@ def test_internal_failure_has_own_exit_code(tmp_path, monkeypatch, capsys, exc):
     monkeypatch.setitem(cli.COMMANDS, "solve-pde", failing)
     cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "call": BASE_CALL})
     assert run(["solve-pde", "--config", cfg, "--out", tmp_path / "o"]) == 3
-    assert "error [solve-pde]: internal failure: boom" in capsys.readouterr().err
+    # an exception the numerics do not raise on purpose is named by its type
+    message = "boom" if exc in (ValueError, RuntimeError, FloatingPointError) \
+        else f"{exc.__name__}: {exc('boom')}"
+    assert f"error [solve-pde]: internal failure: {message}" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "s.json", {"schema_version": 1, "call": BASE_CALL})
+    out = tmp_path / "o"
+    out.write_text("a file, not a directory")
+    assert run(["solve-pde", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert out.read_text() == "a file, not a directory"
 
 
 def test_missing_section_is_usage_error(tmp_path):
@@ -574,6 +774,32 @@ def test_check_zc_and_simulate_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [1, 0]  # the misaligned drift is flagged, and simulate runs
     assert scipy_modules == []
+
+
+NO_JSONSCHEMA_PROBE = """\
+import json, sys
+from itoarb import cli
+cli.load_config(sys.argv[1])
+try:
+    cli.load_config(sys.argv[2])
+except cli.ConfigError as exc:
+    error = str(exc)
+print(json.dumps([error, sorted(m for m in sys.modules
+                                if m.split(".")[0] in ("jsonschema", "referencing", "rpds"))]))
+"""
+
+
+def test_config_check_loads_no_jsonschema(tmp_path):
+    # the CLI checks its schema itself; jsonschema is only the tests' oracle
+    good = write_cfg(tmp_path, "good.json", sim_cfg())
+    bad = write_cfg(tmp_path, "bad.json", sim_cfg(paths=512.0))
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", NO_JSONSCHEMA_PROBE, str(good), str(bad)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    error, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert error.endswith("estimator.paths: 512.0 is not of type 'integer'")
+    assert modules == []
 
 
 NELSON_NO_SCIPY_PROBE = """\
