@@ -348,21 +348,23 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     if "market" not in cfg or "estimator" not in cfg:
         raise ConfigError("simulate requires 'market' and 'estimator' sections")
     est = cfg["estimator"]
+    lag_steps = est.get("lag_steps", 5)
     with _config_values():
         times, coeffs = _market_schedule(cfg)
         n_times = mc.step_count(est["dt"], est["horizon"]) + 1
-        cfg_est = mc.EstimatorConfig.for_ensemble(est["dt"], est["paths"], est.get("lag_steps", 5))
+        cfg_est = mc.EstimatorConfig.for_ensemble(est["dt"], est["paths"], lag_steps)
         report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
         idx = mc.estimation_steps(est["dt"], n_times, cfg_est, report_times)
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
     model = coeffs[0]
-    ens = mc.simulate(model, est["paths"], est["dt"], est["horizon"], cfg.get("seed", 0))
-    mc.save_ensemble(ens, out / "ensemble.gate")
-    if est.get("export_csv_paths", 0):
-        mc.ensemble_to_csv(ens, out / "ensemble.csv", est["export_csv_paths"])
-    result = mc.empirical_rho(ens, model, cfg_est, idx)
+    rows, head = mc.stream_ensemble(model, est["paths"], est["dt"], est["horizon"],
+                                    cfg.get("seed", 0), out / "ensemble.gate", idx, lag_steps,
+                                    est.get("export_csv_paths", 0))
+    if head.n_paths:
+        mc.ensemble_to_csv(head, out / "ensemble.csv")
+    result = mc.rho_from_rows(rows, idx * est["dt"], model, cfg_est.lag)
     pairs = np.dstack([result.estimate, result.se]).reshape(result.times.size, -1)
     if not result.B:  # B = 0 still writes one (nan, nan) pair
         pairs = np.full((result.times.size, 2), np.nan)

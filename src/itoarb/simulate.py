@@ -10,7 +10,8 @@ expectation is the mean of the raw difference quotients (tower property).
 
 Every estimator checks its lag window with :meth:`EstimatorConfig.window`
 and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
-at once, time-major (:func:`_lagged`).
+at once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
+ensemble to disk as it builds it and keeps only those rows in memory.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ __all__ = [
     "nelson_derivatives",
     "empirical_rho",
     "RhoEstimate",
-    "save_ensemble",
+    "rho_from_rows",
+    "stream_ensemble",
     "load_ensemble",
     "ensemble_to_csv",
 ]
 
 MAGIC = b"GATE"
 FORMAT_VERSION = 1
-_CHUNK = 4096  # paths per RNG stream and per parallel block (see _brownian_blocks)
+_CHUNK = 4096  # paths per RNG stream and per parallel block (see _blocks)
+_SUB = 512  # paths per draw and per built sub-block of a block
 
 
 def _frozen(a) -> np.ndarray:
@@ -149,52 +152,76 @@ class EstimatorConfig:
         return steps, m
 
 
-def _brownian_blocks(noise: np.ndarray, dt: float, seed: int, fill=None) -> None:
-    """Fill ``noise``, (M, n_steps + 1, K), with Brownian paths block-parallel.
+def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=None,
+            out=None, sink=None) -> None:
+    """Build ``m_paths`` paths block-parallel, ``_SUB`` paths at a time.
 
     Splitting rule: the master ``SeedSequence(seed)`` spawns one child stream
-    per block of 4096 consecutive paths.  After writing its rows of ``noise``,
-    a block passes its increments ``dW``, (hi - lo, n_steps, K), to
-    ``fill(lo, hi, dW)``, which may overwrite them.  Blocks run on one thread
-    per usable CPU (numpy releases the GIL while it fills, multiplies and
-    sums) and each writes only its own rows, so the result does not depend on
-    the number of threads.
+    per block of 4096 consecutive paths, and a block draws its stream in
+    sub-blocks of ``_SUB`` paths (the same numbers as one draw).  Each
+    sub-block ``[lo, hi)`` gets its Brownian rows ``noise``, (hi - lo,
+    n_steps + 1, K), and, given ``coeffs = (sigma, drift)`` per step, its
+    log-Euler ``states``, (hi - lo, n_steps + 1, N), from ``S_0 = 1``.  They
+    are built in place in ``out = (noise, states)`` if given (``states`` may
+    be None), else in scratch rows of the block, and then passed to
+    ``sink(lo, hi, noise, states)``.  Blocks run on one thread per usable CPU
+    (numpy releases the GIL while it fills, multiplies and sums) and each
+    touches only its own paths, so the result does not depend on the number
+    of threads.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    m_paths, n_steps, k = noise.shape[0], noise.shape[1] - 1, noise.shape[2]
     n_blocks = (m_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
+    n = 0 if coeffs is None else coeffs[0].shape[1]
 
     def run(c: int) -> None:
-        lo = c * _CHUNK
-        hi = min(lo + _CHUNK, m_paths)
-        dw = np.random.default_rng(children[c]).standard_normal((hi - lo, n_steps, k))
-        dw *= np.sqrt(dt)
-        noise[lo:hi, 0] = 0.0
-        np.cumsum(dw, axis=1, out=noise[lo:hi, 1:])
-        if fill is not None:
-            fill(lo, hi, dw)
+        start = c * _CHUNK
+        stop = min(start + _CHUNK, m_paths)
+        rng = np.random.default_rng(children[c])
+        size = min(_SUB, stop - start)
+        dw_rows = np.empty((size, n_steps, k))
+        scratch = out or (np.empty((size, n_steps + 1, k)), np.empty((size, n_steps + 1, n)))
+        for lo in range(start, stop, _SUB):
+            hi = min(lo + _SUB, stop)
+            rows = slice(lo, hi) if out else slice(0, hi - lo)
+            noise, states = (None if a is None else a[rows] for a in scratch)
+            dw = dw_rows[:hi - lo]
+            rng.standard_normal(out=dw)
+            dw *= np.sqrt(dt)
+            noise[:, 0] = 0.0
+            np.cumsum(dw, axis=1, out=noise[:, 1:])
+            if coeffs is not None:
+                sigma, drift = coeffs
+                logs = states[:, 1:]
+                np.einsum("mtk,tnk->mtn", dw, sigma, out=logs)
+                logs += drift
+                np.cumsum(logs, axis=1, out=logs)
+                np.exp(logs, out=logs)
+                states[:, 0] = 1.0
+            if sink is not None:
+                sink(lo, hi, noise, states)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max(1, min(n_blocks, cpus or 1))) as pool:
         list(pool.map(run, range(n_blocks)))  # re-raises a block's exception
 
 
-def _schedule_arrays(model, n_steps: int):
-    """Per-step (alpha, sigma, r) arrays from a constant model or a sequence."""
+def _coefficients(model, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step ``sigma``, (n_steps, N, K), and log-Euler drift
+    ``(alpha - diag(sigma sigma^T)/2) dt``, (n_steps, N), from a constant
+    model or a per-step sequence of them."""
     if isinstance(model, ItoCoefficients):
         alpha = np.broadcast_to(model.alpha, (n_steps,) + model.alpha.shape)
         sigma = np.broadcast_to(model.sigma, (n_steps,) + model.sigma.shape)
-        rates = np.broadcast_to(model.r, (n_steps,) + model.r.shape)
-        return alpha, sigma, rates
-    models = list(model)
-    if len(models) != n_steps:
-        raise ValueError(f"schedule must supply {n_steps} coefficient sets")
-    alpha = np.stack([m.alpha for m in models])
-    sigma = np.stack([m.sigma for m in models])
-    rates = np.stack([m.r for m in models])
-    return alpha, sigma, rates
+    else:
+        models = list(model)
+        if len(models) != n_steps:
+            raise ValueError(f"schedule must supply {n_steps} coefficient sets")
+        alpha = np.stack([m.alpha for m in models])
+        sigma = np.stack([m.sigma for m in models])
+    ito = 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)  # diag(sigma sigma^T)/2
+    return sigma, (alpha - ito) * dt
 
 
 def step_count(dt: float, horizon: float) -> int:
@@ -210,36 +237,25 @@ def simulate(model, m_paths: int, dt: float, horizon: float, seed: int) -> PathE
     + sigma dW)`` from ``S_0 = 1`` in every asset.  Bitwise reproducible for a
     given seed, whatever the number of CPUs: each 4096-path block has its own
     RNG stream and is built in place in the output arrays, one thread per
-    usable CPU.
+    usable CPU (:func:`_blocks`).
 
     ``model`` is a constant :class:`~itoarb.geometry.ItoCoefficients` or a
     per-step sequence of them sampled on the time grid.
     """
     n_steps = step_count(dt, horizon)
-    alpha, sigma, _ = _schedule_arrays(model, n_steps)
-    n, k = sigma.shape[1], sigma.shape[2]
-    states = np.empty((m_paths, n_steps + 1, n))
-    noise = np.empty((m_paths, n_steps + 1, k))
-    ito = 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)  # diag(sigma sigma^T)/2
-    drift = (alpha - ito) * dt
-
-    def fill(lo: int, hi: int, dw: np.ndarray) -> None:
-        logs = states[lo:hi, 1:]
-        np.einsum("mtk,tnk->mtn", dw, sigma, out=logs)
-        logs += drift
-        np.cumsum(logs, axis=1, out=logs)
-        np.exp(logs, out=logs)
-        states[lo:hi, 0] = 1.0
-
-    _brownian_blocks(noise, dt, seed, fill)
+    sigma, drift = _coefficients(model, n_steps, dt)
+    states = np.empty((m_paths, n_steps + 1, sigma.shape[1]))
+    noise = np.empty((m_paths, n_steps + 1, sigma.shape[2]))
+    _blocks(m_paths, n_steps, dt, seed, sigma.shape[2], (sigma, drift), out=(noise, states))
     return PathEnsemble(states, noise, dt, seed)
 
 
 def brownian_paths(m_paths: int, dt: float, horizon: float, seed: int, k: int = 1) -> np.ndarray:
     """Plain Brownian paths, (M, n_steps + 1, K), with the block streams and
     threads of :func:`simulate`."""
-    noise = np.empty((m_paths, step_count(dt, horizon) + 1, k))
-    _brownian_blocks(noise, dt, seed)
+    n_steps = step_count(dt, horizon)
+    noise = np.empty((m_paths, n_steps + 1, k))
+    _blocks(m_paths, n_steps, dt, seed, k, out=(noise, None))
     return noise
 
 
@@ -365,7 +381,21 @@ def empirical_rho(
     cfg: EstimatorConfig,
     t_indices,
 ) -> RhoEstimate:
-    """Estimate the arbitrage measure from simulated paths.
+    """Estimate the arbitrage measure from simulated paths: gather the lag
+    window rows of each report step (:meth:`EstimatorConfig.window`) and
+    estimate from them (:func:`rho_from_rows`)."""
+    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
+    rows = (*_lagged(ens.states, steps, m), _rows(ens.noise, steps))
+    return rho_from_rows(rows, steps * ens.dt, model, cfg.lag)
+
+
+def rho_from_rows(rows, times, model: ItoCoefficients, lag: float) -> RhoEstimate:
+    """The empirical arbitrage measure from the rows it reads.
+
+    ``rows`` is ``(before, now, after, noise)``: the states at steps
+    ``i - m``, ``i`` and ``i + m`` of each report step ``i`` (``lag = m dt``)
+    and the noise at ``i``, time-major as :func:`_lagged` and :func:`_rows`
+    give them; ``times`` are the report times.
 
     Per path and asset, the symmetric difference quotient of the log price
     plus the correction ``+ diag(sigma sigma^T)/2 - sigma W_t/(2t)`` (the
@@ -375,21 +405,19 @@ def empirical_rho(
     dispersion.  No conditional regression is needed: Nelson's mean
     derivative is a conditional expectation given the present state, and its
     ensemble average equals the average of the raw quotients (tower
-    property), so ``cfg.neighbors`` is not used.  With B = 0 the estimate is
+    property), so no neighbours are averaged.  With B = 0 the estimate is
     empty.
     """
-    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
-    times = steps * ens.dt
     basis = kernel_basis(model.sigma)
     if basis.B == 0:
-        empty = np.zeros((steps.size, 0))
+        empty = np.zeros((times.size, 0))
         return RhoEstimate(times, empty, empty.copy(), 0)
     ito = 0.5 * np.einsum("nk,nk->n", model.sigma, model.sigma)
-    before, now, after = (np.log(a) for a in _lagged(ens.states, steps, m))
-    fq = (after - now) / cfg.lag
-    bq = (now - before) / cfg.lag
+    before, now, after = (np.log(a) for a in rows[:3])
+    fq = (after - now) / lag
+    bq = (now - before) / lag
     raw_mean = 0.5 * (fq + bq)  # (n_steps, M, N)
-    w_corr = _rows(ens.noise, steps) / (2.0 * times)[:, None, None]  # exact, never estimated
+    w_corr = rows[3] / (2.0 * times)[:, None, None]  # exact, never estimated
     raw_hat = raw_mean + ito - w_corr @ model.sigma.T
     raw_proj = (raw_hat + model.r) @ basis.J
     se = raw_proj.std(axis=1, ddof=1) / np.sqrt(raw_proj.shape[1])
@@ -402,28 +430,75 @@ def empirical_rho(
 _HEADER = struct.Struct("<4sIQIIQdQ")  # magic, version, M, N, K, steps, dt, seed
 
 
-def save_ensemble(ens: PathEnsemble, path) -> None:
-    """Flat binary layout: header then states then noise, little-endian
-    float64 in C order."""
-    n_steps = ens.states.shape[1] - 1
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        ens.n_paths,
-        ens.n_assets,
-        ens.n_drivers,
-        n_steps,
-        ens.dt,
-        ens.seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ens.states, dtype="<f8").data)
-        fh.write(np.ascontiguousarray(ens.noise, dtype="<f8").data)
+def _sections(m_paths: int, n: int, k: int, n_steps: int) -> tuple[int, int, int]:
+    """The ensemble file layout: byte offsets of the states, (M, n_steps + 1,
+    N), and of the noise, (M, n_steps + 1, K), both little-endian float64 in
+    C order after the header, and the file size."""
+    noise_at = _HEADER.size + 8 * m_paths * (n_steps + 1) * n
+    return _HEADER.size, noise_at, noise_at + 8 * m_paths * (n_steps + 1) * k
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of ``data`` at ``offset``; a short write goes on where it stopped."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, path,
+                    steps=(), lag_steps: int = 0, head: int = 0):
+    """Simulate as :func:`simulate` does and write the ensemble to ``path``,
+    holding only sub-blocks of it.
+
+    Each sub-block of ``_SUB`` paths writes its rows of the states and the
+    noise sections at their offsets (:func:`_sections`) as it is built.  The
+    file is written as ``path.partial`` and renamed to ``path`` on success;
+    on any failure it is removed.  Kept in memory, and allocated before the
+    file is opened, are the lag window rows ``(before, now, after, noise)``
+    of the report steps ``steps`` (``lag_steps`` apart) that
+    :func:`rho_from_rows` reads, time-major as :func:`empirical_rho` gathers
+    them, and the first ``head`` paths as a :class:`PathEnsemble`; both are
+    returned.
+    """
+    n_steps = step_count(dt, horizon)
+    sigma, drift = _coefficients(model, n_steps, dt)
+    n, k = sigma.shape[1], sigma.shape[2]
+    steps = np.asarray(steps, dtype=int)
+    state_steps = np.concatenate([steps - lag_steps, steps, steps + lag_steps])
+    kept_states = np.empty((state_steps.size, m_paths, n))
+    kept_noise = np.empty((steps.size, m_paths, k))
+    head = min(head, m_paths)
+    head_states, head_noise = np.empty((head, n_steps + 1, n)), np.empty((head, n_steps + 1, k))
+    states_at, noise_at, _ = _sections(m_paths, n, k, n_steps)
+
+    def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
+        for a, at in ((states, states_at), (noise, noise_at)):
+            _pwrite(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
+        kept_states[:, lo:hi] = np.moveaxis(states[:, state_steps], 1, 0)
+        kept_noise[:, lo:hi] = np.moveaxis(noise[:, steps], 1, 0)
+        h = max(min(hi, head) - lo, 0)  # head paths in this sub-block
+        head_states[lo:lo + h] = states[:h]
+        head_noise[lo:lo + h] = noise[:h]
+
+    partial = f"{path}.partial"
+    fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            _pwrite(fd, _HEADER.pack(MAGIC, FORMAT_VERSION, m_paths, n, k, n_steps, dt,
+                                     seed & 0xFFFFFFFFFFFFFFFF), 0)
+            _blocks(m_paths, n_steps, dt, seed, k, (sigma, drift), sink=sink)
+        finally:
+            os.close(fd)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
+    return (*np.split(kept_states, 3), kept_noise), PathEnsemble(head_states, head_noise, dt, seed)
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read a :func:`save_ensemble` file; raises ``ValueError`` on a bad
+    """Read a :func:`stream_ensemble` file; raises ``ValueError`` on a bad
     magic or version, or a size other than header plus payload."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -434,16 +509,14 @@ def load_ensemble(path) -> PathEnsemble:
             raise ValueError("not an ensemble file (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported ensemble format version {version}")
-        n_states = m * (steps + 1) * n
-        n_noise = m * (steps + 1) * k
-        expected = _HEADER.size + 8 * (n_states + n_noise)
+        _, noise_at, expected = _sections(m, n, k, steps)
         if size != expected:
             raise ValueError(f"ensemble file has {size} bytes, its header promises {expected} "
                              "(truncated or padded)")
-        states = np.frombuffer(fh.read(n_states * 8), dtype="<f8").reshape(
+        states = np.frombuffer(fh.read(noise_at - _HEADER.size), dtype="<f8").reshape(
             m, steps + 1, n
         )
-        noise = np.frombuffer(fh.read(n_noise * 8), dtype="<f8").reshape(
+        noise = np.frombuffer(fh.read(expected - noise_at), dtype="<f8").reshape(
             m, steps + 1, k
         )
     return PathEnsemble(states, noise, float(dt), int(seed))

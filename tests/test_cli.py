@@ -1,8 +1,10 @@
 import ast
 import contextlib
 import copy
+import errno
 import functools
 import io
+import itertools
 import json
 import os
 import random
@@ -705,7 +707,7 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
         calls.append(args)
         raise AssertionError("simulate ran before the report times were checked")
 
-    monkeypatch.setattr(cli.mc, "simulate", no_simulation)
+    monkeypatch.setattr(cli.mc, "stream_ensemble", no_simulation)
     payload = sim_cfg(paths=20000, dt=0.005, report_times=report_times)
     cfg = write_cfg(tmp_path, "early.json", payload)
     out = tmp_path / "early"
@@ -717,6 +719,38 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
     assert err.startswith("error: ") and named in err
     assert not calls
     assert not any(out.iterdir())
+
+
+def test_simulate_csv_export_is_the_head_of_the_ensemble(tmp_path):
+    # ensemble.csv comes from the paths kept while streaming, not from the
+    # file; 600 paths span two 512-path sub-blocks
+    cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=1500, export_csv_paths=600))
+    out = tmp_path / "mout"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 0
+    cli.mc.ensemble_to_csv(cli.mc.load_ensemble(out / "ensemble.gate"), tmp_path / "ref.csv",
+                           600)
+    assert (out / "ensemble.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_simulate_disk_full_leaves_no_ensemble(tmp_path, monkeypatch, capsys):
+    # a write that fails mid-stream must not leave a file of the promised
+    # size with zero-filled gaps, which load_ensemble would accept
+    calls = itertools.count(1)
+    pwrite = os.pwrite
+
+    def disk_full(fd, data, offset):
+        if next(calls) == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", disk_full)
+    cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=5000))
+    out = tmp_path / "full"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
+    assert next(calls) > 3  # the failing write was reached
+    assert not list(out.glob("ensemble.gate*"))
 
 
 def test_simulate_seed_override_changes_ensemble(tmp_path):

@@ -9,14 +9,17 @@ from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
     EstimatorConfig,
+    _lagged,
+    _rows,
     _window_means,
     brownian_paths,
     empirical_rho,
     ensemble_to_csv,
     load_ensemble,
     nelson_derivatives,
-    save_ensemble,
+    rho_from_rows,
     simulate,
+    stream_ensemble,
 )
 
 
@@ -136,6 +139,42 @@ def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
                                           expected_bm)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
+    # the file holds the header, then the states and noise of the one-thread
+    # reference, whatever the thread count; the kept rows and head paths are
+    # its rows too
+    m_paths, dt, n_steps, seed = 2 * 4096 + 50, 0.05, 20, 17
+    const = model([0.05, -0.02], np.array([[0.2, 0.05], [0.1, 0.3]]))
+    schedule = [model([0.01 * i, -0.02], np.array([[0.2, 0.01 * i], [0.1, 0.3]]))
+                for i in range(n_steps)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    steps = np.array([10, 14])
+    for m in (const, schedule):
+        ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
+        sigma = np.stack([c.sigma for c in ms])
+        drift = (np.stack([c.alpha for c in ms])
+                 - 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)) * dt
+        noise, states = sequential_reference(seed, m_paths, dt, n_steps, 2, sigma, drift)
+        f = tmp_path / "paths.gate"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
+        try:
+            rows, head = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, steps, 3,
+                                         head=600)
+        finally:
+            sys.setswitchinterval(interval)
+        header = _HEADER.pack(b"GATE", 1, m_paths, 2, 2, n_steps, dt, seed)
+        payload = states.astype("<f8").tobytes() + noise.astype("<f8").tobytes()
+        assert f.read_bytes() == header + payload
+        for got, want in zip(rows, (*_lagged(states, steps, 3), _rows(noise, steps))):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(head.states, states[:600])
+        np.testing.assert_array_equal(head.noise, noise[:600])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
 
 
 def test_brownian_paths_reject_partial_step():
@@ -396,7 +435,7 @@ def test_ensemble_round_trip(tmp_path):
     m = model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]]))
     ens = simulate(m, 37, 0.01, 0.25, seed=4)
     f = tmp_path / "paths.gate"
-    save_ensemble(ens, f)
+    stream_ensemble(m, 37, 0.01, 0.25, 4, f)
     back = load_ensemble(f)
     np.testing.assert_array_equal(back.states, ens.states)
     np.testing.assert_array_equal(back.noise, ens.noise)
@@ -406,19 +445,21 @@ def test_ensemble_round_trip(tmp_path):
 
 
 def test_ensemble_written_without_copies(tmp_path):
+    # three RNG blocks streamed to disk in 512-path sub-blocks: at most one
+    # sub-block per block is in memory at a time, never the 39.7 MB ensemble
     m = model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]]))
-    ens = simulate(m, 3000, 0.01, 1.0, seed=4)  # 9.7 MB of states and noise
     f = tmp_path / "paths.gate"
     tracemalloc.start()
     try:
-        save_ensemble(ens, f)
+        stream_ensemble(m, 3 * 4096, 0.01, 1.0, 4, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    ens = simulate(m, 3 * 4096, 0.01, 1.0, seed=4)
     payload = ens.states.nbytes + ens.noise.nbytes
-    assert peak < 0.1 * payload
+    assert peak < 0.25 * payload
     # the layout: header, then states and noise as little-endian float64 in C order
-    header = _HEADER.pack(b"GATE", 1, 3000, 2, 2, 100, 0.01, 4)
+    header = _HEADER.pack(b"GATE", 1, 3 * 4096, 2, 2, 100, 0.01, 4)
     reference = header + ens.states.astype("<f8").tobytes() + ens.noise.astype("<f8").tobytes()
     assert f.read_bytes() == reference
     back = load_ensemble(f)
@@ -428,7 +469,8 @@ def test_ensemble_written_without_copies(tmp_path):
 
 def test_ensemble_bad_magic(tmp_path):
     f = tmp_path / "junk.gate"
-    f.write_bytes(b"NOPE" + b"\x00" * 64)
+    stream_ensemble(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, 6, f)
+    f.write_bytes(b"NOPE" + f.read_bytes()[4:])
     with pytest.raises(ValueError, match="magic"):
         load_ensemble(f)
 
@@ -436,9 +478,8 @@ def test_ensemble_bad_magic(tmp_path):
 @pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b + bytes(8), lambda b: b[:20]],
                          ids=["truncated", "padded", "header-cut"])
 def test_ensemble_wrong_size_rejected(tmp_path, edit):
-    ens = simulate(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, seed=6)
     f = tmp_path / "paths.gate"
-    save_ensemble(ens, f)
+    stream_ensemble(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, 6, f)
     f.write_bytes(edit(f.read_bytes()))
     with pytest.raises(ValueError, match=r"\d+ bytes"):
         load_ensemble(f)
@@ -446,9 +487,8 @@ def test_ensemble_wrong_size_rejected(tmp_path, edit):
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
 def test_ensemble_bad_header_dt_rejected(tmp_path, dt):
-    ens = simulate(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, seed=6)
     f = tmp_path / "paths.gate"
-    save_ensemble(ens, f)
+    stream_ensemble(model([0.05], np.array([[0.2]])), 5, 0.1, 0.3, 6, f)
     raw = bytearray(f.read_bytes())
     fields = list(_HEADER.unpack_from(raw))
     fields[6] = dt  # magic, version, M, N, K, steps, dt, seed
@@ -462,10 +502,8 @@ def test_ensemble_header_bit_flips_rejected(tmp_path):
     # every single-bit flip of magic, version, M, N, K and steps (bytes 0-31)
     # breaks the magic, the version or the size the header promises; dt and
     # seed are left out, because a flipped mantissa bit can leave them valid
-    ens = simulate(model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]])), 5, 0.1, 0.3,
-                   seed=6)
     f = tmp_path / "paths.gate"
-    save_ensemble(ens, f)
+    stream_ensemble(model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]])), 5, 0.1, 0.3, 6, f)
     good = f.read_bytes()
     assert _HEADER.size == 32 + 16
     for bit in range(32 * 8):
@@ -478,7 +516,8 @@ def test_ensemble_header_bit_flips_rejected(tmp_path):
 
 def test_ensemble_csv_export(tmp_path):
     m = model([0.05], np.array([[0.2]]))
-    ens = simulate(m, 5, 0.1, 0.3, seed=6)
+    stream_ensemble(m, 5, 0.1, 0.3, 6, tmp_path / "paths.gate")
+    ens = load_ensemble(tmp_path / "paths.gate")
     f = tmp_path / "paths.csv"
     ensemble_to_csv(ens, f, max_paths=3)
     lines = f.read_text().strip().splitlines()
