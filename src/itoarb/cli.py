@@ -233,10 +233,11 @@ def _market_schedule(cfg: dict) -> tuple[np.ndarray, list[geometry.ItoCoefficien
 def _call_spec(cfg: dict) -> pricing.CallSpec:
     if "call" not in cfg:
         raise ConfigError("this command requires a 'call' section")
-    if cfg["call"].get("rate", 0.0) != 0.0:
+    call = dict(cfg["call"])
+    if call.pop("rate", 0.0) != 0.0:
         raise ConfigError(f"call.rate {cfg['call']['rate']} is not supported: the commands "
                           "price the discounted call, so only a rate of 0 is accepted")
-    return pricing.CallSpec(**cfg["call"])
+    return pricing.CallSpec(**call)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -337,8 +338,9 @@ def cmd_compare(cfg: dict, out: Path) -> int:
     _write_json(out / "run_meta.json", meta)
     ok = report["adjudication_ok"]
     print(
-        "compare: halving ratios (adopted constant): "
-        + ", ".join(f"{r:.2f}" for r in adopted["halving_ratios"])
+        "compare: observed orders (adopted constant): "
+        + ", ".join(f"{p:.2f}" for p in adopted["observed_orders"])
+        + " (error ratios " + ", ".join(f"{r:.2f}" for r in adopted["halving_ratios"]) + ")"
         + ("  [third-order confirmed]" if ok else "  [MISMATCH]")
     )
     return 0 if ok else ANALYSIS_FLAG

@@ -89,10 +89,9 @@ class CallSpec:
     maturity: float
     sigma: float
     rho: float = 0.0
-    rate: float = 0.0  # used only by the undiscounted FD solve
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.strike, self.maturity, self.sigma, self.rho, self.rate])):
+        if not np.all(np.isfinite([self.strike, self.maturity, self.sigma, self.rho])):
             raise ValueError("call parameters must be finite")
         if not (self.strike > 0 and self.maturity > 0 and self.sigma > 0):
             raise ValueError("strike, maturity and sigma must be positive")

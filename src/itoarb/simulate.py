@@ -167,10 +167,13 @@ def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=Non
     ``sink(lo, hi, noise, states)``.  Blocks run on one thread per usable CPU
     (numpy releases the GIL while it fills, multiplies and sums) and each
     touches only its own paths, so the result does not depend on the number
-    of threads.
+    of threads.  Once a block raises, every block stops before its next
+    sub-block, and the exception is re-raised.
     """
     from concurrent.futures import ThreadPoolExecutor
+    from threading import Event
 
+    failed = Event()  # set by a block that raised: the others stop before their next sub-block
     n_blocks = (m_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
     n = 0 if coeffs is None else coeffs[0].shape[1]
@@ -183,6 +186,8 @@ def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=Non
         dw_rows = np.empty((size, n_steps, k))
         scratch = out or (np.empty((size, n_steps + 1, k)), np.empty((size, n_steps + 1, n)))
         for lo in range(start, stop, _SUB):
+            if failed.is_set():
+                return
             hi = min(lo + _SUB, stop)
             rows = slice(lo, hi) if out else slice(0, hi - lo)
             noise, states = (None if a is None else a[rows] for a in scratch)
@@ -202,9 +207,16 @@ def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=Non
             if sink is not None:
                 sink(lo, hi, noise, states)
 
+    def guarded(c: int) -> None:
+        try:
+            run(c)
+        except BaseException:
+            failed.set()
+            raise
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with ThreadPoolExecutor(max(1, min(n_blocks, cpus or 1))) as pool:
-        list(pool.map(run, range(n_blocks)))  # re-raises a block's exception
+        list(pool.map(guarded, range(n_blocks)))  # re-raises a block's exception
 
 
 def _coefficients(model, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarray]:

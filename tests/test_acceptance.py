@@ -298,10 +298,10 @@ def test_criterion_9_undiscounted_consistency():
     rate = 0.05
     worst = 0.0
     for rho_val in (0.0, 0.02):
-        spec = CallSpec(100.0, 1.0, 0.2, rho_val, rate=rate)
+        spec = CallSpec(100.0, 1.0, 0.2, rho_val)
         g = fdsolver.PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.4)
         disc = fdsolver.solve(spec, g)
-        undisc = fdsolver.solve_undiscounted(spec, g)
+        undisc = fdsolver.solve_undiscounted(spec, g, rate)
         for t in (0.25, 0.5, 0.75):
             s = np.linspace(85.0, 120.0, 15)
             psi = np.asarray(fdsolver.evaluate(undisc, t, s))

@@ -647,6 +647,29 @@ def test_compare_command_adjudicates(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("rhos, adopted_orders, rejected_orders", [
+    ([0.01, 0.03], [3.15], [2.38]),  # error ratio 31.74, exit 1 when judged as a halving
+    ([0.01, 0.015, 0.02], [3.24, 3.12], [2.51, 2.37]),  # ratios 3.72 and 2.45
+    ([0.01, 0.02, 0.04], [3.19, 3.07], [2.45, 2.21]),
+])
+def test_compare_judges_observed_order(tmp_path, rhos, adopted_orders, rejected_orders):
+    # a rung is third order when log(e[i+1]/e[i]) / log(rho[i+1]/rho[i]) lies in
+    # [log2 5.5, log2 10.5]: on a doubling ladder, a halving ratio in [5.5, 10.5]
+    payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=0.02), "compare": {"rhos": rhos}}
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "cout"
+    assert run(["compare", "--config", cfg, "--out", out]) == 0
+    table = json.loads((out / "run_meta.json").read_text())["comparison"]["candidates"]
+    adopted, rejected = table["strike-free"], table["strike-scaled"]
+    assert [round(p, 2) for p in adopted["observed_orders"]] == adopted_orders
+    assert [round(p, 2) for p in rejected["observed_orders"]] == rejected_orders
+    assert adopted["third_order"] and not rejected["third_order"]
+    if rhos == [0.01, 0.02, 0.04]:
+        assert [round(r, 2) for r in adopted["halving_ratios"]] == [9.13, 8.37]
+        for row in (adopted, rejected):
+            assert row["third_order"] == all(5.5 <= r <= 10.5 for r in row["halving_ratios"])
+
+
 def test_compare_extreme_rho_is_mismatch(tmp_path, capsys):
     # at rho 1e8 the oracle prices 0 and the series is far off: a mismatch,
     # not an internal failure
@@ -753,6 +776,40 @@ def test_simulate_disk_full_leaves_no_ensemble(tmp_path, monkeypatch, capsys):
     assert not list(out.glob("ensemble.gate*"))
 
 
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_simulate_disk_full_stops_the_other_blocks(cpus, tmp_path, monkeypatch, capsys):
+    # 40000 paths are 10 blocks of 4096, each written in 8 sub-blocks of two
+    # pwrites.  The first write of block 1 fails; every other block then stops
+    # before its next sub-block, so each running one makes at most two more
+    # sub-blocks' writes, and no queued block writes at all
+    offsets, failing = [], []
+    pwrite = os.pwrite
+
+    def disk_full(fd, data, offset):
+        if offset == 0:  # the header: block 1 starts 4096 paths into the states section
+            _, _, _, n, _, n_steps, _, _ = cli.mc._HEADER.unpack(data)
+            failing.append(cli.mc._HEADER.size + cli.mc._CHUNK * (n_steps + 1) * n * 8)
+        offsets.append(offset)
+        if offset == failing[0]:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", disk_full)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=40000))
+    out = tmp_path / "full"
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)  # the blocks interleave as often as they can
+        assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert capsys.readouterr().err.startswith("error: cannot write output")
+    assert not list(out.glob("ensemble.gate*"))
+    after = len(offsets) - 1 - offsets.index(failing[0])
+    assert after <= 2 * 2 * (cpus - 1), after
+
+
 def test_simulate_seed_override_changes_ensemble(tmp_path):
     cfg = write_cfg(tmp_path, "m.json", sim_cfg())
     out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
@@ -808,6 +865,31 @@ def test_check_zc_and_simulate_load_no_scipy(tmp_path):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [1, 0]  # the misaligned drift is flagged, and simulate runs
     assert scipy_modules == []
+
+
+COMMAND_SCIPY_PROBE = """\
+import json, sys
+from itoarb import cli
+code = cli.main(sys.argv[1:])
+subpackages = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+print(json.dumps([code, sorted(p for p in subpackages if p != "version" and p[0] != "_")]))
+"""
+
+
+@pytest.mark.parametrize("command, subpackages", [
+    ("price", ["special"]),  # ndtr
+    ("solve-pde", ["linalg"]),  # gttrf/gttrs of the march and the spline
+    ("compare", ["linalg", "special"]),
+])
+def test_pricing_commands_load_only_their_scipy_routines(tmp_path, command, subpackages):
+    # the spline solves its slopes with the march's tridiagonal solver, so no
+    # command loads scipy.interpolate (and with it optimize, sparse, spatial, fft)
+    cfg = write_cfg(tmp_path, "c.json", dict(price_cfg(0.02), pde_grid={"n_x": 129, "n_t": 128}))
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", COMMAND_SCIPY_PROBE, *argv], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, subpackages]
 
 
 NO_JSONSCHEMA_PROBE = """\

@@ -571,10 +571,10 @@ def test_price_guards():
         price_discounted(short, 100.0, 0.0)
 
 
-@pytest.mark.parametrize("field", ["rho", "rate", "strike"])
+@pytest.mark.parametrize("field", ["rho", "maturity", "strike"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_call_spec_rejects_non_finite(field, value):
-    args = dict(strike=100.0, maturity=1.0, sigma=0.2, rho=0.01, rate=0.0)
+    args = dict(strike=100.0, maturity=1.0, sigma=0.2, rho=0.01)
     args[field] = value
     with pytest.raises(ValueError, match="finite"):
         CallSpec(**args)

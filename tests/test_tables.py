@@ -47,7 +47,7 @@ def test_write_long_csv_matches_per_cell_format(tmp_path):
 
 def test_pde_surface_is_the_column_stack_table(tmp_path):
     # solve-pde's long writer against write_csv over one (t, X, Phi) block per t
-    call = {"strike": 100.0, "maturity": 1.0, "sigma": 0.2, "rho": 0.02, "rate": 0.0}
+    call = {"strike": 100.0, "maturity": 1.0, "sigma": 0.2, "rho": 0.02}
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"schema_version": 1, "call": call,
                                "pde_grid": {"n_x": 65, "n_t": 64}}))
