@@ -361,12 +361,11 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
     model = coeffs[0]
-    rows, head = mc.stream_ensemble(model, est["paths"], est["dt"], est["horizon"],
-                                    cfg.get("seed", 0), out / "ensemble.gate", idx, lag_steps,
-                                    est.get("export_csv_paths", 0))
+    result, head = mc.stream_ensemble(model, est["paths"], est["dt"], est["horizon"],
+                                      cfg.get("seed", 0), out / "ensemble.gate", idx, lag_steps,
+                                      est.get("export_csv_paths", 0))
     if head.n_paths:
         mc.ensemble_to_csv(head, out / "ensemble.csv")
-    result = mc.rho_from_rows(rows, idx * est["dt"], model, cfg_est.lag)
     pairs = np.dstack([result.estimate, result.se]).reshape(result.times.size, -1)
     if not result.B:  # B = 0 still writes one (nan, nan) pair
         pairs = np.full((result.times.size, 2), np.nan)

@@ -11,7 +11,9 @@ expectation is the mean of the raw difference quotients (tower property).
 Every estimator checks its lag window with :meth:`EstimatorConfig.window`
 and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
 at once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
-ensemble to disk as it builds it and keeps only those rows in memory.
+ensemble to disk as it builds it; each sub-block projects its own paths'
+quotients for the arbitrage measure as it is built (:func:`_rho_quotients`),
+so only ``B`` numbers per path and report step stay in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "nelson_derivatives",
     "empirical_rho",
     "RhoEstimate",
-    "rho_from_rows",
     "stream_ensemble",
     "load_ensemble",
     "ensemble_to_csv",
@@ -393,47 +394,61 @@ def empirical_rho(
     cfg: EstimatorConfig,
     t_indices,
 ) -> RhoEstimate:
-    """Estimate the arbitrage measure from simulated paths: gather the lag
-    window rows of each report step (:meth:`EstimatorConfig.window`) and
-    estimate from them (:func:`rho_from_rows`)."""
+    """Estimate the arbitrage measure from simulated paths: project the lag
+    window rows of each report step (:meth:`EstimatorConfig.window`,
+    :func:`_rho_quotients`) and take their ensemble mean (:func:`_rho_estimate`)."""
     steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
-    rows = (*_lagged(ens.states, steps, m), _rows(ens.noise, steps))
-    return rho_from_rows(rows, steps * ens.dt, model, cfg.lag)
+    times = steps * ens.dt
+    _, project = _rho_quotients(model, cfg.lag, times)
+    return _rho_estimate(project(*_lagged(ens.states, steps, m), _rows(ens.noise, steps)),
+                         times)
 
 
-def rho_from_rows(rows, times, model: ItoCoefficients, lag: float) -> RhoEstimate:
-    """The empirical arbitrage measure from the rows it reads.
+def _rho_quotients(model: ItoCoefficients, lag: float, times: np.ndarray):
+    """The per-path estimator of the arbitrage measure at report ``times``.
 
-    ``rows`` is ``(before, now, after, noise)``: the states at steps
-    ``i - m``, ``i`` and ``i + m`` of each report step ``i`` (``lag = m dt``)
+    Returns the kernel dimension ``B`` and ``project(before, now, after,
+    noise)``, which maps the rows of any set of paths (the states at steps
+    ``i - m``, ``i`` and ``i + m`` of each report step ``i``, ``lag = m dt``,
     and the noise at ``i``, time-major as :func:`_lagged` and :func:`_rows`
-    give them; ``times`` are the report times.
+    give them) to their projected quotients, (n_times, paths, B).  The kernel
+    basis and the Ito term are computed once, here.
 
     Per path and asset, the symmetric difference quotient of the log price
     plus the correction ``+ diag(sigma sigma^T)/2 - sigma W_t/(2t)`` (the
     latter exact, from the stored noise) recovers drift plus rate; it is
-    projected onto the kernel basis, and the estimate per time bucket is the
-    plain mean of these projected quotients, with standard errors from their
-    dispersion.  No conditional regression is needed: Nelson's mean
-    derivative is a conditional expectation given the present state, and its
-    ensemble average equals the average of the raw quotients (tower
-    property), so no neighbours are averaged.  With B = 0 the estimate is
-    empty.
+    projected onto the kernel basis.  No conditional regression is needed:
+    Nelson's mean derivative is a conditional expectation given the present
+    state, and its ensemble average equals the average of the raw quotients
+    (tower property), so no neighbours are averaged and each path is
+    projected on its own.
     """
     basis = kernel_basis(model.sigma)
-    if basis.B == 0:
-        empty = np.zeros((times.size, 0))
-        return RhoEstimate(times, empty, empty.copy(), 0)
     ito = 0.5 * np.einsum("nk,nk->n", model.sigma, model.sigma)
-    before, now, after = (np.log(a) for a in rows[:3])
-    fq = (after - now) / lag
-    bq = (now - before) / lag
-    raw_mean = 0.5 * (fq + bq)  # (n_steps, M, N)
-    w_corr = rows[3] / (2.0 * times)[:, None, None]  # exact, never estimated
-    raw_hat = raw_mean + ito - w_corr @ model.sigma.T
-    raw_proj = (raw_hat + model.r) @ basis.J
-    se = raw_proj.std(axis=1, ddof=1) / np.sqrt(raw_proj.shape[1])
-    return RhoEstimate(times, raw_proj.mean(axis=1), se, basis.B)
+    two_t = (2.0 * times)[:, None, None]
+
+    def project(before, now, after, noise):
+        if now.shape[1] == 1:
+            # numpy multiplies a lone path by dot products, which round otherwise
+            # than the matrix kernels that any larger set of paths gets
+            rows = (np.repeat(a, 2, axis=1) for a in (before, now, after, noise))
+            return project(*rows)[:, :1]
+        before, now, after = np.log(before), np.log(now), np.log(after)
+        fq = (after - now) / lag
+        bq = (now - before) / lag
+        w_corr = noise / two_t  # exact, never estimated
+        raw_hat = 0.5 * (fq + bq) + ito - w_corr @ model.sigma.T
+        return (raw_hat + model.r) @ basis.J
+
+    return basis.B, project
+
+
+def _rho_estimate(quotients: np.ndarray, times: np.ndarray) -> RhoEstimate:
+    """Per report time, the plain mean of the projected quotients,
+    (n_times, M, B), with standard errors from their dispersion; with B = 0
+    the estimate is empty."""
+    se = quotients.std(axis=1, ddof=1) / np.sqrt(quotients.shape[1])
+    return RhoEstimate(times, quotients.mean(axis=1), se, quotients.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -464,22 +479,27 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     holding only sub-blocks of it.
 
     Each sub-block of ``_SUB`` paths writes its rows of the states and the
-    noise sections at their offsets (:func:`_sections`) as it is built.  The
-    file is written as ``path.partial`` and renamed to ``path`` on success;
-    on any failure it is removed.  Kept in memory, and allocated before the
-    file is opened, are the lag window rows ``(before, now, after, noise)``
-    of the report steps ``steps`` (``lag_steps`` apart) that
-    :func:`rho_from_rows` reads, time-major as :func:`empirical_rho` gathers
-    them, and the first ``head`` paths as a :class:`PathEnsemble`; both are
-    returned.
+    noise sections at their offsets (:func:`_sections`) as it is built, and
+    projects its paths' quotients at the report steps ``steps`` (``lag_steps``
+    apart) with the estimator of :func:`empirical_rho` (:func:`_rho_quotients`).
+    The file is written as ``path.partial`` and renamed to ``path`` on
+    success; on any failure it is removed.  Kept in memory, and allocated
+    before the file is opened, are those quotients, (len(steps), M, B), and
+    the first ``head`` paths.  Returns the estimate at the report steps
+    (:func:`_rho_estimate`), or None without report steps, and the head paths
+    as a :class:`PathEnsemble`.  Report steps need a constant model: with a
+    per-step schedule they raise ``ValueError``.
     """
+    steps = np.asarray(steps, dtype=int)
+    if steps.size and not isinstance(model, ItoCoefficients):
+        raise ValueError("report steps need a constant model; the estimate does not project "
+                         "a per-step schedule")
     n_steps = step_count(dt, horizon)
     sigma, drift = _coefficients(model, n_steps, dt)
     n, k = sigma.shape[1], sigma.shape[2]
-    steps = np.asarray(steps, dtype=int)
-    state_steps = np.concatenate([steps - lag_steps, steps, steps + lag_steps])
-    kept_states = np.empty((state_steps.size, m_paths, n))
-    kept_noise = np.empty((steps.size, m_paths, k))
+    times = steps * dt
+    b, project = _rho_quotients(model, lag_steps * dt, times) if steps.size else (0, None)
+    quotients = np.empty((steps.size, m_paths, b))
     head = min(head, m_paths)
     head_states, head_noise = np.empty((head, n_steps + 1, n)), np.empty((head, n_steps + 1, k))
     states_at, noise_at, _ = _sections(m_paths, n, k, n_steps)
@@ -487,8 +507,8 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
         for a, at in ((states, states_at), (noise, noise_at)):
             _pwrite(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
-        kept_states[:, lo:hi] = np.moveaxis(states[:, state_steps], 1, 0)
-        kept_noise[:, lo:hi] = np.moveaxis(noise[:, steps], 1, 0)
+        if project is not None:
+            quotients[:, lo:hi] = project(*_lagged(states, steps, lag_steps), _rows(noise, steps))
         h = max(min(hi, head) - lo, 0)  # head paths in this sub-block
         head_states[lo:lo + h] = states[:h]
         head_noise[lo:lo + h] = noise[:h]
@@ -506,7 +526,8 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     except BaseException:
         os.unlink(partial)
         raise
-    return (*np.split(kept_states, 3), kept_noise), PathEnsemble(head_states, head_noise, dt, seed)
+    estimate = None if project is None else _rho_estimate(quotients, times)
+    return estimate, PathEnsemble(head_states, head_noise, dt, seed)
 
 
 def load_ensemble(path) -> PathEnsemble:

@@ -398,6 +398,59 @@ def test_check_zc_per_time_schedule(tmp_path):
     assert len((out / "zc_report.csv").read_text().splitlines()) == 3
 
 
+@st.composite
+def zc_configs(draw):
+    """check-zc configs: constant or per-time arrays of 1-3 assets and
+    drivers, entries down to 1e-300 and up to 1e300, and now and then a
+    length or a tolerance that the config check or the model rejects."""
+    def size(d):  # one draw in ten off by one
+        return draw(st.sampled_from([d] * 9 + [d + 1, max(d - 1, 1)]))
+
+    def nested(shape):
+        if not shape:
+            return _mostly(st.floats(-5.0, 5.0), [0.0, 1e-300, -1e-300, 1e300, -1e300])
+        return st.lists(nested(shape[1:]), min_size=shape[0], max_size=shape[0])
+
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    times = draw(st.none() | st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3))
+    market = {} if times is None else {"times": times}
+    for key, shape in (("alpha", [n]), ("sigma", [n, k]), ("short_rate", [n])):
+        shape = [size(d) for d in shape]
+        if times is not None and draw(st.booleans()):  # one entry per time
+            shape = [size(len(times))] + shape
+        market[key] = draw(nested(shape))
+    cfg = {"schema_version": 1, "market": market}
+    tolerance = draw(st.none() | _mostly(st.floats(1e-12, 1.0), [0.0, -1.0, 1e300]))
+    if tolerance is not None:
+        cfg["zc_tolerance"] = tolerance
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=zc_configs())
+@example(cfg={"schema_version": 1,  # ragged sigma rows
+              "market": {"alpha": [0.05, 0.05], "sigma": [[0.2], [0.1, 0.3]],
+                         "short_rate": [0.0, 0.0]}})
+def test_check_zc_any_config(cfg):
+    # every config ends in a documented exit code without a traceback; exit 2
+    # writes no files, and exits 0 and 1 write the report and the verdict
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "zc"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["check-zc", "--config", write_cfg(Path(tmp), "zc.json", cfg),
+                        "--out", out])
+        assert code in (0, 1, 2, 3)
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert written == []
+        if code in (0, 1):
+            assert written == ["run_meta.json", "zc_report.csv"]
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["arbitrage_flagged"] == (code == 1)
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------- price
 
 
@@ -832,9 +885,9 @@ def test_simulate_rejects_market_schedule(tmp_path):
 
 
 def test_simulate_too_large_to_allocate(tmp_path, capsys):
-    # 10**12 paths x 201 nodes x 2 assets of float64 is 3.2 PB, more than
-    # any address space holds, so the allocation fails at once
-    cfg = write_cfg(tmp_path, "huge.json", sim_cfg(paths=10**12, dt=0.005))
+    # 10**13 paths x 3 report times of float64 quotients (B = 1) are 240 TB,
+    # more than any address space holds, so the allocation fails at once
+    cfg = write_cfg(tmp_path, "huge.json", sim_cfg(paths=10**13, dt=0.005))
     out = tmp_path / "huge"
     assert run(["simulate", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err

@@ -9,15 +9,12 @@ from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
     EstimatorConfig,
-    _lagged,
-    _rows,
     _window_means,
     brownian_paths,
     empirical_rho,
     ensemble_to_csv,
     load_ensemble,
     nelson_derivatives,
-    rho_from_rows,
     simulate,
     stream_ensemble,
 )
@@ -144,37 +141,90 @@ def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
     # the file holds the header, then the states and noise of the one-thread
-    # reference, whatever the thread count; the kept rows and head paths are
-    # its rows too
+    # reference, whatever the thread count; the head paths are its rows too,
+    # and the estimate each sub-block projects is empirical_rho's on the
+    # in-memory ensemble, bit for bit
     m_paths, dt, n_steps, seed = 2 * 4096 + 50, 0.05, 20, 17
-    const = model([0.05, -0.02], np.array([[0.2, 0.05], [0.1, 0.3]]))
+    b1 = model([0.05, -0.02], np.array([[0.2], [0.1]]), r=[0.01, 0.0])
+    b2 = model([0.05, -0.02, 0.03], np.array([[0.2], [0.1], [0.3]]))
     schedule = [model([0.01 * i, -0.02], np.array([[0.2, 0.01 * i], [0.1, 0.3]]))
                 for i in range(n_steps)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     steps = np.array([10, 14])
-    for m in (const, schedule):
+    cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
+    for m, report in ((b1, steps), (b2, steps), (schedule, ())):
         ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
         sigma = np.stack([c.sigma for c in ms])
         drift = (np.stack([c.alpha for c in ms])
                  - 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)) * dt
-        noise, states = sequential_reference(seed, m_paths, dt, n_steps, 2, sigma, drift)
+        n, k = sigma.shape[1:]
+        noise, states = sequential_reference(seed, m_paths, dt, n_steps, k, sigma, drift)
         f = tmp_path / "paths.gate"
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
         try:
-            rows, head = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, steps, 3,
-                                         head=600)
+            est, head = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, report, 3,
+                                        head=600)
         finally:
             sys.setswitchinterval(interval)
-        header = _HEADER.pack(b"GATE", 1, m_paths, 2, 2, n_steps, dt, seed)
+        header = _HEADER.pack(b"GATE", 1, m_paths, n, k, n_steps, dt, seed)
         payload = states.astype("<f8").tobytes() + noise.astype("<f8").tobytes()
         assert f.read_bytes() == header + payload
-        for got, want in zip(rows, (*_lagged(states, steps, 3), _rows(noise, steps))):
-            np.testing.assert_array_equal(got, want)
+        if len(report):
+            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, cfg, report)
+            assert est.B == ref.B == n - 1
+            for got, want in ((est.times, ref.times), (est.estimate, ref.estimate),
+                              (est.se, ref.se)):
+                np.testing.assert_array_equal(got, want)
+        else:
+            assert est is None
         np.testing.assert_array_equal(head.states, states[:600])
         np.testing.assert_array_equal(head.noise, noise[:600])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
+
+
+@pytest.mark.parametrize("sigma", [[[0.2], [0.1]], [[0.2, 0.0], [0.1, 0.1], [0.0, 0.3]]],
+                         ids=["one-driver", "two-drivers"])
+def test_stream_lone_path_sub_block(sigma, tmp_path):
+    # 513 paths end in a sub-block of one path, whose products numpy would
+    # round otherwise than those of the 512 before it
+    m = model([0.05, -0.02, 0.03][:len(sigma)], np.array(sigma))
+    dt, steps = 0.05, [10, 14]
+    est, _ = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", steps, 3)
+    cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
+    ref = empirical_rho(simulate(m, 513, dt, 1.0, 8), m, cfg, steps)
+    np.testing.assert_array_equal(est.estimate, ref.estimate)
+    np.testing.assert_array_equal(est.se, ref.se)
+
+
+def test_stream_rejects_schedule_with_report_steps(tmp_path):
+    # projecting a per-step schedule needs a basis per step: refused before
+    # any file is opened
+    schedule = [model([0.05, 0.0], np.array([[0.2], [0.1]])) for _ in range(20)]
+    with pytest.raises(ValueError, match="constant model"):
+        stream_ensemble(schedule, 64, 0.05, 1.0, 3, tmp_path / "paths.gate", [12], 3)
+    assert not any(tmp_path.iterdir())
+
+
+def test_stream_estimate_keeps_no_rows(tmp_path, monkeypatch):
+    # each sub-block projects its own paths, so a streamed estimate holds B = 1
+    # number per path and report step, not the three state rows and one noise
+    # row per report step that an estimate from kept rows reads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
+    m_paths, dt, steps = 3 * 4096, 0.01, np.arange(10, 24, 2)
+    rows_bytes = 8 * m_paths * steps.size * (3 * 2 + 1)  # (before, now, after) x N, noise x K
+    stream_ensemble(m, 8, dt, 0.3, 4, tmp_path / "warm.gate", steps, 5)  # first-call imports
+    tracemalloc.start()
+    try:
+        est, _ = stream_ensemble(m, m_paths, dt, 0.3, 4, tmp_path / "paths.gate", steps, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows_bytes, (peak, rows_bytes)
+    assert est.estimate.shape == (7, 1)
 
 
 def test_brownian_paths_reject_partial_step():
