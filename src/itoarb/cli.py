@@ -274,7 +274,7 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
         fh.write("t,zc_residual,kernel_dim,rho_norm,rho_components\n")
         for t, res, b, vec in rows:
             comp = ";".join(f"{v:.12g}" for v in vec)
-            fh.write(f"{t:.12g},{res:.12g},{b},{np.linalg.norm(vec):.12g},{comp}\n")
+            fh.write(f"{t:.12g},{res:.12g},{b},{geometry._norm(vec):.12g},{comp}\n")
     meta = _meta_skeleton(cfg, "check-zc")
     meta["max_zc_residual"] = worst
     meta["tolerance"] = tol
@@ -360,12 +360,11 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
-    model = coeffs[0]
-    result, head = mc.stream_ensemble(model, est["paths"], est["dt"], est["horizon"],
-                                      cfg.get("seed", 0), out / "ensemble.gate", idx, lag_steps,
-                                      est.get("export_csv_paths", 0))
-    if head.n_paths:
-        mc.ensemble_to_csv(head, out / "ensemble.csv")
+    result = mc.stream_ensemble(coeffs[0], est["paths"], est["dt"], est["horizon"],
+                                cfg.get("seed", 0), out / "ensemble.gate", cfg_est, idx)
+    if est.get("export_csv_paths", 0):
+        mc.ensemble_to_csv(mc.load_ensemble(out / "ensemble.gate"), out / "ensemble.csv",
+                           est["export_csv_paths"])
     pairs = np.dstack([result.estimate, result.se]).reshape(result.times.size, -1)
     if not result.B:  # B = 0 still writes one (nan, nan) pair
         pairs = np.full((result.times.size, 2), np.nan)

@@ -16,8 +16,8 @@ discretizes without convection dispersion.  Each step is the Strang split
 ``D(dt/2) S(dt) D(dt/2)``, second order in time: ``D`` is theta-weighted implicit
 diffusion (factored once per step size, Rannacher start) and ``S`` the exact
 flow ``V exp(-h g)`` of the source rate ``g = source / V``, a factor in ``[0, 1]``
-for ``rho >= 0``.  The undiscounted variant adds the convection and
-discounting terms in the same framework.  One march steps a
+for ``rho >= 0``.  A nonzero rate (the undiscounted price) adds the
+convection and discounting terms in the same framework.  One march steps a
 column per ``rho`` and streams its rows from maturity to ``t = 0``:
 :func:`solve` stores every row of its one column, and
 :func:`comparison_report` (the only user of :mod:`itoarb.pricing` beyond
@@ -41,8 +41,8 @@ import numpy as np
 from . import pricing
 from .pricing import CallSpec
 
-__all__ = ["PdeGrid", "solve", "solve_undiscounted", "evaluate", "solve_with_atm_probe",
-           "comparison_inputs", "comparison_report"]
+__all__ = ["PdeGrid", "solve", "evaluate", "solve_with_atm_probe", "comparison_inputs",
+           "comparison_report"]
 
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
@@ -152,18 +152,19 @@ def _implicit_factors(n, th_dt, lo, di, up, top_lo, top_di):
     return _tridiagonal_solver(dl, d, du)
 
 
-def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
+def _march(spec: CallSpec, grid: PdeGrid, rate: float, rhos):
     """Backward Strang-split march on the symmetrized unknown, one column per ``rho``.
 
     Solves ``Psi_t + r s Psi_s + a s^2 Psi_ss - r Psi = rho * smooth-source``
     (``rate = 0`` gives the discounted equation) from the payoff struck at
-    ``strike`` and yields the ``(n_x, n_rho)`` price rows from ``t = T`` down
+    ``K e^{rT}`` and yields the ``(n_x, n_rho)`` price rows from ``t = T`` down
     to ``t = 0``, payoff first.  Columns never mix, so the block equals
     one-column marches.  A non-finite row (``rho < 0`` can overflow the source
     flow) raises, and so does a row below the positivity floor, which
     Crank-Nicolson can still undershoot.
     """
     x = grid.x_nodes
+    strike = spec.strike * np.exp(rate * spec.maturity)  # exactly K at rate 0
     if grid.n_x < 64 or grid.n_t < 64:
         raise ValueError("resolution below 64 x 64")
     if not x[0] < strike < x[-1]:
@@ -243,27 +244,14 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, strike: float, rhos):
         yield row
 
 
-def _solve(spec: CallSpec, grid: PdeGrid, rate: float, strike: float) -> PdeGrid:
-    """Body of :func:`solve` and :func:`solve_undiscounted`: the one-column
-    :func:`_march` at ``spec.rho``, every row stored in the surface."""
+def solve(spec: CallSpec, grid: PdeGrid, rate: float = 0.0) -> PdeGrid:
+    """Price surface of the one-column :func:`_march` at ``spec.rho``: the
+    discounted price at ``rate = 0``, else the undiscounted one, whose payoff
+    is ``(s - K e^{rT})+`` because the strike applies to the discounted value."""
     surf = np.empty((grid.n_t, grid.n_x))
-    for i, row in enumerate(_march(spec, grid, rate, strike, [spec.rho])):
+    for i, row in enumerate(_march(spec, grid, rate, [spec.rho])):
         surf[-1 - i] = row[:, 0]
     return replace(grid, surface=surf)
-
-
-def solve(spec: CallSpec, grid: PdeGrid) -> PdeGrid:
-    """Discounted-price solve; terminal slice is the exact payoff ``(x - K)+``."""
-    return _solve(spec, grid, 0.0, spec.strike)
-
-
-def solve_undiscounted(spec: CallSpec, grid: PdeGrid, rate: float) -> PdeGrid:
-    """Undiscounted-price solve with convection and discounting at ``rate``.
-
-    The strike applies to the discounted value, so the terminal payoff is
-    ``(s - K e^{rT})+``; with ``rate = 0`` this coincides with :func:`solve`.
-    """
-    return _solve(spec, grid, rate, spec.strike * np.exp(rate * spec.maturity))
 
 
 def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
@@ -297,7 +285,7 @@ def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
 def _t0_prices(spec: CallSpec, grid: PdeGrid, rhos, x) -> np.ndarray:
     """Discounted prices at ``t = 0`` and ``x``, one row per ``rho``, from one
     :func:`_march` of which only the last row is kept."""
-    for row in _march(spec, grid, 0.0, spec.strike, rhos):
+    for row in _march(spec, grid, 0.0, rhos):
         pass
     return _cubic_in_log_price(np.log(grid.x_nodes), row, np.log(x))
 

@@ -155,7 +155,17 @@ def zc_residual(c: ItoCoefficients) -> float:
     condition ``alpha + r in Range(sigma)`` holds.
     """
     _, p_perp = range_projections(c.sigma)
-    return float(np.linalg.norm(p_perp @ (c.alpha + c.r)))
+    return _norm(p_perp @ (c.alpha + c.r))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``||v||_2``, scaled by the largest ``|v|`` only where the plain norm overflows."""
+    with np.errstate(over="ignore"):
+        plain = np.linalg.norm(v)
+        if np.isfinite(plain) or not np.isfinite(v).all():
+            return float(plain)
+        top = np.abs(v).max()
+        return float(top * np.linalg.norm(v / top))
 
 
 def curvature_spread(

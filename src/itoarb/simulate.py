@@ -11,8 +11,8 @@ expectation is the mean of the raw difference quotients (tower property).
 Every estimator checks its lag window with :meth:`EstimatorConfig.window`
 and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
 at once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
-ensemble to disk as it builds it; each sub-block projects its own paths'
-quotients for the arbitrage measure as it is built (:func:`_rho_quotients`),
+ensemble to disk as it builds it and keeps no path; each sub-block projects
+its own paths' quotients for the arbitrage measure (:func:`_rho_quotients`),
 so only ``B`` numbers per path and report step stay in memory.
 """
 
@@ -474,34 +474,30 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, path,
-                    steps=(), lag_steps: int = 0, head: int = 0):
-    """Simulate as :func:`simulate` does and write the ensemble to ``path``,
-    holding only sub-blocks of it.
+                    cfg: EstimatorConfig | None = None, t_indices=()) -> RhoEstimate | None:
+    """Simulate as :func:`simulate` does, write the ensemble to ``path``
+    holding only sub-blocks of it, and with ``cfg`` return the estimate of
+    :func:`empirical_rho` at the steps ``t_indices`` (else None).
 
-    Each sub-block of ``_SUB`` paths writes its rows of the states and the
-    noise sections at their offsets (:func:`_sections`) as it is built, and
-    projects its paths' quotients at the report steps ``steps`` (``lag_steps``
-    apart) with the estimator of :func:`empirical_rho` (:func:`_rho_quotients`).
-    The file is written as ``path.partial`` and renamed to ``path`` on
-    success; on any failure it is removed.  Kept in memory, and allocated
-    before the file is opened, are those quotients, (len(steps), M, B), and
-    the first ``head`` paths.  Returns the estimate at the report steps
-    (:func:`_rho_estimate`), or None without report steps, and the head paths
-    as a :class:`PathEnsemble`.  Report steps need a constant model: with a
-    per-step schedule they raise ``ValueError``.
+    The window is checked (:meth:`EstimatorConfig.window`, and an estimate
+    needs a constant model) before anything is allocated or opened.  Each
+    sub-block of ``_SUB`` paths writes its rows of the states and the noise
+    sections (:func:`_sections`) as it is built and projects its paths'
+    quotients (:func:`_rho_quotients`), which alone are kept, (len(t_indices),
+    M, B).  The file is written as ``path.partial`` and renamed to ``path`` on
+    success; on any failure it is removed.
     """
-    steps = np.asarray(steps, dtype=int)
-    if steps.size and not isinstance(model, ItoCoefficients):
-        raise ValueError("report steps need a constant model; the estimate does not project "
-                         "a per-step schedule")
     n_steps = step_count(dt, horizon)
+    project = None
+    if cfg is not None:
+        if not isinstance(model, ItoCoefficients):
+            raise ValueError("an estimate needs a constant model; it does not project "
+                             "a per-step schedule")
+        steps, lag_steps = cfg.window(dt, n_steps + 1, t_indices)
+        b, project = _rho_quotients(model, cfg.lag, steps * dt)
+        quotients = np.empty((steps.size, m_paths, b))
     sigma, drift = _coefficients(model, n_steps, dt)
     n, k = sigma.shape[1], sigma.shape[2]
-    times = steps * dt
-    b, project = _rho_quotients(model, lag_steps * dt, times) if steps.size else (0, None)
-    quotients = np.empty((steps.size, m_paths, b))
-    head = min(head, m_paths)
-    head_states, head_noise = np.empty((head, n_steps + 1, n)), np.empty((head, n_steps + 1, k))
     states_at, noise_at, _ = _sections(m_paths, n, k, n_steps)
 
     def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
@@ -509,9 +505,6 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
             _pwrite(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
         if project is not None:
             quotients[:, lo:hi] = project(*_lagged(states, steps, lag_steps), _rows(noise, steps))
-        h = max(min(hi, head) - lo, 0)  # head paths in this sub-block
-        head_states[lo:lo + h] = states[:h]
-        head_noise[lo:lo + h] = noise[:h]
 
     partial = f"{path}.partial"
     fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
@@ -526,13 +519,14 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     except BaseException:
         os.unlink(partial)
         raise
-    estimate = None if project is None else _rho_estimate(quotients, times)
-    return estimate, PathEnsemble(head_states, head_noise, dt, seed)
+    return None if project is None else _rho_estimate(quotients, steps * dt)
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read a :func:`stream_ensemble` file; raises ``ValueError`` on a bad
-    magic or version, or a size other than header plus payload."""
+    """Map a :func:`stream_ensemble` file read-only, so only the pages read
+    are loaded (the writer renames a new file over it, never truncates it);
+    raises ``ValueError`` on a bad magic or version, or a size other than
+    header plus payload."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -546,12 +540,9 @@ def load_ensemble(path) -> PathEnsemble:
         if size != expected:
             raise ValueError(f"ensemble file has {size} bytes, its header promises {expected} "
                              "(truncated or padded)")
-        states = np.frombuffer(fh.read(noise_at - _HEADER.size), dtype="<f8").reshape(
-            m, steps + 1, n
-        )
-        noise = np.frombuffer(fh.read(expected - noise_at), dtype="<f8").reshape(
-            m, steps + 1, k
-        )
+        data = np.memmap(fh, dtype=np.uint8, mode="r")
+    states = data[_HEADER.size:noise_at].view("<f8").reshape(m, steps + 1, n)
+    noise = data[noise_at:].view("<f8").reshape(m, steps + 1, k)
     return PathEnsemble(states, noise, float(dt), int(seed))
 
 

@@ -301,7 +301,7 @@ def test_criterion_9_undiscounted_consistency():
         spec = CallSpec(100.0, 1.0, 0.2, rho_val)
         g = fdsolver.PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.4)
         disc = fdsolver.solve(spec, g)
-        undisc = fdsolver.solve_undiscounted(spec, g, rate)
+        undisc = fdsolver.solve(spec, g, rate)
         for t in (0.25, 0.5, 0.75):
             s = np.linspace(85.0, 120.0, 15)
             psi = np.asarray(fdsolver.evaluate(undisc, t, s))

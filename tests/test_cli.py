@@ -398,6 +398,25 @@ def test_check_zc_per_time_schedule(tmp_path):
     assert len((out / "zc_report.csv").read_text().splitlines()) == 3
 
 
+def test_check_zc_huge_residual_is_finite(tmp_path):
+    # a residual of about 1e300 squares past the float range: both norms scale
+    # by the largest entry instead of reading inf, and run_meta.json stays
+    # JSON (no Infinity)
+    market = {"alpha": [1e300, 1e300], "sigma": [[1e300], [0.1]], "short_rate": [0.0, 0.0]}
+    cfg = write_cfg(tmp_path, "huge.json", {"schema_version": 1, "market": market})
+    out = tmp_path / "huge"
+    assert run(["check-zc", "--config", cfg, "--out", out]) == 1
+    row = (out / "zc_report.csv").read_text().splitlines()[1].split(",")
+    assert float(row[1]) == pytest.approx(1e300, rel=1e-9)  # zc_residual
+    assert float(row[3]) == pytest.approx(1e300, rel=1e-9)  # rho_norm
+
+    def not_json(name):
+        raise AssertionError(f"run_meta.json holds {name}, which JSON does not allow")
+
+    meta = json.loads((out / "run_meta.json").read_text(), parse_constant=not_json)
+    assert meta["max_zc_residual"] == pytest.approx(1e300, rel=1e-9)
+
+
 @st.composite
 def zc_configs(draw):
     """check-zc configs: constant or per-time arrays of 1-3 assets and
@@ -673,6 +692,51 @@ def test_solve_pde_low_sigma_stays_positive(tmp_path):
     assert phi.min() >= 0.0
 
 
+@st.composite
+def pde_configs(draw):
+    """solve-pde configs: a call of strike 1e-3 to 1e4, maturity 1e-3 to 50,
+    sigma 1e-3 to 5 and rho 0 to 10 on an n_x 64-129 by n_t 64-128 grid,
+    with or without x_min and x_max around the strike; now and then a value
+    on or past the edge of its range."""
+    strike = draw(_mostly(st.floats(1e-3, 1e4), [0.0, -1.0, 1e-300, 1e300]))
+    call = {"strike": strike,
+            "maturity": draw(_mostly(st.floats(1e-3, 50.0), [0.0, 1e-300, 1e300])),
+            "sigma": draw(_mostly(st.floats(1e-3, 5.0), [0.0, 1e-300, 1e300]))}
+    rho = draw(st.none() | _mostly(st.floats(0.0, 10.0), [-1.0, 1e300]))
+    if rho is not None:
+        call["rho"] = rho
+    grid = {"n_x": draw(st.integers(64, 129)), "n_t": draw(st.integers(64, 128))}
+    # as multiples of the strike, which must lie strictly inside (x_min, x_max)
+    for key, inside, edges in (("x_min", st.floats(0.01, 0.95), [0.0, 1.0, 2.0]),
+                               ("x_max", st.floats(1.05, 20.0), [1.0, 0.5, 1e300])):
+        factor = draw(st.none() | _mostly(inside, edges))
+        if factor is not None:
+            grid[key] = strike * factor
+    return {"schema_version": 1, "call": call, "pde_grid": grid}
+
+
+@settings(max_examples=20, deadline=None)
+@given(payload=pde_configs())
+def test_solve_pde_any_config(payload):
+    # every config ends in a documented exit code without a traceback; exit 2
+    # writes no files, and exit 0 writes the surface and the metadata
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "pde"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rho T beyond the series' range
+            code = run(["solve-pde", "--config", write_cfg(Path(tmp), "pde.json", payload),
+                        "--out", out])
+        assert code in (0, 1, 2, 3)
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert written == []
+        if code == 0:
+            assert written == ["pde_surface.csv", "run_meta.json"]
+    assert "Traceback" not in err.getvalue()
+
+
 # ---------------------------------------------------------------- compare
 
 
@@ -779,8 +843,8 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
                                                         report_times, named):
     calls = []
 
-    def no_simulation(*args, **kwargs):
-        calls.append(args)
+    def no_simulation(model, m_paths, dt, horizon, seed, path, cfg=None, t_indices=()):
+        calls.append(path)
         raise AssertionError("simulate ran before the report times were checked")
 
     monkeypatch.setattr(cli.mc, "stream_ensemble", no_simulation)
@@ -798,14 +862,20 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
 
 
 def test_simulate_csv_export_is_the_head_of_the_ensemble(tmp_path):
-    # ensemble.csv comes from the paths kept while streaming, not from the
-    # file; 600 paths span two 512-path sub-blocks
-    cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=1500, export_csv_paths=600))
-    out = tmp_path / "mout"
-    assert run(["simulate", "--config", cfg, "--out", out]) == 0
-    cli.mc.ensemble_to_csv(cli.mc.load_ensemble(out / "ensemble.gate"), tmp_path / "ref.csv",
-                           600)
-    assert (out / "ensemble.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # ensemble.csv holds the first export_csv_paths paths of the ensemble,
+    # read back from ensemble.gate: 600 paths span two 512-path sub-blocks,
+    # and an export_csv_paths above paths exports every path
+    model = cli.geometry.ItoCoefficients(np.array([0.05, 0.05]), np.array([[0.2], [0.1]]),
+                                         np.zeros(2))
+    for paths, exported in ((1500, 600), (100, 100)):
+        cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=paths, export_csv_paths=600))
+        out = tmp_path / f"mout{paths}"
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        ens = cli.mc.simulate(model, paths, 0.01, 1.0, 77)
+        head = cli.mc.PathEnsemble(ens.states[:exported], ens.noise[:exported], ens.dt, ens.seed)
+        cli.mc.ensemble_to_csv(head, tmp_path / "ref.csv")
+        assert (out / "ensemble.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len((out / "ensemble.csv").read_text().splitlines()) == 1 + exported * 101
 
 
 def test_simulate_disk_full_leaves_no_ensemble(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ from scipy.linalg import solve_banded
 
 from bs_oracle import bs_call
 from itoarb import fdsolver
-from itoarb.fdsolver import PdeGrid, evaluate, solve, solve_undiscounted
+from itoarb.fdsolver import PdeGrid, evaluate, solve
 from itoarb.pricing import CallSpec
 
 SPEC = CallSpec(100.0, 1.0, 0.2, 0.0)
@@ -113,15 +113,13 @@ def test_solver_determinism():
 def test_zero_rate_identical_to_discounted():
     spec = CallSpec(100.0, 1.0, 0.2, 0.015)
     g = PdeGrid.for_call(spec, n_x=129, n_t=128)
-    np.testing.assert_array_equal(
-        solve(spec, g).surface, solve_undiscounted(spec, g, 0.0).surface
-    )
+    np.testing.assert_array_equal(solve(spec, g).surface, solve(spec, g, 0.0).surface)
 
 
 def test_undiscounted_classical_rate_oracle():
     spec = CallSpec(100.0, 1.0, 0.2, 0.0)
     g = PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.35)
-    res = solve_undiscounted(spec, g, 0.05)
+    res = solve(spec, g, 0.05)
     got = float(evaluate(res, 0.0, 100.0))
     ref = float(bs_call(100.0, 100.0 * np.exp(0.05), 0.2, 1.0, rate=0.05))
     assert got == pytest.approx(ref, abs=0.01)
@@ -130,7 +128,7 @@ def test_undiscounted_classical_rate_oracle():
 def test_undiscounted_terminal_payoff():
     spec = CallSpec(100.0, 1.0, 0.2, 0.0)
     g = PdeGrid.for_call(spec, n_x=129, n_t=128)
-    res = solve_undiscounted(spec, g, 0.05)
+    res = solve(spec, g, 0.05)
     k_eff = 100.0 * np.exp(0.05)
     np.testing.assert_array_equal(
         res.surface[-1], np.maximum(g.x_nodes - k_eff, 0.0)
@@ -143,7 +141,7 @@ def test_change_of_variables_consistency():
         spec = CallSpec(100.0, 1.0, 0.2, rho)
         g = PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.4)
         disc = solve(spec, g)
-        undisc = solve_undiscounted(spec, g, r)
+        undisc = solve(spec, g, r)
         for t in (0.25, 0.5, 0.75):
             s = np.linspace(85.0, 120.0, 15)
             psi = evaluate(undisc, t, s)
@@ -208,7 +206,7 @@ def test_spline_is_scipy_cubic_spline(strike, n_x, n_t):
     between = np.random.default_rng(3).uniform(lx[0], lx[-1], 400)
     q = np.concatenate([lx, [lx[0], lx[-1]], 0.5 * (lx[1:] + lx[:-1]), between])
     ladder = list(fdsolver._march(spec, PdeGrid.for_call(spec, n_x=n_x, n_t=128), 0.0,
-                                  spec.strike, LADDER))[-1]
+                                  LADDER))[-1]
     for columns in (res.surface[0][:, None], res.surface[[0, 1, n_t // 2, n_t - 1]].T, ladder):
         got = fdsolver._cubic_in_log_price(lx, columns, q)
         assert np.array_equal(got, CubicSpline(lx, columns, axis=0)(q).T)
@@ -263,9 +261,9 @@ def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
         spec = CallSpec(strike, maturity, sigma, max(rhos))
     g = PdeGrid.for_call(spec, n_x=129, n_t=128)
     # at zero rate the undiscounted march is the discounted one
-    np.testing.assert_array_equal(solve_undiscounted(spec, g, 0.0).surface, solve(spec, g).surface)
+    np.testing.assert_array_equal(solve(spec, g, 0.0).surface, solve(spec, g).surface)
     # along an ascending rho ladder every row is non-negative and non-increasing in rho
-    ladder = np.array(list(fdsolver._march(spec, g, 0.0, strike, sorted(rhos))))
+    ladder = np.array(list(fdsolver._march(spec, g, 0.0, sorted(rhos))))
     assert ladder.min() >= 0.0
     assert np.all(np.diff(ladder, axis=2) <= 0.0)
 

@@ -21,8 +21,6 @@ import itoarb
 SRC = Path(itoarb.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
-# no library code reads it: it loads the ensemble.gate file that `simulate` writes
-EXEMPT = {("simulate", "load_ensemble")}
 
 
 def uses(path: Path, own: str | None) -> set[tuple[str, str]]:
@@ -67,5 +65,5 @@ USED = set().union(*(uses(p, p.stem) for p in SRC.glob("*.py")), uses(ACCEPTANCE
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_consumer(module):
-    unused = [n for n in public_names(module) if (module, n) not in USED | EXEMPT]
+    unused = [n for n in public_names(module) if (module, n) not in USED]
     assert not unused, f"itoarb.{module} public names that nothing uses: {unused}"

@@ -141,8 +141,8 @@ def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
     # the file holds the header, then the states and noise of the one-thread
-    # reference, whatever the thread count; the head paths are its rows too,
-    # and the estimate each sub-block projects is empirical_rho's on the
+    # reference, whatever the thread count, and load_ensemble reads its rows
+    # back; the estimate each sub-block projects is empirical_rho's on the
     # in-memory ensemble, bit for bit
     m_paths, dt, n_steps, seed = 2 * 4096 + 50, 0.05, 20, 17
     b1 = model([0.05, -0.02], np.array([[0.2], [0.1]]), r=[0.01, 0.0])
@@ -153,7 +153,7 @@ def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     steps = np.array([10, 14])
     cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
-    for m, report in ((b1, steps), (b2, steps), (schedule, ())):
+    for m, est_cfg in ((b1, cfg), (b2, cfg), (schedule, None)):
         ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
         sigma = np.stack([c.sigma for c in ms])
         drift = (np.stack([c.alpha for c in ms])
@@ -164,23 +164,23 @@ def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
         try:
-            est, head = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, report, 3,
-                                        head=600)
+            est = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, est_cfg, steps)
         finally:
             sys.setswitchinterval(interval)
         header = _HEADER.pack(b"GATE", 1, m_paths, n, k, n_steps, dt, seed)
         payload = states.astype("<f8").tobytes() + noise.astype("<f8").tobytes()
         assert f.read_bytes() == header + payload
-        if len(report):
-            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, cfg, report)
+        if est_cfg is not None:
+            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, cfg, steps)
             assert est.B == ref.B == n - 1
             for got, want in ((est.times, ref.times), (est.estimate, ref.estimate),
                               (est.se, ref.se)):
                 np.testing.assert_array_equal(got, want)
         else:
             assert est is None
-        np.testing.assert_array_equal(head.states, states[:600])
-        np.testing.assert_array_equal(head.noise, noise[:600])
+        head = load_ensemble(f)
+        np.testing.assert_array_equal(head.states[:600], states[:600])
+        np.testing.assert_array_equal(head.noise[:600], noise[:600])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
 
 
@@ -191,8 +191,8 @@ def test_stream_lone_path_sub_block(sigma, tmp_path):
     # round otherwise than those of the 512 before it
     m = model([0.05, -0.02, 0.03][:len(sigma)], np.array(sigma))
     dt, steps = 0.05, [10, 14]
-    est, _ = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", steps, 3)
     cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
+    est = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", cfg, steps)
     ref = empirical_rho(simulate(m, 513, dt, 1.0, 8), m, cfg, steps)
     np.testing.assert_array_equal(est.estimate, ref.estimate)
     np.testing.assert_array_equal(est.se, ref.se)
@@ -202,8 +202,25 @@ def test_stream_rejects_schedule_with_report_steps(tmp_path):
     # projecting a per-step schedule needs a basis per step: refused before
     # any file is opened
     schedule = [model([0.05, 0.0], np.array([[0.2], [0.1]])) for _ in range(20)]
+    cfg = EstimatorConfig(lag=0.15, neighbors=8, t_min=0.5)
     with pytest.raises(ValueError, match="constant model"):
-        stream_ensemble(schedule, 64, 0.05, 1.0, 3, tmp_path / "paths.gate", [12], 3)
+        stream_ensemble(schedule, 64, 0.05, 1.0, 3, tmp_path / "paths.gate", cfg, [12])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m_paths", [64, 10**13])
+@pytest.mark.parametrize("lag_steps, step, named", [
+    (3, 2, "below t_min"),  # its lag window would read node -1, the last node
+    (1, 0, "below t_min"),
+    (3, 18, "leaves the simulated horizon"),  # 20 steps: node 21 is off the grid
+], ids=["step-2-lag-3", "step-0-lag-1", "step-18-lag-3"])
+def test_stream_checks_window_first(tmp_path, m_paths, lag_steps, step, named):
+    # the window of empirical_rho, checked before anything is allocated (10**13
+    # paths of quotients would fail to allocate) or any file is opened
+    m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
+    cfg = EstimatorConfig(lag=lag_steps * 0.05, neighbors=8, t_min=0.5)
+    with pytest.raises(ValueError, match=named):
+        stream_ensemble(m, m_paths, 0.05, 1.0, 3, tmp_path / "paths.gate", cfg, [step])
     assert not any(tmp_path.iterdir())
 
 
@@ -216,10 +233,11 @@ def test_stream_estimate_keeps_no_rows(tmp_path, monkeypatch):
     m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
     m_paths, dt, steps = 3 * 4096, 0.01, np.arange(10, 24, 2)
     rows_bytes = 8 * m_paths * steps.size * (3 * 2 + 1)  # (before, now, after) x N, noise x K
-    stream_ensemble(m, 8, dt, 0.3, 4, tmp_path / "warm.gate", steps, 5)  # first-call imports
+    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
+    stream_ensemble(m, 8, dt, 0.3, 4, tmp_path / "warm.gate", cfg, steps)  # first-call imports
     tracemalloc.start()
     try:
-        est, _ = stream_ensemble(m, m_paths, dt, 0.3, 4, tmp_path / "paths.gate", steps, 5)
+        est = stream_ensemble(m, m_paths, dt, 0.3, 4, tmp_path / "paths.gate", cfg, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
