@@ -354,14 +354,13 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     with _config_values():
         times, coeffs = _market_schedule(cfg)
         n_times = mc.step_count(est["dt"], est["horizon"]) + 1
-        cfg_est = mc.EstimatorConfig.for_ensemble(est["dt"], est["paths"], lag_steps)
         report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
-        idx = mc.estimation_steps(est["dt"], n_times, cfg_est, report_times)
+        idx = mc.estimation_steps(est["dt"], n_times, lag_steps, report_times)
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
     result = mc.stream_ensemble(coeffs[0], est["paths"], est["dt"], est["horizon"],
-                                cfg.get("seed", 0), out / "ensemble.gate", cfg_est, idx)
+                                cfg.get("seed", 0), out / "ensemble.gate", lag_steps, idx)
     if est.get("export_csv_paths", 0):
         mc.ensemble_to_csv(mc.load_ensemble(out / "ensemble.gate"), out / "ensemble.csv",
                            est["export_csv_paths"])

@@ -50,6 +50,8 @@ COMPARE_N_X, COMPARE_N_T = 513, 256  # FD reference grid of comparison_report
 # observed orders log(e[i+1]/e[i]) / log(rho[i+1]/rho[i]) that comparison_report
 # reads as third order: on a doubling ladder, halving ratios in [5.5, 10.5]
 ORDER_WINDOW = (float(np.log2(5.5)), float(np.log2(10.5)))
+# log of the smallest normal and of the largest float: a grid node must lie between
+_LOG_TINY, _LOG_MAX = float(np.log(np.finfo(float).tiny)), float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,8 @@ class PdeGrid:
     ) -> "PdeGrid":
         """Default domain: ``coverage`` of log-moneyness each side of the
         strike plus diffusion margins (4.2 / 3.2 standard deviations below /
-        above), with the strike aligned midway between nodes."""
+        above), with the strike aligned midway between nodes.  A default
+        bound whose ``exp`` leaves the normal float range raises ``ValueError``."""
         st = spec.sigma * np.sqrt(spec.maturity)
         lk = np.log(spec.strike)
         lo = lk - coverage - 4.2 * st if x_min is None else np.log(x_min)
@@ -123,6 +126,9 @@ class PdeGrid:
         frac = (lk - lo) / dxi
         lo += (frac - np.floor(frac) - 0.5) * dxi
         xi = lo + dxi * np.arange(n_x)
+        if (x_min is None and xi[0] < _LOG_TINY) or (x_max is None and xi[-1] > _LOG_MAX):
+            raise ValueError(f"sigma * sqrt(maturity) = {st:.4g} puts the default x domain "
+                             "outside the float range; give pde_grid x_min and x_max")
         t = np.linspace(0.0, spec.maturity, n_t + 1)
         return cls(np.exp(xi), t)
 

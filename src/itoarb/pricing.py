@@ -95,12 +95,8 @@ class CallSpec:
             raise ValueError("call parameters must be finite")
         if not (self.strike > 0 and self.maturity > 0 and self.sigma > 0):
             raise ValueError("strike, maturity and sigma must be positive")
-        if abs(self.rho) * self.maturity > 0.5:
-            warnings.warn(
-                "perturbation series is reliable only for |rho| * T << 1; "
-                f"got {abs(self.rho) * self.maturity:.3g}",
-                stacklevel=2,
-            )
+        if not np.isfinite(float(self.sigma) * float(self.sigma) * float(self.maturity) / 2):
+            raise ValueError("sigma^2 * maturity / 2 overflows: sigma or maturity is too large")
 
     @property
     def tau_max(self) -> float:
@@ -470,8 +466,12 @@ def solve_perturbation(spec: CallSpec, grid: TransformGrid | None = None) -> Per
     ``y = 0`` is checked against a direct :func:`duhamel_integral` sized by
     ``n_time_quad`` x ``n_space_quad``; the relative gap is recorded in
     ``diagnostics``.  Tables that are not finite (``u0`` overflows on a wide
-    y grid) raise ``RuntimeError``.
+    y grid) raise ``RuntimeError``.  A ``|rho| * T`` above 0.5 warns that the
+    series is out of its range.
     """
+    if abs(spec.rho) * spec.maturity > 0.5:
+        warnings.warn("perturbation series is reliable only for |rho| * T << 1; "
+                      f"got {abs(spec.rho) * spec.maturity:.3g}", stacklevel=2)
     if grid is None:
         grid = TransformGrid.for_call(spec)
     if grid.tau_nodes[-1] > spec.tau_max * (1 + 1e-9):
@@ -520,7 +520,6 @@ def solve_with_refinement_check(
     16/17/8/21, same ``y_half``); it converges when the at-the-money price at
     ``t = 0`` changes by less than ``REFINEMENT_THRESHOLD`` relative.
     Returns the solution on ``grid`` and the check."""
-    sol = solve_perturbation(spec, grid)
     coarse_grid = TransformGrid.for_call(
         spec,
         n_tau=max(grid.tau_nodes.size // 2, 16),
@@ -529,8 +528,9 @@ def solve_with_refinement_check(
         n_time_quad=max(grid.n_time_quad // 2, 8),
         n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, 21),
     )
-    base = float(price_discounted(sol, spec.strike, 0.0))
-    coarse = float(price_discounted(solve_perturbation(spec, coarse_grid), spec.strike, 0.0))
+    # one call site, so that the default warning filter shows a |rho| * T warning once
+    sol, coarse_sol = (solve_perturbation(spec, g) for g in (grid, coarse_grid))
+    base, coarse = (float(price_discounted(s, spec.strike, 0.0)) for s in (sol, coarse_sol))
     rel_change = abs(base - coarse) / max(abs(base), 1e-300)
     return sol, {
         "probe_price": base,
@@ -572,7 +572,8 @@ def price_discounted(sol: PerturbationSolution, x, t):
 
     At ``t = T`` the payoff is returned exactly.  Prices are evaluated as
     ``K e^{y/2 - tau/4} u(tau, y)`` with ``y = log(X/K)``; points that
-    :func:`check_points` rejects raise ``ValueError``.
+    :func:`check_points` rejects raise ``ValueError``, and a price that is
+    not finite (``u0`` overflows at a huge ``tau``) raises ``RuntimeError``.
     """
     spec = sol.spec
     x, t, live = check_points(spec, sol.grid, x, t)
@@ -581,6 +582,9 @@ def price_discounted(sol: PerturbationSolution, x, t):
     if np.any(live):
         tau, y, prefactor = canonical_variables(spec, x[live], t[live])
         out[live] = prefactor * sol.u_values(tau, y)
+    if not np.isfinite(out).all():
+        raise RuntimeError(f"{np.count_nonzero(~np.isfinite(out))} of {out.size} series prices "
+                           "are not finite")
     return out if out.ndim else float(out)
 
 

@@ -8,9 +8,11 @@ state).  The empirical arbitrage measure built on top of them reports
 ensemble means and needs no regression: the mean of a conditional
 expectation is the mean of the raw difference quotients (tower property).
 
-Every estimator checks its lag window with :meth:`EstimatorConfig.window`
-and reads the nodes ``i - lag``, ``i``, ``i + lag`` of all report steps ``i``
-at once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
+Every estimator takes its lag in whole steps, ``lag_steps``, checks it and
+its report steps with one rule on integers (:func:`_window`), divides its
+difference quotients by ``lag_steps * dt`` and reads the nodes
+``i - lag_steps``, ``i``, ``i + lag_steps`` of all report steps ``i`` at
+once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
 ensemble to disk as it builds it and keeps no path; each sub-block projects
 its own paths' quotients for the arbitrage measure (:func:`_rho_quotients`),
 so only ``B`` numbers per path and report step stay in memory.
@@ -29,7 +31,6 @@ from .tables import write_long_csv
 
 __all__ = [
     "PathEnsemble",
-    "EstimatorConfig",
     "NelsonEstimates",
     "step_count",
     "simulate",
@@ -96,61 +97,34 @@ class PathEnsemble:
         return np.arange(self.states.shape[1]) * self.dt
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Controls for the conditional-expectation estimators.
+MIN_STEP = 10  # earliest estimation step: the noise correction W_t/(2t) is singular at t = 0
 
-    ``lag`` is the difference-quotient horizon (>= dt; default 5 dt trades
-    O(lag) bias against variance), ``neighbors`` the number of paths nearest
-    in state that :func:`nelson_derivatives` averages (8 to M), and ``t_min``
-    the earliest admissible estimation time (>= 10 dt; the 1/(2t) noise
-    correction is applied analytically, never estimated).
+
+def _check_count(value, name: str, least: int) -> None:
+    """``ValueError`` unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _window(dt: float, n_times: int, lag_steps: int, t_indices, times=None) -> np.ndarray:
+    """The checked estimation steps, as ints, on a grid of ``n_times`` nodes ``dt`` apart.
+
+    Raises ``ValueError`` unless ``lag_steps`` is an integer of at least 1,
+    and every step is at least ``MIN_STEP`` with its window ``[i - lag_steps,
+    i + lag_steps]`` on the grid.  The message names a step by its entry of
+    ``times`` (default: its grid time).
     """
-
-    lag: float
-    neighbors: int
-    t_min: float
-
-    def __post_init__(self):
-        if self.neighbors < 8:
-            raise ValueError("need at least 8 neighbors")
-        if not (0 < self.lag < np.inf and 0 < self.t_min < np.inf):
-            raise ValueError("lag and t_min must be finite and positive")
-
-    @classmethod
-    def for_ensemble(cls, dt: float, n_paths: int, lag_steps: int = 5) -> "EstimatorConfig":
-        return cls(
-            lag=lag_steps * dt,
-            neighbors=max(8, n_paths // 200),
-            t_min=10 * dt,
-        )
-
-    def window(self, dt: float, n_times: int, t_indices, times=None) -> tuple[np.ndarray, int]:
-        """Checked lag window on a grid of ``n_times`` nodes ``dt`` apart.
-
-        Returns the estimation steps as ints and the lag in steps.  Raises
-        ``ValueError`` unless the lag is a whole number (>= 1) of steps,
-        ``t_min`` is at least 10 steps, and every step lies at or after
-        ``t_min`` with its window ``[i - lag, i + lag]`` on the grid.  The
-        message names a step by its entry of ``times`` (default: its grid time).
-        """
-        if self.lag < dt - 1e-12:
-            raise ValueError("lag must be at least one time step")
-        m = int(round(self.lag / dt))
-        if abs(m * dt - self.lag) > 1e-9 * max(self.lag, 1.0):
-            raise ValueError("lag must be a whole number of time steps")
-        if self.t_min < 10 * dt - 1e-12:
-            raise ValueError("t_min must be at least 10 time steps")
-        steps = np.atleast_1d(np.asarray(t_indices, dtype=int))
-        early = steps * dt < self.t_min - 1e-12
-        bad = early | (steps - m < 0) | (steps + m >= n_times)
-        if bad.any():
-            j = int(np.argmax(bad))  # the first offending step decides the message
-            t = steps[j] * dt if times is None else times[j]
-            if early[j]:
-                raise ValueError(f"estimation time {t} below t_min {self.t_min}")
-            raise ValueError(f"lag window of estimation time {t} leaves the simulated horizon")
-        return steps, m
+    _check_count(lag_steps, "lag_steps", 1)
+    steps = np.atleast_1d(np.asarray(t_indices, dtype=int))
+    early = steps < MIN_STEP
+    bad = early | (steps - lag_steps < 0) | (steps + lag_steps >= n_times)
+    if bad.any():
+        j = int(np.argmax(bad))  # the first offending step decides the message
+        t = steps[j] * dt if times is None else times[j]
+        if early[j]:
+            raise ValueError(f"estimation time {t} below t_min {MIN_STEP * dt}")
+        raise ValueError(f"lag window of estimation time {t} leaves the simulated horizon")
+    return steps
 
 
 def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=None,
@@ -332,31 +306,35 @@ def nelson_derivatives(
     values: np.ndarray,
     state: np.ndarray,
     dt: float,
-    cfg: EstimatorConfig,
+    lag_steps: int,
+    neighbors: int,
     t_indices,
 ) -> NelsonEstimates:
     """Forward, backward and mean stochastic derivatives of a path functional.
 
     ``values`` is (M, n_times); ``state`` is (M, n_times, 1) and must carry
     the scalar Markov state the functional depends on; conditioning is
-    k-nearest-neighbour regression on the present state
-    (:func:`_window_means`).  Estimation steps must pass
-    :meth:`EstimatorConfig.window`; a state with ``d > 1`` raises ``ValueError``.
+    regression on the ``neighbors`` (8 to M) paths nearest in present state
+    (:func:`_window_means`).  The quotients span ``lag_steps`` steps each way
+    and divide by ``lag_steps * dt``.  Estimation steps must pass the window
+    rule (:func:`_window`); a state with ``d > 1`` raises ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     state = np.asarray(state, dtype=float)
     if values.ndim != 2 or state.ndim != 3 or state.shape[:2] != values.shape:
         raise ValueError("values must be (M, n_times) and state (M, n_times, d)")
-    steps, m = cfg.window(dt, values.shape[1], t_indices)
+    steps = _window(dt, values.shape[1], lag_steps, t_indices)
+    _check_count(neighbors, "neighbors", 8)
     if state.shape[2] != 1:
         raise ValueError(f"state must be scalar, (M, n_times, 1); got dimension {state.shape[2]}")
-    before, now, after = _lagged(values, steps, m)
-    fq = (after - now) / cfg.lag
-    bq = (now - before) / cfg.lag
+    before, now, after = _lagged(values, steps, lag_steps)
+    lag = lag_steps * dt
+    fq = (after - now) / lag
+    bq = (now - before) / lag
     raw = 0.5 * (fq + bq)
     forward, backward = np.empty_like(fq), np.empty_like(bq)
     for j, x in enumerate(_rows(state[:, :, 0], steps)):
-        forward[j], backward[j] = _window_means(x, (fq[j], bq[j]), cfg.neighbors)
+        forward[j], backward[j] = _window_means(x, (fq[j], bq[j]), neighbors)
     return NelsonEstimates(
         times=steps * dt,
         forward=forward,
@@ -376,32 +354,32 @@ class RhoEstimate:
     B: int
 
 
-def estimation_steps(dt: float, n_times: int, cfg: EstimatorConfig, times) -> np.ndarray:
+def estimation_steps(dt: float, n_times: int, lag_steps: int, times) -> np.ndarray:
     """Distinct grid steps nearest ``times`` (``n_times`` nodes ``dt`` apart), checked by
-    :meth:`EstimatorConfig.window`; a time outside ``[0, horizon]`` raises ``ValueError``."""
+    the window rule (:func:`_window`); a time outside ``[0, horizon]`` raises ``ValueError``."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     horizon = (n_times - 1) * dt
     outside = ~((times >= 0) & (times <= horizon))  # nan too; before the int cast
     if outside.any():
         raise ValueError(f"report time {times[outside][0]} outside [0, horizon {horizon:g}]")
     steps = np.round(times / dt).astype(int)
-    return np.unique(cfg.window(dt, n_times, steps, times)[0])
+    return np.unique(_window(dt, n_times, lag_steps, steps, times))
 
 
 def empirical_rho(
     ens: PathEnsemble,
     model: ItoCoefficients,
-    cfg: EstimatorConfig,
+    lag_steps: int,
     t_indices,
 ) -> RhoEstimate:
-    """Estimate the arbitrage measure from simulated paths: project the lag
-    window rows of each report step (:meth:`EstimatorConfig.window`,
+    """Estimate the arbitrage measure from simulated paths: project the rows
+    ``lag_steps`` either side of each report step (:func:`_window`,
     :func:`_rho_quotients`) and take their ensemble mean (:func:`_rho_estimate`)."""
-    steps, m = cfg.window(ens.dt, ens.states.shape[1], t_indices)
+    steps = _window(ens.dt, ens.states.shape[1], lag_steps, t_indices)
     times = steps * ens.dt
-    _, project = _rho_quotients(model, cfg.lag, times)
-    return _rho_estimate(project(*_lagged(ens.states, steps, m), _rows(ens.noise, steps)),
-                         times)
+    _, project = _rho_quotients(model, lag_steps * ens.dt, times)
+    return _rho_estimate(project(*_lagged(ens.states, steps, lag_steps),
+                                 _rows(ens.noise, steps)), times)
 
 
 def _rho_quotients(model: ItoCoefficients, lag: float, times: np.ndarray):
@@ -474,12 +452,12 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, path,
-                    cfg: EstimatorConfig | None = None, t_indices=()) -> RhoEstimate | None:
+                    lag_steps: int | None = None, t_indices=()) -> RhoEstimate | None:
     """Simulate as :func:`simulate` does, write the ensemble to ``path``
-    holding only sub-blocks of it, and with ``cfg`` return the estimate of
-    :func:`empirical_rho` at the steps ``t_indices`` (else None).
+    holding only sub-blocks of it, and with ``lag_steps`` return the estimate
+    of :func:`empirical_rho` at the steps ``t_indices`` (else None).
 
-    The window is checked (:meth:`EstimatorConfig.window`, and an estimate
+    The window is checked (:func:`_window`, and an estimate
     needs a constant model) before anything is allocated or opened.  Each
     sub-block of ``_SUB`` paths writes its rows of the states and the noise
     sections (:func:`_sections`) as it is built and projects its paths'
@@ -489,12 +467,12 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     """
     n_steps = step_count(dt, horizon)
     project = None
-    if cfg is not None:
+    if lag_steps is not None:
         if not isinstance(model, ItoCoefficients):
             raise ValueError("an estimate needs a constant model; it does not project "
                              "a per-step schedule")
-        steps, lag_steps = cfg.window(dt, n_steps + 1, t_indices)
-        b, project = _rho_quotients(model, cfg.lag, steps * dt)
+        steps = _window(dt, n_steps + 1, lag_steps, t_indices)
+        b, project = _rho_quotients(model, lag_steps * dt, steps * dt)
         quotients = np.empty((steps.size, m_paths, b))
     sigma, drift = _coefficients(model, n_steps, dt)
     n, k = sigma.shape[1], sigma.shape[2]

@@ -22,7 +22,7 @@ from itoarb.geometry import (
     zc_residual,
 )
 from itoarb.pricing import CallSpec, price_discounted, solve_perturbation
-from itoarb.simulate import EstimatorConfig, brownian_paths, empirical_rho, nelson_derivatives, simulate
+from itoarb.simulate import brownian_paths, empirical_rho, nelson_derivatives, simulate
 
 MONEYNESS = (0.8, 0.9, 1.0, 1.1, 1.2)
 MATURITIES = (0.25, 0.6875, 1.125, 1.5625, 2.0)
@@ -203,12 +203,12 @@ def test_criterion_6_nelson_brownian():
     start = time.perf_counter()
     m_paths, dt, horizon = 50_000, 1e-3, 1.0
     w = brownian_paths(m_paths, dt, horizon, seed=606)
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=max(8, m_paths // 200), t_min=10 * dt)
-    quotient_sd = np.sqrt(1.0 / (2 * cfg.lag))  # sd of the raw mean quotients
+    lag_steps, neighbors = 5, max(8, m_paths // 200)
+    quotient_sd = np.sqrt(1.0 / (2 * lag_steps * dt))  # sd of the raw mean quotients
     worst_sigmas = 0.0
     for t in (0.1, 0.5, 0.9):
         i = int(round(t / dt))
-        est = nelson_derivatives(w[:, :, 0], w, dt, cfg, [i])
+        est = nelson_derivatives(w[:, :, 0], w, dt, lag_steps, neighbors, [i])
         wt = w[:, i, 0]
         edges = np.quantile(wt, np.linspace(0, 1, 11))
         edges[0] -= 1.0
@@ -238,9 +238,8 @@ def test_criterion_7_empirical_rho_recovery():
     model = ItoCoefficients(alpha, sigma, np.zeros(2))
     dt = 5e-3
     ens = simulate(model, 100_000, dt, 1.0, seed=707)
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=max(8, ens.n_paths // 200), t_min=10 * dt)
     idx = np.round(np.linspace(0.2, 0.8, 7) / dt).astype(int)
-    est = empirical_rho(ens, model, cfg, idx)
+    est = empirical_rho(ens, model, 5, idx)
     mean_est = float(est.estimate.mean(axis=0)[0])
     mean_se = float(np.sqrt((est.se[:, 0] ** 2).mean() / est.se.shape[0]))
     gap = abs(mean_est - planted)

@@ -298,9 +298,11 @@ def test_non_finite_number_rejected(tmp_path, literal):
     ("simulate", sim_cfg(dt=0.3)),  # horizon 1.0 is not a whole number of steps
     ("simulate", sim_cfg(report_times=[0.01])),  # below t_min = 10 dt
     ("simulate", sim_cfg(report_times=[0.98])),  # lag window past the horizon
+    # step 3 < 10, however small dt is
+    ("simulate", sim_cfg(dt=1e-14, horizon=1e-12, lag_steps=1, report_times=[3e-14])),
 ], ids=["pde-domain-reversed", "one-rho", "zero-rho", "repeated-rho",
         "probe-off-grid", "alpha-length", "horizon-steps", "before-t-min",
-        "lag-past-horizon"])
+        "lag-past-horizon", "tiny-dt-before-t-min"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "bad.json", {"schema_version": 1, **payload})
     out = tmp_path / "o"
@@ -537,6 +539,62 @@ def test_price_non_finite_series_is_internal_failure(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_price_non_finite_price_is_internal_failure(tmp_path, capsys):
+    # at maturity 1e300 u0 overflows to a nan price: an internal failure that
+    # writes no files, not a failed refinement check (exit 1) with a NaN in
+    # run_meta.json.  Run without the suite's error::RuntimeWarning filter,
+    # under which the overflow itself already ends the run
+    payload = price_cfg()
+    payload["call"]["maturity"] = 1e300
+    cfg = write_cfg(tmp_path, "long.json", payload)
+    out = tmp_path / "long"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run(["price", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "series prices are not finite" in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, call, named", [
+    ("price", {"sigma": 1e300}, "sigma^2 * maturity / 2 overflows"),
+    ("solve-pde", {"sigma": 1e300}, "sigma^2 * maturity / 2 overflows"),
+    ("compare", {"sigma": 1e300}, "sigma^2 * maturity / 2 overflows"),
+    ("solve-pde", {"maturity": 1e300}, "sigma * sqrt(maturity) = 2e+149 puts the default x"),
+    ("compare", {"maturity": 1e300}, "sigma * sqrt(maturity) = 2e+149 puts the default x"),
+], ids=["price-sigma", "solve-pde-sigma", "compare-sigma", "solve-pde-maturity",
+        "compare-maturity"])
+def test_huge_sigma_or_maturity_is_config_error(tmp_path, capsys, command, call, named):
+    # sigma^2 T / 2 past the float range, or a default PDE domain past it,
+    # is a config error that names sigma and maturity and writes no files
+    payload = dict(price_cfg(), call=dict(BASE_CALL, **call))
+    if "sigma" in call:  # the given domain of the case that overflowed in the march
+        payload["pde_grid"] = {"n_x": 65, "n_t": 64, "x_min": 50.0, "x_max": 300.0}
+    cfg = write_cfg(tmp_path, "huge.json", payload)
+    out = tmp_path / "huge"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_rho_warning_only_where_the_series_is_built(tmp_path):
+    # |rho| T = 0.6 in the call: price builds the series and warns from a file
+    # of the package; solve-pde never evaluates it, and compare builds it at
+    # its own rhos (at most 0.04 here), so neither warns
+    payload = dict(price_cfg(rho=0.6), pde_grid={"n_x": 65, "n_t": 64})
+    cfg = write_cfg(tmp_path, "far.json", payload)
+    for command, warns in (("price", True), ("solve-pde", False), ("compare", False)):
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always", UserWarning)
+            assert run([command, "--config", cfg, "--out", tmp_path / command]) in (0, 1)
+        got = [w for w in caught if issubclass(w.category, UserWarning)]
+        assert bool(got) == warns, command
+        assert all(Path(w.filename).parent.name == "itoarb" for w in got)
+
+
 def _mostly(inside, edges):
     # four draws in five from inside the domain, the rest from values on or
     # just past its edges
@@ -647,9 +705,7 @@ def test_solve_pde_extreme_rho_prices_zero(tmp_path):
                "pde_grid": {"n_x": 65, "n_t": 64}}
     cfg = write_cfg(tmp_path, "inf.json", payload)
     out = tmp_path / "inf"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # rho * T far beyond the series
-        assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
+    assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
     assert json.loads((out / "run_meta.json").read_text())["probe_price_atm_t0"] == 0.0
 
 
@@ -685,9 +741,7 @@ def test_solve_pde_low_sigma_stays_positive(tmp_path):
     payload = {"schema_version": 1, "call": call, "pde_grid": {"n_x": 129, "n_t": 128}}
     cfg = write_cfg(tmp_path, "low.json", payload)
     out = tmp_path / "low"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
+    assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
     phi = np.loadtxt(out / "pde_surface.csv", delimiter=",", skiprows=1)[:, 2]
     assert phi.min() >= 0.0
 
@@ -723,9 +777,7 @@ def test_solve_pde_any_config(payload):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "pde"
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # rho T beyond the series' range
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = run(["solve-pde", "--config", write_cfg(Path(tmp), "pde.json", payload),
                         "--out", out])
         assert code in (0, 1, 2, 3)
@@ -843,7 +895,7 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
                                                         report_times, named):
     calls = []
 
-    def no_simulation(model, m_paths, dt, horizon, seed, path, cfg=None, t_indices=()):
+    def no_simulation(model, m_paths, dt, horizon, seed, path, lag_steps=None, t_indices=()):
         calls.append(path)
         raise AssertionError("simulate ran before the report times were checked")
 
@@ -1043,10 +1095,9 @@ def test_config_check_loads_no_jsonschema(tmp_path):
 
 NELSON_NO_SCIPY_PROBE = """\
 import json, sys
-from itoarb.simulate import EstimatorConfig, brownian_paths, nelson_derivatives
+from itoarb.simulate import brownian_paths, nelson_derivatives
 w = brownian_paths(400, 0.01, 1.0, seed=3)
-cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
-nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [20, 50])
+nelson_derivatives(w[:, :, 0], w, 0.01, 5, 8, [20, 50])
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -255,10 +254,7 @@ def test_singular_step_matrix_raises():
 @given(strike=st.floats(50.0, 150.0), maturity=st.floats(0.25, 2.0),
        sigma=st.floats(0.05, 0.5), rhos=st.lists(st.floats(0.0, 0.4), min_size=2, max_size=4))
 def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
-    # rho T reaches 0.8, past the series' range
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        spec = CallSpec(strike, maturity, sigma, max(rhos))
+    spec = CallSpec(strike, maturity, sigma, max(rhos))
     g = PdeGrid.for_call(spec, n_x=129, n_t=128)
     # at zero rate the undiscounted march is the discounted one
     np.testing.assert_array_equal(solve(spec, g, 0.0).surface, solve(spec, g).surface)
@@ -276,9 +272,7 @@ def test_extreme_rho_prices_zero_without_overflow():
     # the source flow: the surface stays finite and non-negative, and the
     # price at t = 0 is 0
     for rho in (1e8, 1e306):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            spec = CallSpec(100.0, 1.0, 0.2, rho)
+        spec = CallSpec(100.0, 1.0, 0.2, rho)
         res = solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
         assert np.isfinite(res.surface).all()
         assert res.surface.min() >= 0.0
@@ -287,9 +281,7 @@ def test_extreme_rho_prices_zero_without_overflow():
 
 def test_growing_flow_raises_its_own_error():
     # rho < 0 grows the price through the source flow until it overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        spec = CallSpec(100.0, 1.0, 0.2, -5.0)
+    spec = CallSpec(100.0, 1.0, 0.2, -5.0)
     with pytest.raises(RuntimeError, match="non-finite or below the positivity floor"):
         solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
 

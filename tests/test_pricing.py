@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -581,8 +584,16 @@ def test_call_spec_rejects_non_finite(field, value):
 
 
 def test_rho_warning():
-    with pytest.warns(UserWarning, match="rho"):
-        CallSpec(100.0, 2.0, 0.2, rho=0.3)
+    # the series build warns at |rho| T = 0.6, from a file of the package;
+    # the spec alone does not (the finite-difference route takes any rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = CallSpec(100.0, 2.0, 0.2, rho=0.3)
+    grid = TransformGrid.for_call(spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16,
+                                  n_space_quad=61)
+    with pytest.warns(UserWarning, match=r"\|rho\| \* T << 1; got 0.6") as caught:
+        solve_perturbation(spec, grid)
+    assert [Path(w.filename).name for w in caught] == ["test_pricing.py"]
 
 
 # ---------------------------------------------------------------- grids

@@ -8,10 +8,11 @@ import pytest
 from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
-    EstimatorConfig,
+    _window,
     _window_means,
     brownian_paths,
     empirical_rho,
+    estimation_steps,
     ensemble_to_csv,
     load_ensemble,
     nelson_derivatives,
@@ -152,8 +153,7 @@ def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     steps = np.array([10, 14])
-    cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
-    for m, est_cfg in ((b1, cfg), (b2, cfg), (schedule, None)):
+    for m, lag_steps in ((b1, 3), (b2, 3), (schedule, None)):
         ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
         sigma = np.stack([c.sigma for c in ms])
         drift = (np.stack([c.alpha for c in ms])
@@ -164,14 +164,15 @@ def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
         try:
-            est = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, est_cfg, steps)
+            est = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, lag_steps, steps)
         finally:
             sys.setswitchinterval(interval)
         header = _HEADER.pack(b"GATE", 1, m_paths, n, k, n_steps, dt, seed)
         payload = states.astype("<f8").tobytes() + noise.astype("<f8").tobytes()
         assert f.read_bytes() == header + payload
-        if est_cfg is not None:
-            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, cfg, steps)
+        if lag_steps is not None:
+            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, lag_steps,
+                                steps)
             assert est.B == ref.B == n - 1
             for got, want in ((est.times, ref.times), (est.estimate, ref.estimate),
                               (est.se, ref.se)):
@@ -191,9 +192,8 @@ def test_stream_lone_path_sub_block(sigma, tmp_path):
     # round otherwise than those of the 512 before it
     m = model([0.05, -0.02, 0.03][:len(sigma)], np.array(sigma))
     dt, steps = 0.05, [10, 14]
-    cfg = EstimatorConfig(lag=3 * dt, neighbors=8, t_min=10 * dt)
-    est = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", cfg, steps)
-    ref = empirical_rho(simulate(m, 513, dt, 1.0, 8), m, cfg, steps)
+    est = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", 3, steps)
+    ref = empirical_rho(simulate(m, 513, dt, 1.0, 8), m, 3, steps)
     np.testing.assert_array_equal(est.estimate, ref.estimate)
     np.testing.assert_array_equal(est.se, ref.se)
 
@@ -202,9 +202,8 @@ def test_stream_rejects_schedule_with_report_steps(tmp_path):
     # projecting a per-step schedule needs a basis per step: refused before
     # any file is opened
     schedule = [model([0.05, 0.0], np.array([[0.2], [0.1]])) for _ in range(20)]
-    cfg = EstimatorConfig(lag=0.15, neighbors=8, t_min=0.5)
     with pytest.raises(ValueError, match="constant model"):
-        stream_ensemble(schedule, 64, 0.05, 1.0, 3, tmp_path / "paths.gate", cfg, [12])
+        stream_ensemble(schedule, 64, 0.05, 1.0, 3, tmp_path / "paths.gate", 3, [12])
     assert not any(tmp_path.iterdir())
 
 
@@ -218,9 +217,8 @@ def test_stream_checks_window_first(tmp_path, m_paths, lag_steps, step, named):
     # the window of empirical_rho, checked before anything is allocated (10**13
     # paths of quotients would fail to allocate) or any file is opened
     m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
-    cfg = EstimatorConfig(lag=lag_steps * 0.05, neighbors=8, t_min=0.5)
     with pytest.raises(ValueError, match=named):
-        stream_ensemble(m, m_paths, 0.05, 1.0, 3, tmp_path / "paths.gate", cfg, [step])
+        stream_ensemble(m, m_paths, 0.05, 1.0, 3, tmp_path / "paths.gate", lag_steps, [step])
     assert not any(tmp_path.iterdir())
 
 
@@ -233,11 +231,10 @@ def test_stream_estimate_keeps_no_rows(tmp_path, monkeypatch):
     m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
     m_paths, dt, steps = 3 * 4096, 0.01, np.arange(10, 24, 2)
     rows_bytes = 8 * m_paths * steps.size * (3 * 2 + 1)  # (before, now, after) x N, noise x K
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
-    stream_ensemble(m, 8, dt, 0.3, 4, tmp_path / "warm.gate", cfg, steps)  # first-call imports
+    stream_ensemble(m, 8, dt, 0.3, 4, tmp_path / "warm.gate", 5, steps)  # first-call imports
     tracemalloc.start()
     try:
-        est = stream_ensemble(m, m_paths, dt, 0.3, 4, tmp_path / "paths.gate", cfg, steps)
+        est = stream_ensemble(m, m_paths, dt, 0.3, 4, tmp_path / "paths.gate", 5, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,77 +253,64 @@ def test_brownian_paths_reject_partial_step():
 
 
 def test_estimator_config_guards():
-    with pytest.raises(ValueError, match="neighbors"):
-        EstimatorConfig(lag=0.01, neighbors=4, t_min=0.1)
-    cfg = EstimatorConfig(lag=0.005, neighbors=8, t_min=0.1)
-    with pytest.raises(ValueError, match="one time step"):
-        cfg.window(dt=0.01, n_times=101, t_indices=[50])
-    with pytest.raises(ValueError, match="t_min"):
-        EstimatorConfig(lag=0.05, neighbors=8, t_min=0.05).window(0.01, 101, [50])
-    for bad in (np.nan, np.inf, 0.0, -0.01):
-        with pytest.raises(ValueError, match="finite and positive"):
-            EstimatorConfig(lag=bad, neighbors=8, t_min=0.1)
-        with pytest.raises(ValueError, match="finite and positive"):
-            EstimatorConfig(lag=0.05, neighbors=8, t_min=bad)
+    # neighbors is a count of at least 8; the earliest estimation step,
+    # MIN_STEP = 10, is counted in steps, so no dt is small enough to let a
+    # report at step 3 through
+    w = brownian_paths(64, 0.01, 1.0, seed=2)
+    for bad in (4, 8.5):
+        with pytest.raises(ValueError, match="neighbors must be"):
+            nelson_derivatives(w[:, :, 0], w, 0.01, 5, bad, [50])
+    with pytest.raises(ValueError, match="estimation time 3e-14 below t_min 1e-13"):
+        estimation_steps(1e-14, 101, 1, [3e-14])
 
 
 def test_estimator_window():
-    cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
-    steps, m = cfg.window(0.01, 101, [10, 50, 95])
-    assert m == 5 and steps.dtype.kind == "i"
+    steps = _window(0.01, 101, 5, [10, 50, 95])
+    assert steps.dtype.kind == "i"
     np.testing.assert_array_equal(steps, [10, 50, 95])
-    with pytest.raises(ValueError, match="whole number"):
-        EstimatorConfig(lag=0.012, neighbors=8, t_min=0.05).window(0.005, 201, [100])
-    with pytest.raises(ValueError, match="estimation time 0.09 below t_min"):
-        cfg.window(0.01, 101, [50, 9])
+    with pytest.raises(ValueError, match="estimation time 0.09 below t_min 0.1"):
+        _window(0.01, 101, 5, [50, 9])
     with pytest.raises(ValueError, match="leaves the simulated horizon"):
-        cfg.window(0.01, 101, [50, 96])
+        _window(0.01, 101, 5, [50, 96])
     # the first offending step names the failure, by its given time if any
     with pytest.raises(ValueError, match="window of estimation time 0.96 leaves the simulated"):
-        cfg.window(0.01, 101, [96, 9])
+        _window(0.01, 101, 5, [96, 9])
     with pytest.raises(ValueError, match="estimation time 0.087 below t_min"):
-        cfg.window(0.01, 101, [9, 96], times=[0.087, 0.958])
+        _window(0.01, 101, 5, [9, 96], times=[0.087, 0.958])
 
 
-def test_estimator_config_defaults():
-    m = model([0.05], np.array([[0.2]]))
-    ens = simulate(m, 3000, 0.01, 0.5, seed=1)
-    cfg = EstimatorConfig.for_ensemble(ens.dt, ens.n_paths)
-    assert cfg.lag == pytest.approx(0.05)
-    assert cfg.neighbors == 15
-    assert cfg.t_min == pytest.approx(0.1)
-    assert cfg.window(ens.dt, ens.states.shape[1], [10, 45])[1] == 5
-
-
-def test_partial_step_lag_rejected_by_every_estimator():
-    # lag = 2.4 steps: quotients over a 2-step window divided by the lag
-    # would read a planted rho of 0.02 as 0.0174, with a tiny SE
+def test_bad_lag_steps_rejected_by_every_estimator(tmp_path):
+    # the lag counts grid steps: a lag of 0, -1 or 2.4 steps is a ValueError
+    # in every estimator, never an IndexError, a TypeError or a biased estimate
     sigma = np.array([[0.2], [0.1]])
     m = ItoCoefficients((sigma @ [0.3]).ravel(), sigma, np.zeros(2))
     ens = simulate(m, 64, 0.005, 1.0, seed=8)
-    cfg = EstimatorConfig(lag=0.012, neighbors=8, t_min=0.05)
-    calls = [
-        lambda: empirical_rho(ens, m, cfg, [100]),
-        lambda: nelson_derivatives(ens.states[:, :, 0], ens.states, ens.dt, cfg, [100]),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="whole number of time steps"):
-            call()
+    for lag_steps in (0, -1, 2.4):
+        calls = [
+            lambda: empirical_rho(ens, m, lag_steps, [100]),
+            lambda: nelson_derivatives(ens.states[:, :, 0], ens.states, ens.dt, lag_steps, 8,
+                                       [100]),
+            lambda: estimation_steps(ens.dt, 201, lag_steps, [0.5]),
+            lambda: stream_ensemble(m, 64, ens.dt, 1.0, 8, tmp_path / "paths.gate", lag_steps,
+                                    [100]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="lag_steps must be"):
+                call()
+    assert not any(tmp_path.iterdir())
 
 
 def test_insufficient_neighbors_error():
     w = brownian_paths(16, 0.01, 1.0, seed=1)
-    cfg = EstimatorConfig(lag=0.05, neighbors=64, t_min=0.1)
     with pytest.raises(ValueError, match="insufficient neighbors: requested 64"):
-        nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [50])
+        nelson_derivatives(w[:, :, 0], w, 0.01, 5, 64, [50])
 
 
 def test_vector_state_rejected():
     # the estimator conditions on one scalar state; a second asset would be ignored
     w = brownian_paths(64, 0.01, 1.0, seed=2, k=2)
-    cfg = EstimatorConfig(lag=0.05, neighbors=8, t_min=0.1)
     with pytest.raises(ValueError, match="dimension 2"):
-        nelson_derivatives(w[:, :, 0], w, 0.01, cfg, [50])
+        nelson_derivatives(w[:, :, 0], w, 0.01, 5, 8, [50])
 
 
 @pytest.mark.parametrize("k", [8, 250, 2000])
@@ -367,12 +351,12 @@ def test_deterministic_functional_recovers_time_derivative():
     m = model([0.06], np.array([[0.0]]))
     ens = simulate(m, 16, dt, 1.0, seed=0)
     g_vals = np.log(ens.states[:, :, 0]) ** 2  # g(t) = (0.06 t)^2
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=8, t_min=10 * dt)
-    est = nelson_derivatives(g_vals, ens.states, dt, cfg, [50])
+    lag = 5 * dt
+    est = nelson_derivatives(g_vals, ens.states, dt, 5, 8, [50])
     t = 0.5
     g_prime = 2 * 0.06**2 * t
-    assert est.forward[0].mean() == pytest.approx(g_prime, abs=0.06**2 * cfg.lag * 1.1)
-    assert est.backward[0].mean() == pytest.approx(g_prime, abs=0.06**2 * cfg.lag * 1.1)
+    assert est.forward[0].mean() == pytest.approx(g_prime, abs=0.06**2 * lag * 1.1)
+    assert est.backward[0].mean() == pytest.approx(g_prime, abs=0.06**2 * lag * 1.1)
     # the mean derivative is second-order accurate for smooth functions
     assert est.mean[0].mean() == pytest.approx(g_prime, rel=1e-3)
 
@@ -395,9 +379,8 @@ def test_brownian_derivatives_state_binned():
     dt = 1e-3
     h = 5 * dt
     w = brownian_paths(20000, dt, 1.0, seed=11)
-    cfg = EstimatorConfig(lag=h, neighbors=100, t_min=10 * dt)
     i = 500  # t = 0.5
-    est = nelson_derivatives(w[:, :, 0], w, dt, cfg, [i])
+    est = nelson_derivatives(w[:, :, 0], w, dt, 5, 100, [i])
     t = 0.5
     wt = w[:, i, 0]
     quotient_sd = np.sqrt(1.0 / h)  # var of the raw difference quotients
@@ -414,13 +397,12 @@ def test_gbm_mean_derivative_matches_analytic():
     dt = 1e-3
     m = model([alpha], np.array([[sigma]]))
     ens = simulate(m, 20000, dt, 1.0, seed=21)
-    cfg = EstimatorConfig(lag=5 * dt, neighbors=100, t_min=10 * dt)
     i = 500
     t = 0.5
-    est = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, cfg, [i])
+    est = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, 5, 100, [i])
     wt = ens.noise[:, i, 0]
     target = alpha - 0.5 * sigma**2 + sigma * wt / (2 * t)
-    quotient_sd = sigma * np.sqrt(1.0 / (2 * cfg.lag))
+    quotient_sd = sigma * np.sqrt(1.0 / (2 * 5 * dt))
     edges = np.quantile(wt, np.linspace(0, 1, 11))
     edges[0] -= 1.0
     edges[-1] += 1.0
@@ -439,8 +421,7 @@ def test_empirical_rho_zc_model_is_zero():
     alpha = (sigma @ [0.3]).ravel()
     m = ItoCoefficients(alpha, sigma, np.zeros(2))
     ens = simulate(m, 2000, 0.005, 1.0, seed=7)
-    cfg = EstimatorConfig(lag=0.025, neighbors=32, t_min=0.05)
-    est = empirical_rho(ens, m, cfg, [80, 120, 160])
+    est = empirical_rho(ens, m, 5, [80, 120, 160])
     # the kernel projection annihilates the driving noise exactly, so the
     # estimate collapses onto the planted value
     assert np.max(np.abs(est.estimate)) < 1e-9
@@ -454,8 +435,7 @@ def test_empirical_rho_planted_value():
     alpha = (sigma @ [0.3]).ravel() + planted * basis.J[:, 0]
     m = ItoCoefficients(alpha, sigma, np.zeros(2))
     ens = simulate(m, 2000, 0.005, 1.0, seed=8)
-    cfg = EstimatorConfig(lag=0.025, neighbors=32, t_min=0.05)
-    est = empirical_rho(ens, m, cfg, [100, 150])
+    est = empirical_rho(ens, m, 5, [100, 150])
     assert np.allclose(est.estimate, planted, atol=max(3 * est.se.max(), 1e-9))
 
 
@@ -480,8 +460,7 @@ def test_empirical_rho_se_shrinks_with_paths():
     ses = []
     for m_paths, seed in ((2000, 5), (4000, 5)):
         ens = simulate(schedule, m_paths, dt, 1.0, seed=seed)
-        cfg = EstimatorConfig(lag=5 * dt, neighbors=32, t_min=10 * dt)
-        est = empirical_rho(ens, model_at_bucket, cfg, [i_bucket])
+        est = empirical_rho(ens, model_at_bucket, 5, [i_bucket])
         ses.append(float(est.se[0, 0]))
     ratio = ses[0] / ses[1]
     assert np.sqrt(2) * 0.8 < ratio < np.sqrt(2) * 1.2
@@ -490,8 +469,7 @@ def test_empirical_rho_se_shrinks_with_paths():
 def test_empirical_rho_single_asset_empty():
     m = model([0.1], np.array([[0.2]]))
     ens = simulate(m, 500, 0.005, 0.5, seed=9)
-    cfg = EstimatorConfig(lag=0.025, neighbors=16, t_min=0.05)
-    est = empirical_rho(ens, m, cfg, [60])
+    est = empirical_rho(ens, m, 5, [60])
     assert est.B == 0
     assert est.estimate.shape == (1, 0)
 
@@ -599,12 +577,12 @@ def test_ensemble_csv_export(tmp_path):
 # ---------------------------------------------------------------- reference
 
 
-def per_step_reference(ens, m, cfg, steps):
+def per_step_reference(ens, m, k, neighbors, steps):
     """The two estimators as per-report-time loops, in the arithmetic they
     had before they read one gathered window; returns their outputs in the
     order nelson (forward, backward, mean, se), empirical rho (estimate,
     se)."""
-    lag, k = cfg.lag, int(round(cfg.lag / ens.dt))
+    lag = k * ens.dt
     out = {name: [] for name in ("nf", "nb", "nm", "nse", "rho", "rhose")}
     logs = np.log(ens.states)
     basis = kernel_basis(m.sigma)
@@ -614,7 +592,7 @@ def per_step_reference(ens, m, cfg, steps):
         # nelson_derivatives of the first log price
         fq = (logs[:, i + k, 0] - logs[:, i, 0]) / lag
         bq = (logs[:, i, 0] - logs[:, i - k, 0]) / lag
-        d_f, d_b = _window_means(ens.states[:, i, 0], (fq, bq), cfg.neighbors)
+        d_f, d_b = _window_means(ens.states[:, i, 0], (fq, bq), neighbors)
         raw = 0.5 * (fq + bq)
         out["nf"].append(d_f)
         out["nb"].append(d_b)
@@ -639,12 +617,11 @@ def test_estimators_match_per_step_reference(sigma):
     m = ItoCoefficients(np.linspace(0.03, 0.06, n), sigma, np.linspace(0.0, 0.02, n))
     dt = 0.01
     ens = simulate(m, 9000, dt, 0.5, seed=17)
-    cfg = EstimatorConfig(lag=3 * dt, neighbors=45, t_min=10 * dt)
     steps = [10, 20, 33, 47]
-    ref = per_step_reference(ens, m, cfg, steps)
+    ref = per_step_reference(ens, m, 3, 45, steps)
 
-    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states[:, :, :1], dt, cfg, steps)
-    rho = empirical_rho(ens, m, cfg, steps)
+    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states[:, :, :1], dt, 3, 45, steps)
+    rho = empirical_rho(ens, m, 3, steps)
     assert rho.B == n - 1
     for name, got in [("nf", nel.forward), ("nb", nel.backward), ("nm", nel.mean),
                       ("nse", nel.se), ("rho", rho.estimate), ("rhose", rho.se)]:
