@@ -288,7 +288,7 @@ def cmd_price(cfg: dict, out: Path) -> int:
     so = cfg.get("surface_output", {})
     with _config_values():
         spec = _call_spec(cfg)
-        grid = pricing.TransformGrid.for_call(spec, **cfg.get("pricing_grid", {}))
+        grid = pricing.TransformGrid(**cfg.get("pricing_grid", {}))
         t_nodes = np.asarray(so.get("times", np.linspace(0.0, spec.maturity, 9)), dtype=float)
         x_nodes = spec.strike * np.asarray(so.get("moneyness", np.linspace(0.85, 1.15, 13)),
                                            dtype=float)
@@ -309,12 +309,13 @@ def cmd_price(cfg: dict, out: Path) -> int:
 def cmd_solve_pde(cfg: dict, out: Path) -> int:
     with _config_values():
         spec = _call_spec(cfg)
-        grid = fdsolver.PdeGrid.for_call(spec, **cfg.get("pde_grid", {}))
+        grid = fdsolver.PdeGrid(**cfg.get("pde_grid", {}))
+        grid.nodes(spec)  # a strike off the domain, or a domain past the float range
     result, atm = fdsolver.solve_with_atm_probe(spec, grid)
     write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], result.t_nodes, result.x_nodes,
                    result.surface)
     meta = _meta_skeleton(cfg, "solve-pde")
-    meta["grid"] = {"n_x": result.n_x, "n_t": result.n_t,
+    meta["grid"] = {"n_x": result.x_nodes.size, "n_t": result.t_nodes.size,
                     "x_min": float(result.x_nodes[0]), "x_max": float(result.x_nodes[-1])}
     meta["probe_price_atm_t0"] = atm
     _write_json(out / "run_meta.json", meta)

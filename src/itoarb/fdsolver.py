@@ -4,7 +4,10 @@ Solves, backward from the terminal payoff,
 
     dPhi/dt + (sigma^2/2) X^2 d2Phi/dx2 = rho * sqrt(Phi^2 + (X dPhi/dx)^2)
 
-on a log-uniform grid, independently of the perturbation machinery.  The
+on a log-uniform grid, independently of the perturbation machinery.
+:class:`PdeGrid` holds the ``pde_grid`` sizes; :meth:`PdeGrid.nodes` lays
+the price nodes, strike midway between two of them, and the ``n_t + 1``
+time nodes for a call, and :func:`solve` returns a :class:`PdeSolution`.  The
 smooth form of the source is used everywhere (it is algebraically identical
 to ``rho Phi sqrt(1 + (X Phi_x / Phi)^2)`` for positive prices and extends it
 continuously through zero).
@@ -41,12 +44,13 @@ import numpy as np
 from . import pricing
 from .pricing import CallSpec
 
-__all__ = ["PdeGrid", "solve", "evaluate", "solve_with_atm_probe", "comparison_inputs",
-           "comparison_report"]
+__all__ = ["PdeGrid", "PdeSolution", "solve", "evaluate", "solve_with_atm_probe",
+           "comparison_inputs", "comparison_report"]
 
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
 COMPARE_N_X, COMPARE_N_T = 513, 256  # FD reference grid of comparison_report
+DEFAULT_SPAN = 0.25  # log-moneyness each side of the strike in the default domain
 # observed orders log(e[i+1]/e[i]) / log(rho[i+1]/rho[i]) that comparison_report
 # reads as third order: on a doubling ladder, halving ratios in [5.5, 10.5]
 ORDER_WINDOW = (float(np.log2(5.5)), float(np.log2(10.5)))
@@ -56,81 +60,64 @@ _LOG_TINY, _LOG_MAX = float(np.log(np.finfo(float).tiny)), float(np.log(np.finfo
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Log-uniform space grid, uniform time grid and the solved surface.
+    """The ``pde_grid`` sizes: ``n_x`` log-uniform price nodes over ``[x_min,
+    x_max]`` and ``n_t`` uniform time steps over ``[0, T]``.
 
-    The strike must be strictly interior.  Boundary policy is fixed: the
-    price is pinned to zero at the lower edge and the second x-derivative is
-    zero at the upper edge (the arbitrage source still acts there, so no
-    growth asymptotic is assumed).  ``surface[i, j]`` is the price at
-    ``(t_nodes[i], x_nodes[j])``.
+    :meth:`nodes` lays the grid for a call.  A bound left ``None`` takes the
+    default domain: ``DEFAULT_SPAN`` of log-moneyness each side of the
+    strike plus diffusion margins (4.2 / 3.2 standard deviations below /
+    above).  Boundary policy is fixed: the price is pinned to zero at the
+    lower edge and the second x-derivative is zero at the upper edge (the
+    arbitrage source still acts there, so no growth asymptotic is assumed).
     """
 
-    x_nodes: np.ndarray
-    t_nodes: np.ndarray
-    surface: np.ndarray | None = None
+    n_x: int = 257
+    n_t: int = 256
+    x_min: float | None = None
+    x_max: float | None = None
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x_nodes, dtype=float))
-        t = np.ascontiguousarray(np.asarray(self.t_nodes, dtype=float))
-        x.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "x_nodes", x)
-        object.__setattr__(self, "t_nodes", t)
-        if self.surface is not None:
-            s = np.ascontiguousarray(np.asarray(self.surface, dtype=float))
-            s.flags.writeable = False
-            object.__setattr__(self, "surface", s)
-        if x.size < 16 or t.size < 16:
-            raise ValueError("grid too coarse")
-        if x[0] <= 0:
-            raise ValueError("x_min must be positive")
-        lx = np.log(x)
-        dlx = np.diff(lx)
-        if not np.allclose(dlx, dlx[0], rtol=1e-8, atol=0):
-            raise ValueError("x grid must be log-uniform")
-        dt = np.diff(t)
-        if t[0] != 0.0 or not np.allclose(dt, dt[0], rtol=1e-8, atol=0):
-            raise ValueError("t grid must be uniform starting at zero")
+        if self.n_x < 64 or self.n_t < 64:
+            raise ValueError("resolution below 64 x 64")
+        if not all(b is None or 0 < b < np.inf for b in (self.x_min, self.x_max)):
+            raise ValueError("x_min and x_max must be positive and finite")
 
-    @property
-    def n_x(self) -> int:
-        return self.x_nodes.size
-
-    @property
-    def n_t(self) -> int:
-        return self.t_nodes.size
-
-    @classmethod
-    def for_call(
-        cls,
-        spec: CallSpec,
-        n_x: int = 257,
-        n_t: int = 256,
-        x_min: float | None = None,
-        x_max: float | None = None,
-        coverage: float = 0.25,
-    ) -> "PdeGrid":
-        """Default domain: ``coverage`` of log-moneyness each side of the
-        strike plus diffusion margins (4.2 / 3.2 standard deviations below /
-        above), with the strike aligned midway between nodes.  A default
-        bound whose ``exp`` leaves the normal float range raises ``ValueError``."""
+    def nodes(self, spec: CallSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The price nodes, with the strike midway between two of them, and
+        the time nodes ``linspace(0, T, n_t + 1)`` for ``spec``.  A strike
+        outside ``(x_min, x_max)``, or a default bound whose ``exp`` leaves
+        the normal float range, raises ``ValueError``."""
         st = spec.sigma * np.sqrt(spec.maturity)
         lk = np.log(spec.strike)
-        lo = lk - coverage - 4.2 * st if x_min is None else np.log(x_min)
-        hi = lk + coverage + 3.2 * st if x_max is None else np.log(x_max)
+        lo = lk - DEFAULT_SPAN - 4.2 * st if self.x_min is None else np.log(self.x_min)
+        hi = lk + DEFAULT_SPAN + 3.2 * st if self.x_max is None else np.log(self.x_max)
         if not lo < lk < hi:
             raise ValueError("strike must lie strictly inside (x_min, x_max)")
-        dxi = (hi - lo) / (n_x - 1)
+        dxi = (hi - lo) / (self.n_x - 1)
         # shift so the strike sits midway between two nodes: the leading
         # kink-quantization error of the payoff vanishes there
         frac = (lk - lo) / dxi
         lo += (frac - np.floor(frac) - 0.5) * dxi
-        xi = lo + dxi * np.arange(n_x)
-        if (x_min is None and xi[0] < _LOG_TINY) or (x_max is None and xi[-1] > _LOG_MAX):
+        xi = lo + dxi * np.arange(self.n_x)
+        if ((self.x_min is None and xi[0] < _LOG_TINY)
+                or (self.x_max is None and xi[-1] > _LOG_MAX)):
             raise ValueError(f"sigma * sqrt(maturity) = {st:.4g} puts the default x domain "
                              "outside the float range; give pde_grid x_min and x_max")
-        t = np.linspace(0.0, spec.maturity, n_t + 1)
-        return cls(np.exp(xi), t)
+        return np.exp(xi), np.linspace(0.0, spec.maturity, self.n_t + 1)
+
+
+@dataclass(frozen=True)
+class PdeSolution:
+    """A solved surface: ``surface[i, j]`` is the price at ``(t_nodes[i],
+    x_nodes[j])``."""
+
+    x_nodes: np.ndarray
+    t_nodes: np.ndarray
+    surface: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.x_nodes, self.t_nodes, self.surface):
+            a.flags.writeable = False
 
 
 def _tridiagonal_solver(dl, d, du):
@@ -158,25 +145,22 @@ def _implicit_factors(n, th_dt, lo, di, up, top_lo, top_di):
     return _tridiagonal_solver(dl, d, du)
 
 
-def _march(spec: CallSpec, grid: PdeGrid, rate: float, rhos):
+def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
     """Backward Strang-split march on the symmetrized unknown, one column per ``rho``.
 
     Solves ``Psi_t + r s Psi_s + a s^2 Psi_ss - r Psi = rho * smooth-source``
-    (``rate = 0`` gives the discounted equation) from the payoff struck at
-    ``K e^{rT}`` and yields the ``(n_x, n_rho)`` price rows from ``t = T`` down
-    to ``t = 0``, payoff first.  Columns never mix, so the block equals
-    one-column marches.  A non-finite row (``rho < 0`` can overflow the source
-    flow) raises, and so does a row below the positivity floor, which
-    Crank-Nicolson can still undershoot.
+    (``rate = 0`` gives the discounted equation) on the nodes ``x``, ``t`` of
+    :meth:`PdeGrid.nodes` from the payoff struck at ``K e^{rT}`` and yields
+    the ``(n_x, n_rho)`` price rows from ``t = T`` down to ``t = 0``, payoff
+    first.  Columns never mix, so the block equals one-column marches.  A
+    payoff strike outside the nodes raises ``ValueError``.  A non-finite row
+    (``rho < 0`` can overflow the source flow) raises, and so does a row below
+    the positivity floor, which Crank-Nicolson can still undershoot.
     """
-    x = grid.x_nodes
     strike = spec.strike * np.exp(rate * spec.maturity)  # exactly K at rate 0
-    if grid.n_x < 64 or grid.n_t < 64:
-        raise ValueError("resolution below 64 x 64")
-    if not x[0] < strike < x[-1]:
-        raise ValueError("strike must lie strictly inside (x_min, x_max)")
-    if abs(grid.t_nodes[-1] - spec.maturity) > 1e-9 * max(spec.maturity, 1.0):
-        raise ValueError("time grid must end at the maturity")
+    if rate and not x[0] < strike < x[-1]:
+        raise ValueError(f"payoff strike K e^(rT) = {strike:.6g} must lie strictly inside "
+                         "(x_min, x_max)")
     xi = np.log(x)
     lk = np.log(spec.strike)
     dxi = xi[1] - xi[0]
@@ -230,34 +214,36 @@ def _march(spec: CallSpec, grid: PdeGrid, rate: float, rhos):
     def strang_step(v, th, dtl):  # D(dtl/2) S(dtl) D(dtl/2)
         return diffuse(source_flow(diffuse(v, th, dtl / 2), dtl), th, dtl / 2)
 
-    n_t, dt = grid.n_t, grid.t_nodes[1] - grid.t_nodes[0]
-    # the payoff is zero at x_nodes[0], below the strike, as the boundary asks
+    n_t, dt = t.size - 1, t[1] - t[0]
+    # the payoff is zero at x[0], below the strike, as the boundary asks
     payoff = np.maximum(x - strike, 0.0)[:, None]
     yield np.broadcast_to(payoff, (x.size, rho.size))
     v = payoff / half
     floor = -1e-10 * spec.strike
-    for i in range(n_t - 2, -1, -1):
+    for i in range(n_t - 1, -1, -1):
         # x/0 at V <= 0 is discarded, an inf rate is a 0 factor, an overflow fails the check below
         with np.errstate(all="ignore"):
-            if n_t - 2 - i < RANNACHER_STEPS:  # two fully implicit half steps at the payoff kink
+            if n_t - 1 - i < RANNACHER_STEPS:  # two fully implicit half steps at the payoff kink
                 v = strang_step(strang_step(v, 1.0, dt / 2), 1.0, dt / 2)
             else:
                 v = strang_step(v, THETA, dt)
         row = half * v
         if not (np.isfinite(row).all() and row.min() >= floor):
-            raise RuntimeError(f"price row at t = {grid.t_nodes[i]:.6g} is non-finite or below the "
+            raise RuntimeError(f"price row at t = {t[i]:.6g} is non-finite or below the "
                                f"positivity floor {floor:.3e}: min {row.min():.3e}")
         yield row
 
 
-def solve(spec: CallSpec, grid: PdeGrid, rate: float = 0.0) -> PdeGrid:
-    """Price surface of the one-column :func:`_march` at ``spec.rho``: the
-    discounted price at ``rate = 0``, else the undiscounted one, whose payoff
-    is ``(s - K e^{rT})+`` because the strike applies to the discounted value."""
-    surf = np.empty((grid.n_t, grid.n_x))
-    for i, row in enumerate(_march(spec, grid, rate, [spec.rho])):
+def solve(spec: CallSpec, grid: PdeGrid, rate: float = 0.0) -> PdeSolution:
+    """Price surface of the one-column :func:`_march` at ``spec.rho`` on
+    ``grid.nodes(spec)``: the discounted price at ``rate = 0``, else the
+    undiscounted one, whose payoff is ``(s - K e^{rT})+`` because the strike
+    applies to the discounted value."""
+    x, t = grid.nodes(spec)
+    surf = np.empty((t.size, x.size))
+    for i, row in enumerate(_march(spec, x, t, rate, [spec.rho])):
         surf[-1 - i] = row[:, 0]
-    return replace(grid, surface=surf)
+    return PdeSolution(x, t, surf)
 
 
 def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
@@ -267,7 +253,7 @@ def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
     computes it: the same slope system (tridiagonal, the not-a-knot end rows
     included) solved by :func:`_tridiagonal_solver`, and the Hermite cubic of
     the interval ``[lx[i], lx[i + 1])`` that holds ``q`` (the last one at the
-    top node) summed in ``PPoly``'s order.  ``PdeGrid`` guarantees at least 16
+    top node) summed in ``PPoly``'s order.  ``PdeGrid`` guarantees at least 64
     increasing nodes and the march finite columns.
     """
     h = np.diff(lx)
@@ -291,15 +277,14 @@ def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
 def _t0_prices(spec: CallSpec, grid: PdeGrid, rhos, x) -> np.ndarray:
     """Discounted prices at ``t = 0`` and ``x``, one row per ``rho``, from one
     :func:`_march` of which only the last row is kept."""
-    for row in _march(spec, grid, 0.0, rhos):
+    nodes, t = grid.nodes(spec)
+    for row in _march(spec, nodes, t, 0.0, rhos):
         pass
-    return _cubic_in_log_price(np.log(grid.x_nodes), row, np.log(x))
+    return _cubic_in_log_price(np.log(nodes), row, np.log(x))
 
 
-def evaluate(result: PdeGrid, t, x):
+def evaluate(result: PdeSolution, t, x):
     """Interpolate a solved surface: cubic in log price, linear in time."""
-    if result.surface is None:
-        raise ValueError("grid has no solved surface")
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     tn = result.t_nodes
     if not np.all((tn[0] - 1e-12 <= t) & (t <= tn[-1] + 1e-12)):  # so written that NaN fails
@@ -319,7 +304,7 @@ def evaluate(result: PdeGrid, t, x):
     return out if out.ndim else float(out)
 
 
-def solve_with_atm_probe(spec: CallSpec, grid: PdeGrid) -> tuple[PdeGrid, float]:
+def solve_with_atm_probe(spec: CallSpec, grid: PdeGrid) -> tuple[PdeSolution, float]:
     """:func:`solve`, and the price at the at-the-money probe ``(t, x) = (0, K)``."""
     result = solve(spec, grid)
     return result, float(evaluate(result, 0.0, spec.strike))
@@ -334,16 +319,15 @@ def comparison_inputs(spec: CallSpec, rhos=(0.01, 0.02, 0.04), probe_moneyness=(
     rhos = sorted(float(r) for r in rhos)
     if len(set(rhos)) != len(rhos) or len(rhos) < 2 or rhos[0] <= 0:
         raise ValueError("need at least two distinct positive rho values to form ratios")
-    grid = pricing.TransformGrid.for_call(spec, n_tau=32, n_y=97, y_half=0.6,
-                                          n_time_quad=48, n_space_quad=161)
+    grid = pricing.TransformGrid(n_tau=32, n_y=97, y_half=0.6, n_time_quad=48, n_space_quad=161)
     moneyness = np.asarray(probe_moneyness, dtype=float)
     probes = moneyness * spec.strike
-    lx = np.log(PdeGrid.for_call(spec, n_x=COMPARE_N_X).x_nodes)
+    lx = np.log(PdeGrid(n_x=COMPARE_N_X).nodes(spec)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         y, q = np.log(probes / spec.strike), np.log(probes)
-    if not np.all((grid.y_nodes[0] <= y) & (y <= grid.y_nodes[-1]) & (lx[0] <= q) & (q <= lx[-1])):
+    if not np.all((np.abs(y) <= grid.y_half) & (lx[0] <= q) & (q <= lx[-1])):
         raise ValueError(f"probe_moneyness must lie inside the grids of both routes: |log m| <= "
-                         f"{grid.y_nodes[-1]:g} and m K in [{np.exp(lx[0]):.4g}, "
+                         f"{grid.y_half:g} and m K in [{np.exp(lx[0]):.4g}, "
                          f"{np.exp(lx[-1]):.4g}]")
     return rhos, moneyness, grid
 
@@ -366,7 +350,7 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     rhos, moneyness, grid = comparison_inputs(spec0, **inputs)
     probes = moneyness * spec0.strike
     n_x, n_t = COMPARE_N_X, COMPARE_N_T
-    coarse, fine = (_t0_prices(spec0, PdeGrid.for_call(spec0, n_x=n_x, n_t=nt), [0.0, *rhos],
+    coarse, fine = (_t0_prices(spec0, PdeGrid(n_x=n_x, n_t=nt), [0.0, *rhos],
                                probes) for nt in (n_t, 2 * n_t))
     # change from the classical price (column 0), second-order Richardson in time
     fd = dict(zip(rhos, (4.0 * (fine[1:] - fine[0]) - (coarse[1:] - coarse[0])) / 3.0))

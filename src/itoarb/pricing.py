@@ -23,14 +23,18 @@ the comparison tooling can adjudicate between the two against the
 finite-difference oracle; only the strike-free constant reproduces the
 oracle at third order in ``rho``.
 
-U1 and U2 are built by one march of semigroup steps over ``[0, *tau_nodes]``
-(:func:`compute_corrections`): each step carries the previous rows forward
-with the heat kernel, applied as a convolution with exact Gaussian-times-hat
-weights, and adds the in-step integral of each source, evaluated only on the
-nodes of the padded y grid.  A step evaluates its heat weights and ``u0``
+The grid is its config section: :class:`TransformGrid` holds the
+``pricing_grid`` sizes, and :meth:`TransformGrid.nodes` lays the tables'
+tau axis ``[0, tau_max (k / n_tau)^2]`` and uniform y nodes over
+``[-y_half, y_half]`` for a call.  U1 and U2 are built by one march of
+semigroup steps over that tau axis (:func:`compute_corrections`): each step
+carries the previous rows forward with the heat kernel, applied as a
+convolution with exact Gaussian-times-hat weights, and adds the in-step
+integral of each source, evaluated only on the nodes of the padded y grid.  A step evaluates its heat weights and ``u0``
 once for both tables.  Both are built at spacing ``dy`` and ``dy/2`` and
-Richardson-combined.  ``n_time_quad`` sets the in-step quadrature spacing;
-with ``n_space_quad`` it also sizes the direct full-history quadrature
+Richardson-combined; a padded y grid too large for any array raises
+``MemoryError``.  ``n_time_quad`` sets the in-step quadrature spacing; with
+``n_space_quad`` it also sizes the direct full-history quadrature
 (:func:`duhamel_integral`) that checks the stepped U1 at one node.
 
 The series has one build and one reader.  ``solve_perturbation(spec, grid)``
@@ -46,7 +50,7 @@ to ``(x, t)``, for callers that vet points before building.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,59 +117,38 @@ def source_coefficient(spec: CallSpec, convention: str = SOURCE_STRIKE_FREE) -> 
 
 @dataclass(frozen=True)
 class TransformGrid:
-    """Grid in the heat-equation variables (tau, y) plus quadrature controls.
+    """The ``pricing_grid`` sizes of the series grid in the heat-equation
+    variables (tau, y) and of its quadratures.
 
-    ``tau_nodes`` are strictly increasing in ``(0, sigma^2 T / 2]``;
-    ``y_nodes`` are uniform with ``y_min < 0 < y_max``; the build pads the y
-    grid by the heat kernel's reach of ``Z_HALF_WIDTH_SDS`` standard deviations.
-    ``n_time_quad`` sets the in-step w spacing of the stepped build to
-    ``sqrt(tau_nodes[-1]) / n_time_quad``; with ``n_space_quad`` it also
-    sizes the direct quadrature that checks the stepped U1.
+    :meth:`nodes` lays the grid for a call: ``n_tau`` square-root-spaced tau
+    nodes over ``(0, sigma^2 T / 2]`` and ``n_y`` uniform y nodes over
+    ``[-y_half, y_half]``; the build pads the y grid by the heat kernel's
+    reach of ``Z_HALF_WIDTH_SDS`` standard deviations.  ``n_time_quad`` sets
+    the in-step w spacing of the stepped build to ``sqrt(tau_max) /
+    n_time_quad``; with ``n_space_quad`` it also sizes the direct quadrature
+    that checks the stepped U1.
     """
 
-    tau_nodes: np.ndarray
-    y_nodes: np.ndarray
+    n_tau: int = 48
+    n_y: int = 129
+    y_half: float = 0.8
     n_time_quad: int = 64
     n_space_quad: int = 161
 
     def __post_init__(self):
-        tau = np.ascontiguousarray(np.asarray(self.tau_nodes, dtype=float))
-        y = np.ascontiguousarray(np.asarray(self.y_nodes, dtype=float))
-        tau.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "tau_nodes", tau)
-        object.__setattr__(self, "y_nodes", y)
-        if tau.size < 16 or y.size < 16:
+        if self.n_tau < 16 or self.n_y < 16:
             raise ValueError("need at least 16 nodes per axis")
-        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(y))):
-            raise ValueError("grid nodes must be finite")
-        if np.any(np.diff(tau) <= 0) or tau[0] <= 0:
-            raise ValueError("tau nodes must be strictly increasing and positive")
-        if not (y[0] < 0 < y[-1]):
-            raise ValueError("y grid must bracket zero")
-        dy = np.diff(y)
-        if not np.allclose(dy, dy[0], rtol=1e-9, atol=0):
-            raise ValueError("y grid must be uniform")
+        if not 0 < self.y_half < np.inf:
+            raise ValueError("y_half must be positive and finite")
         if self.n_time_quad < 8 or self.n_space_quad < 21:
             raise ValueError("quadrature rules too coarse")
 
-    @property
-    def dy(self) -> float:
-        return float(self.y_nodes[1] - self.y_nodes[0])
-
-    @classmethod
-    def for_call(
-        cls,
-        spec: CallSpec,
-        n_tau: int = 48,
-        n_y: int = 129,
-        y_half: float = 0.8,
-        **quad,
-    ) -> "TransformGrid":
-        """Square-root-spaced tau grid (dense near expiry) and symmetric y grid."""
-        taus = spec.tau_max * (np.arange(1, n_tau + 1) / n_tau) ** 2
-        ys = np.linspace(-y_half, y_half, n_y)
-        return cls(taus, ys, **quad)
+    def nodes(self, spec: CallSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The tau axis ``[0, tau_max (k / n_tau)^2 for k = 1..n_tau]`` (dense
+        near expiry) and the y nodes ``linspace(-y_half, y_half, n_y)`` of the
+        tables for ``spec``."""
+        taus = spec.tau_max * (np.arange(1, self.n_tau + 1) / self.n_tau) ** 2
+        return np.concatenate([[0.0], taus]), np.linspace(-self.y_half, self.y_half, self.n_y)
 
 
 def _u0_parts(tau, y):
@@ -332,23 +315,26 @@ def richardson_halving(build, ys) -> np.ndarray:
     return (4.0 * build(half)[..., ::2] - build(ys)) / 3.0
 
 
-def _tau_axis(grid: TransformGrid) -> np.ndarray:
-    return np.concatenate([[0.0], grid.tau_nodes])
-
-
-def _step_dw(grid: TransformGrid) -> float:
+def _step_dw(spec: CallSpec, grid: TransformGrid) -> float:
     """In-step w spacing: the spacing of :func:`duhamel_integral`'s
     full-history rule at the top node."""
-    return float(np.sqrt(grid.tau_nodes[-1]) / grid.n_time_quad)
+    return float(np.sqrt(spec.tau_max) / grid.n_time_quad)
 
 
-def _extended_y(grid: TransformGrid) -> np.ndarray:
-    """Pad the y grid by the kernel's reach over the whole tau range, so that
-    the zero values assumed beyond the padded grid cannot reach ``y_nodes``."""
-    pad = Z_HALF_WIDTH_SDS * np.sqrt(2.0 * grid.tau_nodes[-1]) * 1.05
-    n_pad = int(np.ceil(pad / grid.dy))
-    y = grid.y_nodes
-    return y[0] + grid.dy * np.arange(-n_pad, y.size + n_pad)
+def _extended_y(spec: CallSpec, grid: TransformGrid) -> np.ndarray:
+    """Pad the y nodes by the kernel's reach over the whole tau range, so that
+    the zero values assumed beyond the padded grid cannot reach them.  A
+    padded grid too large for any float64 array raises ``MemoryError``."""
+    y = grid.nodes(spec)[1]
+    dy = y[1] - y[0]
+    with np.errstate(over="ignore"):  # an inf count fails the check below
+        n_pad = np.ceil(Z_HALF_WIDTH_SDS * np.sqrt(2.0 * spec.tau_max) * 1.05 / dy)
+        size = y.size + 2.0 * n_pad
+        too_large = not size * y.itemsize <= np.iinfo(np.intp).max
+    if too_large:
+        raise MemoryError(f"the series y grid, padded by the heat kernel's reach over tau_max "
+                          f"{spec.tau_max:.4g} at dy {dy:.4g}, needs {size:.4g} nodes")
+    return y[0] + dy * np.arange(-int(n_pad), y.size + int(n_pad))
 
 
 def _u2_source(v1, v2, frac, lo: np.ndarray, hi: np.ndarray, coeff: float):
@@ -359,9 +345,10 @@ def _u2_source(v1, v2, frac, lo: np.ndarray, hi: np.ndarray, coeff: float):
     return g1 * u1 + g2 * u1p
 
 
-def compute_corrections(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np.ndarray:
-    """First- and second-order corrections ``(U1, U2)``, stacked, on
-    ``([0, *tau_nodes], ys)`` for the source constant ``coeff``
+def compute_corrections(spec: CallSpec, grid: TransformGrid, ys: np.ndarray,
+                        coeff: float) -> np.ndarray:
+    """First- and second-order corrections ``(U1, U2)``, stacked, on the tau
+    axis of ``grid.nodes(spec)`` and ``ys`` for the source constant ``coeff``
     (:func:`source_coefficient`); independent of rho.
 
     ``U1 = int int G f(u0, u0')`` with ``f = C sqrt(lin^2 + u0^2)`` and
@@ -374,14 +361,14 @@ def compute_corrections(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np
     of the one march advances U1, then U2, whose source reads U1 and its
     centered y-difference linear in tau between the step's two U1 rows.
     """
-    tau_axis = _tau_axis(grid)
+    tau_axis = grid.nodes(spec)[0]
     ys = np.asarray(ys, dtype=float)
     v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
     out = np.zeros((2, tau_axis.size, ys.size))
     out[0] = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
     stepped = np.zeros(ys.size)  # the stepped part of U1
     hi = np.stack([out[0, 0], np.gradient(out[0, 0], ys)])
-    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(grid)):
+    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(spec, grid)):
         v1, v2 = u0_and_prime(s, ys[None, :])
         lin = v2 + 0.5 * v1
         with np.errstate(invalid="ignore"):
@@ -395,13 +382,13 @@ def compute_corrections(grid: TransformGrid, ys: np.ndarray, coeff: float) -> np
     return out
 
 
-def _check_coverage(grid: TransformGrid, tau, y) -> None:
-    """Raise ``ValueError`` unless every ``(tau, y)`` lies on ``grid``'s
-    ``[0, tau_nodes[-1]] x [y_nodes[0], y_nodes[-1]]`` (NaN never does)."""
-    ylo, yhi = grid.y_nodes[0], grid.y_nodes[-1]
+def _check_coverage(spec: CallSpec, grid: TransformGrid, tau, y) -> None:
+    """Raise ``ValueError`` unless every ``(tau, y)`` lies on the grid for
+    ``spec``, ``[0, tau_max] x [-y_half, y_half]`` (NaN never does)."""
+    ylo, yhi = -grid.y_half, grid.y_half
     if not np.all((ylo <= y) & (y <= yhi)):
         raise ValueError(f"log-moneyness outside grid coverage [{ylo:.4g}, {yhi:.4g}]")
-    if not np.all((0.0 <= tau) & (tau <= grid.tau_nodes[-1] * (1 + 1e-9))):
+    if not np.all((0.0 <= tau) & (tau <= spec.tau_max * (1 + 1e-9))):
         raise ValueError("time to maturity beyond the solved tau grid")
 
 
@@ -411,20 +398,17 @@ class PerturbationSolution:
 
     spec: CallSpec
     grid: TransformGrid
-    tau_axis: np.ndarray    # [0, *grid.tau_nodes]
+    tau_axis: np.ndarray    # with y_nodes, grid.nodes(spec)
+    y_nodes: np.ndarray
     u1_grid: np.ndarray     # (n_tau + 1, n_y)
     u2_grid: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("tau_axis", "u1_grid", "u2_grid"):
+        for name in ("tau_axis", "y_nodes", "u1_grid", "u2_grid"):
             a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    @property
-    def y_nodes(self) -> np.ndarray:
-        return self.grid.y_nodes
 
     def correction_values(self, tau, y) -> np.ndarray:
         """``(U1, U2)`` at ``(tau, y)``, stacked on a leading axis: bilinear
@@ -432,12 +416,12 @@ class PerturbationSolution:
         ``ValueError`` for a point off the grid."""
         tau = np.asarray(tau, dtype=float)
         y = np.asarray(y, dtype=float)
-        _check_coverage(self.grid, tau, y)
-        ta = self.tau_axis
+        _check_coverage(self.spec, self.grid, tau, y)
+        ta, yn = self.tau_axis, self.y_nodes
         i = np.clip(np.searchsorted(ta, tau) - 1, 0, ta.size - 2)
         ft = np.clip((tau - ta[i]) / (ta[i + 1] - ta[i]), 0.0, 1.0)
-        g = (y - self.y_nodes[0]) / self.grid.dy
-        j = np.clip(g.astype(int), 0, self.y_nodes.size - 2)
+        g = (y - yn[0]) / (yn[1] - yn[0])
+        j = np.clip(g.astype(int), 0, yn.size - 2)
         fy = np.clip(g - j, 0.0, 1.0)
         table = np.stack([self.u1_grid, self.u2_grid])
         lo = (1.0 - fy) * table[:, i, j] + fy * table[:, i, j + 1]
@@ -456,7 +440,8 @@ class PerturbationSolution:
         return u0(tau, y) - rho * u1 + rho * rho * u2
 
 
-def solve_perturbation(spec: CallSpec, grid: TransformGrid | None = None) -> PerturbationSolution:
+def solve_perturbation(spec: CallSpec,
+                       grid: TransformGrid = TransformGrid()) -> PerturbationSolution:
     """Build the series tables.
 
     U1 and U2 are built exactly when ``rho != 0`` (otherwise they do not
@@ -472,12 +457,8 @@ def solve_perturbation(spec: CallSpec, grid: TransformGrid | None = None) -> Per
     if abs(spec.rho) * spec.maturity > 0.5:
         warnings.warn("perturbation series is reliable only for |rho| * T << 1; "
                       f"got {abs(spec.rho) * spec.maturity:.3g}", stacklevel=2)
-    if grid is None:
-        grid = TransformGrid.for_call(spec)
-    if grid.tau_nodes[-1] > spec.tau_max * (1 + 1e-9):
-        raise ValueError("tau grid exceeds sigma^2 T / 2 for this call")
-    tau_axis = _tau_axis(grid)
-    n_y = grid.y_nodes.size
+    tau_axis, y_nodes = grid.nodes(spec)
+    n_y = y_nodes.size
     want = bool(spec.rho != 0.0)
     u1_grid = u2_grid = np.zeros((tau_axis.size, n_y))
     diag = {
@@ -490,41 +471,41 @@ def solve_perturbation(spec: CallSpec, grid: TransformGrid | None = None) -> Per
     }
     if want:
         coeff = source_coefficient(spec)
-        y_ext = _extended_y(grid)
+        y_ext = _extended_y(spec, grid)
         lo = (y_ext.size - n_y) // 2
         # U1 and U2 are >= 0 exactly: their sources f and grad f . (U1, U1')
         # are >= 0 (u0, u0', u0'' >= 0) under a positive kernel.  Where they
         # are ~0 (left of the kink in the first rows, far tails) the
         # extrapolation can undershoot; clipping there only reduces the error.
         with np.errstate(over="ignore", invalid="ignore"):  # judged by the check below
-            tables = richardson_halving(lambda ys: compute_corrections(grid, ys, coeff), y_ext)
+            tables = richardson_halving(lambda ys: compute_corrections(spec, grid, ys, coeff),
+                                        y_ext)
         tables = tables[:, :, lo : lo + n_y]
         if not np.isfinite(tables).all():
             raise RuntimeError(f"U1/U2 tables are not finite on a y grid padded to {y_ext[-1]:.4g}")
         u1_grid, u2_grid = np.maximum(tables, 0.0)
-        j = int(np.argmin(np.abs(grid.y_nodes)))
+        j = int(np.argmin(np.abs(y_nodes)))
         direct = duhamel_integral(
-            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [tau_axis[-1]], [grid.y_nodes[j]],
+            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [tau_axis[-1]], [y_nodes[j]],
             grid.n_time_quad, grid.n_space_quad,
         )[0, 0]
         gap = abs(u1_grid[-1, j] - direct) / max(abs(direct), 1e-300)
         diag["u1_stepped_vs_direct_gap"] = float(gap)
-    return PerturbationSolution(spec, grid, tau_axis, u1_grid, u2_grid, diag)
+    return PerturbationSolution(spec, grid, tau_axis, y_nodes, u1_grid, u2_grid, diag)
 
 
 def solve_with_refinement_check(
     spec: CallSpec, grid: TransformGrid
 ) -> tuple[PerturbationSolution, dict]:
-    """Build the series on ``grid`` (a :meth:`TransformGrid.for_call` grid)
-    and again at half resolution (nodes and quadrature sizes halved, floors
-    16/17/8/21, same ``y_half``); it converges when the at-the-money price at
-    ``t = 0`` changes by less than ``REFINEMENT_THRESHOLD`` relative.
-    Returns the solution on ``grid`` and the check."""
-    coarse_grid = TransformGrid.for_call(
-        spec,
-        n_tau=max(grid.tau_nodes.size // 2, 16),
-        n_y=max((grid.y_nodes.size - 1) // 2 + 1, 17),
-        y_half=float(grid.y_nodes[-1]),
+    """Build the series on ``grid`` and again at half resolution (node and
+    quadrature sizes halved, floors 16/17/8/21, same ``y_half``); it
+    converges when the at-the-money price at ``t = 0`` changes by less than
+    ``REFINEMENT_THRESHOLD`` relative.  Returns the solution on ``grid`` and
+    the check."""
+    coarse_grid = replace(
+        grid,
+        n_tau=max(grid.n_tau // 2, 16),
+        n_y=max((grid.n_y - 1) // 2 + 1, 17),
         n_time_quad=max(grid.n_time_quad // 2, 8),
         n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, 21),
     )
@@ -563,7 +544,7 @@ def check_points(spec: CallSpec, grid: TransformGrid, x, t):
         raise ValueError("underlying price must be positive")
     live = ~np.isclose(t, spec.maturity, rtol=0.0, atol=1e-14)
     tau, y, _ = canonical_variables(spec, x[live], t[live])
-    _check_coverage(grid, tau, y)
+    _check_coverage(spec, grid, tau, y)
     return x, t, live
 
 

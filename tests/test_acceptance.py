@@ -50,7 +50,7 @@ def test_criterion_1_classical_limit():
     # perturbation route: one solution covers every maturity through its
     # time-to-expiry axis
     spec = CallSpec(k, max(MATURITIES), sigma, 0.0)
-    grid = pricing.TransformGrid.for_call(spec, n_tau=64, n_y=129, y_half=0.5)
+    grid = pricing.TransformGrid(n_tau=64, n_y=129, y_half=0.5)
     sol = solve_perturbation(spec, grid)
     worst_pert = 0.0
     for tt in MATURITIES:
@@ -73,7 +73,7 @@ def test_criterion_1_classical_limit():
             x_min = k * np.exp(min(y, 0.0) - 4.2 * st)
             x_max = k * np.exp(max(y, 0.0) + 3.2 * st)
         spec_t = CallSpec(k, tt, sigma, 0.0)
-        g = fdsolver.PdeGrid.for_call(spec_t, n_x=257, n_t=256, x_min=x_min, x_max=x_max)
+        g = fdsolver.PdeGrid(n_x=257, n_t=256, x_min=x_min, x_max=x_max)
         return float(fdsolver.evaluate(fdsolver.solve(spec_t, g), 0.0, m * k))
 
     worst_fd = 0.0
@@ -298,7 +298,10 @@ def test_criterion_9_undiscounted_consistency():
     worst = 0.0
     for rho_val in (0.0, 0.02):
         spec = CallSpec(100.0, 1.0, 0.2, rho_val)
-        g = fdsolver.PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.4)
+        # 0.4 of log-moneyness each side of the strike plus diffusion margins
+        st = spec.sigma * np.sqrt(spec.maturity)
+        g = fdsolver.PdeGrid(n_x=257, n_t=256, x_min=spec.strike * np.exp(-0.4 - 4.2 * st),
+                             x_max=spec.strike * np.exp(0.4 + 3.2 * st))
         disc = fdsolver.solve(spec, g)
         undisc = fdsolver.solve(spec, g, rate)
         for t in (0.25, 0.5, 0.75):

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import dataclasses
 import errno
 import functools
 import io
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bs_oracle import bs_call
-from itoarb import cli
+from itoarb import cli, fdsolver, pricing
 
 
 def write_cfg(tmp_path, name, payload):
@@ -107,6 +108,15 @@ def test_schema_uses_only_keywords_the_checker_implements():
         assert set(schema) <= WALKER_KEYWORDS, schema
         assert schema.get("type", "number") in cli._TYPES, schema
         assert schema.get("additionalProperties", False) is False, schema
+
+
+@pytest.mark.parametrize("section, grid", [("pricing_grid", pricing.TransformGrid),
+                                           ("pde_grid", fdsolver.PdeGrid)])
+def test_grid_fields_are_their_config_section(section, grid):
+    # a config field the grid ignores, or a grid knob no config can set,
+    # breaks the one-to-one map from the section to the grid
+    fields = [f.name for f in dataclasses.fields(grid)]
+    assert fields == list(cli.CONFIG_SCHEMA["properties"][section]["properties"])
 
 
 # every section and every field of the schema, each at a valid value
@@ -557,6 +567,29 @@ def test_price_non_finite_price_is_internal_failure(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("call, pricing_grid", [
+    ({"maturity": 1e300}, {}),  # the kernel's reach over tau_max 2e298
+    ({}, {"y_half": 1e-300}),   # 2.7e302 nodes at dy 1.6e-302
+    ({}, {"y_half": 1e-307}),   # the node count overflows to inf at a subnormal dy
+], ids=["maturity", "y_half-1e-300", "y_half-1e-307"])
+def test_price_padded_grid_too_large_is_config_error(tmp_path, capsys, call, pricing_grid):
+    # a padded series y grid too large for any array is a run too large to
+    # allocate (exit 2, no files), and its node count raises no numpy warning
+    payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=0.02, **call),
+               "pricing_grid": pricing_grid,
+               "surface_output": {"times": [0.0], "moneyness": [1.0]}}
+    cfg = write_cfg(tmp_path, "pad.json", payload)
+    out = tmp_path / "pad"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["price", "--config", cfg, "--out", out]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory for this config: the series y grid")
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, call, named", [
     ("price", {"sigma": 1e300}, "sigma^2 * maturity / 2 overflows"),
     ("solve-pde", {"sigma": 1e300}, "sigma^2 * maturity / 2 overflows"),
@@ -837,6 +870,50 @@ def test_compare_judges_observed_order(tmp_path, rhos, adopted_orders, rejected_
         assert [round(r, 2) for r in adopted["halving_ratios"]] == [9.13, 8.37]
         for row in (adopted, rejected):
             assert row["third_order"] == all(5.5 <= r <= 10.5 for r in row["halving_ratios"])
+
+
+@st.composite
+def compare_configs(draw):
+    """compare configs: a call of strike 1e-3 to 1e4, maturity 0.05 to 5 and
+    sigma^2 T 1e-3 to 0.5 (the series build grows with it), a ladder of 2-5
+    rhos of which one may repeat, be zero or be negative, and probes of which
+    one may lie outside the series grid (|log m| > 0.6) or the default FD
+    domain."""
+    maturity = draw(st.floats(0.05, 5.0))
+    call = {"strike": draw(st.floats(1e-3, 1e4)), "maturity": maturity,
+            "sigma": float(np.sqrt(draw(st.floats(1e-3, 0.5)) / maturity)),
+            "rho": draw(st.floats(0.0, 0.1))}
+    # one draw in three adds a bad rho (a repeat, zero or negative) or probe
+    rhos = draw(st.lists(st.floats(0.005, 0.08), min_size=2, max_size=4, unique=True))
+    compare = {"rhos": rhos + draw(st.sampled_from([[]] * 6 + [[rhos[0]], [0.0], [-0.01]]))}
+    if draw(st.booleans()):
+        probes = draw(st.lists(st.floats(0.8, 1.2), min_size=1, max_size=3))
+        bad = draw(st.sampled_from([[]] * 6 + [[0.0], [0.5], [1.9]]))
+        compare["probe_moneyness"] = probes + bad
+    return {"schema_version": 1, "call": call, "compare": compare}
+
+
+@settings(max_examples=8, deadline=None)
+@given(payload=compare_configs())
+@example(payload={"schema_version": 1, "call": dict(BASE_CALL, rho=0.02),
+                  "compare": {"rhos": [0.04, 0.01, 0.02], "probe_moneyness": [1.0]}})
+def test_compare_any_config(payload):
+    # every config ends in a documented exit code without a traceback; exit 2
+    # writes no files, and exits 0 and 1 write the report and the metadata.
+    # The verdict is not asserted: compare can still read a false mismatch
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cmp"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["compare", "--config", write_cfg(Path(tmp), "cmp.json", payload),
+                        "--out", out])
+        assert code in (0, 1, 2, 3)
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 2:
+            assert written == []
+        if code in (0, 1):
+            assert written == ["compare_report.csv", "run_meta.json"]
+    assert "Traceback" not in err.getvalue()
 
 
 def test_compare_extreme_rho_is_mismatch(tmp_path, capsys):

@@ -19,30 +19,30 @@ SPEC = CallSpec(100.0, 1.0, 0.2, 0.0)
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError, match="log-uniform"):
-        PdeGrid(np.linspace(50.0, 200.0, 65), np.linspace(0.0, 1.0, 65))
     with pytest.raises(ValueError, match="positive"):
-        PdeGrid(np.geomspace(1.0, 200.0, 65) - 1.0, np.linspace(0.0, 1.0, 65))
-    with pytest.raises(ValueError, match="uniform"):
-        PdeGrid(np.geomspace(50.0, 200.0, 65), np.linspace(0.0, 1.0, 65) ** 2)
-    with pytest.raises(ValueError, match="coarse"):
-        PdeGrid(np.geomspace(50.0, 200.0, 8), np.linspace(0.0, 1.0, 65))
+        PdeGrid(x_min=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        PdeGrid(x_max=np.inf)
+    # the grid holds sizes only: its nodes are laid for a call
+    g = PdeGrid(n_x=65, n_t=64, x_min=50.0, x_max=200.0)
+    x, t = g.nodes(SPEC)
+    assert x.size == 65 and t.size == 65 and t[0] == 0.0 and t[-1] == SPEC.maturity
+    np.testing.assert_allclose(np.diff(np.log(x)), np.log(x[1] / x[0]), rtol=1e-12)
 
 
 def test_grid_strike_interior():
     with pytest.raises(ValueError, match="inside"):
-        PdeGrid.for_call(SPEC, x_min=110.0, x_max=300.0)
+        PdeGrid(x_min=110.0, x_max=300.0).nodes(SPEC)
 
 
 def test_grid_resolution_floor():
-    g = PdeGrid(np.geomspace(50.0, 200.0, 32), np.linspace(0.0, 1.0, 128))
-    with pytest.raises(ValueError, match="64"):
-        solve(SPEC, g)
+    for sizes in ({"n_x": 32}, {"n_t": 63}):
+        with pytest.raises(ValueError, match="64"):
+            PdeGrid(**sizes)
 
 
 def test_grid_strike_midcell():
-    g = PdeGrid.for_call(SPEC, n_x=257, n_t=256)
-    lx = np.log(g.x_nodes)
+    lx = np.log(PdeGrid(n_x=257, n_t=256).nodes(SPEC)[0])
     frac = (np.log(SPEC.strike) - lx[0]) / (lx[1] - lx[0])
     assert frac - np.floor(frac) == pytest.approx(0.5, abs=1e-9)
 
@@ -51,7 +51,7 @@ def test_grid_strike_midcell():
 
 
 def test_classical_atm_value():
-    g = PdeGrid.for_call(SPEC, n_x=257, n_t=256)
+    g = PdeGrid(n_x=257, n_t=256)
     res = solve(SPEC, g)
     atm = float(evaluate(res, 0.0, 100.0))
     assert atm == pytest.approx(7.9656, abs=5e-3)
@@ -59,17 +59,16 @@ def test_classical_atm_value():
 
 
 def test_terminal_slice_exact_and_lower_boundary_zero():
-    g = PdeGrid.for_call(SPEC, n_x=129, n_t=128)
-    res = solve(SPEC, g)
+    res = solve(SPEC, PdeGrid(n_x=129, n_t=128))
     np.testing.assert_array_equal(
-        res.surface[-1], np.maximum(g.x_nodes - SPEC.strike, 0.0)
+        res.surface[-1], np.maximum(res.x_nodes - SPEC.strike, 0.0)
     )
     np.testing.assert_array_equal(res.surface[:, 0], 0.0)
 
 
 def test_positivity():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    res = solve(spec, PdeGrid.for_call(spec, n_x=257, n_t=256))
+    res = solve(spec, PdeGrid(n_x=257, n_t=256))
     assert res.surface.min() >= 0.0
 
 
@@ -79,7 +78,7 @@ def test_refinement_ratio_vs_richardson():
         spec = CallSpec(100.0, 1.0, 0.2, rho)
         vals = {}
         for n in (128, 256, 512):
-            g = PdeGrid.for_call(spec, n_x=n + 1, n_t=n)
+            g = PdeGrid(n_x=n + 1, n_t=n)
             vals[n] = float(evaluate(solve(spec, g), 0.0, 100.0))
         extrap = vals[512] + (vals[512] - vals[256]) / 3.0
         ratio = abs(vals[128] - extrap) / abs(vals[256] - extrap)
@@ -88,7 +87,7 @@ def test_refinement_ratio_vs_richardson():
 
 def test_rho_lowers_prices_everywhere():
     # comparison principle for the source: larger rho, lower surface
-    g = PdeGrid.for_call(SPEC, n_x=257, n_t=256)
+    g = PdeGrid(n_x=257, n_t=256)
     surfs = []
     for rho in (0.0, 0.02, 0.04):
         spec = CallSpec(100.0, 1.0, 0.2, rho)
@@ -100,7 +99,7 @@ def test_rho_lowers_prices_everywhere():
 
 def test_solver_determinism():
     spec = CallSpec(100.0, 1.0, 0.2, 0.01)
-    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     a = solve(spec, g).surface
     b = solve(spec, g).surface
     np.testing.assert_array_equal(a, b)
@@ -111,13 +110,15 @@ def test_solver_determinism():
 
 def test_zero_rate_identical_to_discounted():
     spec = CallSpec(100.0, 1.0, 0.2, 0.015)
-    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     np.testing.assert_array_equal(solve(spec, g).surface, solve(spec, g, 0.0).surface)
 
 
 def test_undiscounted_classical_rate_oracle():
     spec = CallSpec(100.0, 1.0, 0.2, 0.0)
-    g = PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.35)
+    st = spec.sigma * np.sqrt(spec.maturity)
+    g = PdeGrid(n_x=257, n_t=256, x_min=spec.strike * np.exp(-0.35 - 4.2 * st),
+                x_max=spec.strike * np.exp(0.35 + 3.2 * st))
     res = solve(spec, g, 0.05)
     got = float(evaluate(res, 0.0, 100.0))
     ref = float(bs_call(100.0, 100.0 * np.exp(0.05), 0.2, 1.0, rate=0.05))
@@ -126,11 +127,10 @@ def test_undiscounted_classical_rate_oracle():
 
 def test_undiscounted_terminal_payoff():
     spec = CallSpec(100.0, 1.0, 0.2, 0.0)
-    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
-    res = solve(spec, g, 0.05)
+    res = solve(spec, PdeGrid(n_x=129, n_t=128), 0.05)
     k_eff = 100.0 * np.exp(0.05)
     np.testing.assert_array_equal(
-        res.surface[-1], np.maximum(g.x_nodes - k_eff, 0.0)
+        res.surface[-1], np.maximum(res.x_nodes - k_eff, 0.0)
     )
 
 
@@ -138,7 +138,9 @@ def test_change_of_variables_consistency():
     r = 0.05
     for rho in (0.0, 0.02):
         spec = CallSpec(100.0, 1.0, 0.2, rho)
-        g = PdeGrid.for_call(spec, n_x=257, n_t=256, coverage=0.4)
+        st = spec.sigma * np.sqrt(spec.maturity)
+        g = PdeGrid(n_x=257, n_t=256, x_min=spec.strike * np.exp(-0.4 - 4.2 * st),
+                    x_max=spec.strike * np.exp(0.4 + 3.2 * st))
         disc = solve(spec, g)
         undisc = solve(spec, g, r)
         for t in (0.25, 0.5, 0.75):
@@ -157,7 +159,7 @@ PROBES = np.array([0.95, 1.0, 1.05]) * SPEC.strike
 def test_ladder_matches_separate_solves():
     # one march over the ladder against one solve per rho, as compare ran them
     spec = replace(SPEC, rho=0.02)
-    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     separate = [evaluate(solve(replace(spec, rho=r), g), 0.0, PROBES) for r in LADDER]
     np.testing.assert_array_equal(fdsolver._t0_prices(spec, g, LADDER, PROBES), separate)
 
@@ -165,8 +167,8 @@ def test_ladder_matches_separate_solves():
 def test_ladder_keeps_one_row_in_memory():
     # at the compare resolution one (n_t + 1) x n_x float64 surface is 2.1 MB;
     # the ladder keeps only the t = 0 row of its four columns
-    g = PdeGrid.for_call(SPEC, n_x=fdsolver.COMPARE_N_X, n_t=2 * fdsolver.COMPARE_N_T)
-    half_surface = 0.5 * g.n_x * g.n_t * 8
+    g = PdeGrid(n_x=fdsolver.COMPARE_N_X, n_t=2 * fdsolver.COMPARE_N_T)
+    half_surface = 0.5 * g.n_x * (g.n_t + 1) * 8
     tracemalloc.start()
     try:
         fdsolver._t0_prices(SPEC, g, LADDER, PROBES)
@@ -182,7 +184,7 @@ def test_rho_change_second_order_in_time():
     spec = CallSpec(100.0, 1.0, 0.2, 0.04)
     change = []
     for n_t in (128, 256, 512):
-        g = PdeGrid.for_call(spec, n_x=513, n_t=n_t)
+        g = PdeGrid(n_x=513, n_t=n_t)
         classical, arb = fdsolver._t0_prices(spec, g, [0.0, 0.04], PROBES)
         change.append(arb - classical)
     ratio = (change[0] - change[1]) / (change[1] - change[2])
@@ -200,11 +202,11 @@ def test_spline_is_scipy_cubic_spline(strike, n_x, n_t):
     from scipy.interpolate import CubicSpline
 
     spec = replace(SPEC, strike=strike, rho=0.02)
-    res = solve(spec, PdeGrid.for_call(spec, n_x=n_x, n_t=n_t))
+    res = solve(spec, PdeGrid(n_x=n_x, n_t=n_t))
     lx = np.log(res.x_nodes)
     between = np.random.default_rng(3).uniform(lx[0], lx[-1], 400)
     q = np.concatenate([lx, [lx[0], lx[-1]], 0.5 * (lx[1:] + lx[:-1]), between])
-    ladder = list(fdsolver._march(spec, PdeGrid.for_call(spec, n_x=n_x, n_t=128), 0.0,
+    ladder = list(fdsolver._march(spec, *PdeGrid(n_x=n_x, n_t=128).nodes(spec), 0.0,
                                   LADDER))[-1]
     for columns in (res.surface[0][:, None], res.surface[[0, 1, n_t // 2, n_t - 1]].T, ladder):
         got = fdsolver._cubic_in_log_price(lx, columns, q)
@@ -218,14 +220,15 @@ def test_spline_is_scipy_cubic_spline(strike, n_x, n_t):
 def test_factored_step_matches_solve_banded(rate):
     # the band matrix and solve_banded every step used to call, against the
     # gttrf factors cached per step size and one gttrs per step
-    g = PdeGrid.for_call(SPEC, n_x=513, n_t=1024)
-    dxi = np.log(g.x_nodes)[1] - np.log(g.x_nodes)[0]
+    g = PdeGrid(n_x=513, n_t=1024)
+    x, t = g.nodes(SPEC)
+    dxi = np.log(x)[1] - np.log(x)[0]
     a = 0.5 * SPEC.sigma**2
     lo, up = a / dxi**2 - rate / (2 * dxi), a / dxi**2 + rate / (2 * dxi)
     di = -2 * a / dxi**2 - a / 4.0 - rate / 2.0
     top_lo, top_di = -rate / dxi, rate / dxi - rate / 2.0
     rhs = np.random.default_rng(5).standard_normal((g.n_x, 4))
-    dt = g.t_nodes[1] - g.t_nodes[0]
+    dt = t[1] - t[0]
     # the Crank-Nicolson step and the fully implicit Rannacher half step
     for th, dtl in ((fdsolver.THETA, dt), (1.0, dt / 2)):
         ab = np.zeros((3, g.n_x))
@@ -255,11 +258,11 @@ def test_singular_step_matrix_raises():
        sigma=st.floats(0.05, 0.5), rhos=st.lists(st.floats(0.0, 0.4), min_size=2, max_size=4))
 def test_fd_properties_on_fixed_grid(strike, maturity, sigma, rhos):
     spec = CallSpec(strike, maturity, sigma, max(rhos))
-    g = PdeGrid.for_call(spec, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     # at zero rate the undiscounted march is the discounted one
     np.testing.assert_array_equal(solve(spec, g, 0.0).surface, solve(spec, g).surface)
     # along an ascending rho ladder every row is non-negative and non-increasing in rho
-    ladder = np.array(list(fdsolver._march(spec, g, 0.0, sorted(rhos))))
+    ladder = np.array(list(fdsolver._march(spec, *g.nodes(spec), 0.0, sorted(rhos))))
     assert ladder.min() >= 0.0
     assert np.all(np.diff(ladder, axis=2) <= 0.0)
 
@@ -273,7 +276,7 @@ def test_extreme_rho_prices_zero_without_overflow():
     # price at t = 0 is 0
     for rho in (1e8, 1e306):
         spec = CallSpec(100.0, 1.0, 0.2, rho)
-        res = solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
+        res = solve(spec, PdeGrid(n_x=65, n_t=64))
         assert np.isfinite(res.surface).all()
         assert res.surface.min() >= 0.0
         np.testing.assert_array_equal(res.surface[0], 0.0)
@@ -283,18 +286,16 @@ def test_growing_flow_raises_its_own_error():
     # rho < 0 grows the price through the source flow until it overflows
     spec = CallSpec(100.0, 1.0, 0.2, -5.0)
     with pytest.raises(RuntimeError, match="non-finite or below the positivity floor"):
-        solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
+        solve(spec, PdeGrid(n_x=65, n_t=64))
 
 
 def test_evaluate_guards():
-    g = PdeGrid.for_call(SPEC, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     res = solve(SPEC, g)
     with pytest.raises(ValueError, match="t outside"):
         evaluate(res, 2.0, 100.0)
     with pytest.raises(ValueError, match="x outside"):
         evaluate(res, 0.5, 1e9)
-    with pytest.raises(ValueError, match="no solved surface"):
-        evaluate(g, 0.5, 100.0)
     # NaN fails the range checks instead of passing through them
     with pytest.raises(ValueError, match="t outside"):
         evaluate(res, np.nan, 100.0)
@@ -304,16 +305,17 @@ def test_evaluate_guards():
 
 
 def test_surface_immutable_input():
-    g = PdeGrid.for_call(SPEC, n_x=129, n_t=128)
+    g = PdeGrid(n_x=129, n_t=128)
     res = solve(SPEC, g)
-    assert g.surface is None  # input grid untouched
-    assert res is not g
+    assert g == PdeGrid(n_x=129, n_t=128)  # input grid untouched
+    for a in (res.x_nodes, res.t_nodes, res.surface):
+        assert not a.flags.writeable
 
 
 def test_comparison_inputs_checked():
     spec = CallSpec(100.0, 1.0, 0.1)
     rhos, moneyness, grid = fdsolver.comparison_inputs(spec, [0.04, 0.01])
-    assert rhos == [0.01, 0.04] and grid.y_nodes[-1] == 0.6
+    assert rhos == [0.01, 0.04] and grid.y_half == 0.6
     np.testing.assert_allclose(moneyness, [0.95, 1.0, 1.05])
     # inside the series grid (|log m| <= 0.6) but above the default FD domain,
     # which reaches log m = 0.25 + 3.2 sigma sqrt(T) = 0.57

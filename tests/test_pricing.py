@@ -60,8 +60,7 @@ def u0_second(tau, y):
 @pytest.fixture(scope="module")
 def sol_rho_002():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(
-        spec, n_tau=24, n_y=65, y_half=0.45, n_time_quad=32, n_space_quad=121
+    grid = TransformGrid(n_tau=24, n_y=65, y_half=0.45, n_time_quad=32, n_space_quad=121
     )
     return solve_perturbation(spec, grid)
 
@@ -257,7 +256,7 @@ def test_u1_probe_value_and_doubling_stability():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
     vals = []
     for n_tau, n_y, n_w in ((16, 33, 48), (32, 65, 96)):
-        grid = TransformGrid.for_call(spec, n_tau=n_tau, n_y=n_y, y_half=0.4,
+        grid = TransformGrid(n_tau=n_tau, n_y=n_y, y_half=0.4,
                                       n_time_quad=n_w)
         vals.append(float(solve_perturbation(spec, grid).u1_grid[-1, n_y // 2]))
     base, fine = vals
@@ -290,10 +289,9 @@ def test_u1_nonnegative_u0_nonnegative(sol_rho_002):
 def test_u2_zero_when_u1_zero():
     # degenerate first-order table: the second-order integrand vanishes
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(
-        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
     )
-    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+    tau_axis = grid.nodes(spec)[0]
     y_ext = np.linspace(-2.5, 2.5, 401)
     zero_rows = np.zeros((2, y_ext.size))
     coeff = source_coefficient(spec)
@@ -302,7 +300,7 @@ def test_u2_zero_when_u1_zero():
         # (U1, U1') is zero at both ends of every step, whatever the fraction
         return pricing._u2_source(*u0_and_prime(s, z), 0.5, zero_rows, zero_rows, coeff)
 
-    u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(grid))
+    u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(spec, grid))
     np.testing.assert_array_equal(u2, 0.0)
 
 
@@ -312,8 +310,7 @@ def test_u2_probe_doubling_stability():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
     vals = []
     for n_tau, n_y, n_w, n_xi in ((16, 33, 24, 81), (32, 65, 48, 161)):
-        grid = TransformGrid.for_call(
-            spec, n_tau=n_tau, n_y=n_y, y_half=0.3,
+        grid = TransformGrid(n_tau=n_tau, n_y=n_y, y_half=0.3,
             n_time_quad=n_w, n_space_quad=n_xi,
         )
         sol = solve_perturbation(spec, grid)
@@ -326,8 +323,7 @@ def test_u2_probe_doubling_stability():
 def test_quadrature_self_check():
     # the stepped U1 must agree with a direct quadrature at the top node
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(
-        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=24, n_space_quad=81
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=24, n_space_quad=81
     )
     sol = solve_perturbation(spec, grid)
     assert sol.diagnostics["u1_stepped_vs_direct_gap"] < 1e-4
@@ -337,8 +333,7 @@ def test_correction_homogeneity_in_constant():
     # U1 is linear and U2 quadratic in the source constant; the comparison
     # tooling relies on this to rescale between candidate constants
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(
-        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
     )
     ys = np.linspace(-2.5, 2.5, 401)
     # compared where the series keeps the tables; in the padded tails the
@@ -347,8 +342,8 @@ def test_correction_homogeneity_in_constant():
     k = spec.strike
     free = source_coefficient(spec, pricing.SOURCE_STRIKE_FREE)
     scaled = source_coefficient(spec, pricing.SOURCE_STRIKE_SCALED)
-    u1_a, u2_a = pricing.compute_corrections(grid, ys, free)
-    u1_b, u2_b = pricing.compute_corrections(grid, ys, scaled)
+    u1_a, u2_a = pricing.compute_corrections(spec, grid, ys, free)
+    u1_b, u2_b = pricing.compute_corrections(spec, grid, ys, scaled)
     np.testing.assert_allclose(u1_b[:, keep], k * u1_a[:, keep], rtol=1e-12)
     np.testing.assert_allclose(u2_b[:, keep], k * k * u2_a[:, keep], rtol=1e-12)
 
@@ -388,8 +383,8 @@ def reference_stepped_duhamel(source_fn, tau_axis, ys, dw):
     return out
 
 
-def reference_u1(grid, ys, coeff):
-    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+def reference_u1(spec, grid, ys, coeff):
+    tau_axis = grid.nodes(spec)[0]
 
     def remainder(s, z):
         v1, v2 = u0_and_prime(s, z)
@@ -400,11 +395,12 @@ def reference_u1(grid, ys, coeff):
 
     v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
     linear = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
-    return linear + reference_stepped_duhamel(remainder, tau_axis, ys, pricing._step_dw(grid))
+    return linear + reference_stepped_duhamel(remainder, tau_axis, ys,
+                                              pricing._step_dw(spec, grid))
 
 
-def reference_u2(grid, u1_table, ys, coeff):
-    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
+def reference_u2(spec, grid, u1_table, ys, coeff):
+    tau_axis = grid.nodes(spec)[0]
     tables = np.stack([u1_table, np.gradient(u1_table, ys, axis=1)])
 
     def src(s, z):
@@ -416,7 +412,7 @@ def reference_u2(grid, u1_table, ys, coeff):
         g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
         return g1 * u1 + g2 * u1p
 
-    return reference_stepped_duhamel(src, tau_axis, ys, pricing._step_dw(grid))
+    return reference_stepped_duhamel(src, tau_axis, ys, pricing._step_dw(spec, grid))
 
 
 README_SPEC = CallSpec(100.0, 1.0, 0.2, 0.02)
@@ -431,8 +427,8 @@ BUILD_GRIDS = {
 
 def build_grid(name):
     n_tau, n_y, y_half, n_w, n_xi = BUILD_GRIDS[name]
-    return TransformGrid.for_call(README_SPEC, n_tau=n_tau, n_y=n_y, y_half=y_half,
-                                  n_time_quad=n_w, n_space_quad=n_xi)
+    return TransformGrid(n_tau=n_tau, n_y=n_y, y_half=y_half, n_time_quad=n_w,
+                         n_space_quad=n_xi)
 
 
 @pytest.mark.parametrize("convention", [pricing.SOURCE_STRIKE_FREE, pricing.SOURCE_STRIKE_SCALED])
@@ -442,22 +438,22 @@ def test_fused_corrections_match_per_table_march(grid_name, convention):
     # order, so the tables agree bit for bit on both node sets of the build
     grid = build_grid(grid_name)
     coeff = source_coefficient(README_SPEC, convention)
-    y_ext = pricing._extended_y(grid)
+    y_ext = pricing._extended_y(README_SPEC, grid)
     half = y_ext[0] + 0.5 * (y_ext[1] - y_ext[0]) * np.arange(2 * y_ext.size - 1)
     for ys in (y_ext, half):
-        u1, u2 = pricing.compute_corrections(grid, ys, coeff)
-        ref_u1 = reference_u1(grid, ys, coeff)
+        u1, u2 = pricing.compute_corrections(README_SPEC, grid, ys, coeff)
+        ref_u1 = reference_u1(README_SPEC, grid, ys, coeff)
         np.testing.assert_array_equal(u1, ref_u1)
-        np.testing.assert_array_equal(u2, reference_u2(grid, ref_u1, ys, coeff))
+        np.testing.assert_array_equal(u2, reference_u2(README_SPEC, grid, ref_u1, ys, coeff))
 
 
 def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
     # u0 and u0' at each in-step node serve both sources, and the closed-form
     # linear part of U1 reads them once on the (tau, y) table
     grid = build_grid("series-price")
-    ys = pricing._extended_y(grid)
-    tau_axis = np.concatenate([[0.0], grid.tau_nodes])
-    dw = pricing._step_dw(grid)
+    ys = pricing._extended_y(README_SPEC, grid)
+    tau_axis = grid.nodes(README_SPEC)[0]
+    dw = pricing._step_dw(README_SPEC, grid)
     m = np.ceil(np.sqrt(np.diff(tau_axis)) / dw).astype(int)
     points = []
     original = pricing.u0_and_prime
@@ -467,7 +463,7 @@ def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
         return original(tau, y)
 
     monkeypatch.setattr(pricing, "u0_and_prime", counting)
-    pricing.compute_corrections(grid, ys, source_coefficient(README_SPEC))
+    pricing.compute_corrections(README_SPEC, grid, ys, source_coefficient(README_SPEC))
     assert sum(points) == m.sum() * ys.size + tau_axis.size * ys.size
 
 
@@ -492,8 +488,7 @@ def test_series_build_heap_peak(grid_name, limit_mib):
 
 def test_correction_values_reject_off_grid():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
-    grid = TransformGrid.for_call(
-        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
     )
     sol = solve_perturbation(spec, grid)
     with pytest.raises(ValueError, match="coverage"):
@@ -558,20 +553,13 @@ def test_price_guards():
     with pytest.raises(ValueError, match="maturity"):
         price_discounted(sol, 100.0, 1.5)
     # a NaN point fails the range check it belongs to, not the grid coverage
-    grid = TransformGrid.for_call(SPEC)
+    grid = TransformGrid()
     with pytest.raises(ValueError, match=r"t must lie in \[0, maturity\]"):
         pricing.check_points(SPEC, grid, 100.0, np.nan)
     with pytest.raises(ValueError, match="underlying price must be positive"):
         pricing.check_points(SPEC, grid, np.nan, 0.5)
     with pytest.raises(ValueError, match="underlying price must be positive"):
         price_discounted(sol, np.array([100.0, np.nan]), 0.0)
-    # a solution built on a short tau grid cannot price far from expiry
-    short_grid = TransformGrid(
-        np.linspace(1e-4, 0.01, 20), np.linspace(-0.4, 0.4, 33)
-    )
-    short = solve_perturbation(SPEC, short_grid)
-    with pytest.raises(ValueError, match="tau grid"):
-        price_discounted(short, 100.0, 0.0)
 
 
 @pytest.mark.parametrize("field", ["rho", "maturity", "strike"])
@@ -589,7 +577,7 @@ def test_rho_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         spec = CallSpec(100.0, 2.0, 0.2, rho=0.3)
-    grid = TransformGrid.for_call(spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16,
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16,
                                   n_space_quad=61)
     with pytest.warns(UserWarning, match=r"\|rho\| \* T << 1; got 0.6") as caught:
         solve_perturbation(spec, grid)
@@ -600,29 +588,27 @@ def test_rho_warning():
 
 
 def test_transform_grid_validation():
-    with pytest.raises(ValueError, match="16 nodes"):
-        TransformGrid(np.linspace(0.001, 0.02, 8), np.linspace(-1, 1, 33))
-    with pytest.raises(ValueError, match="bracket zero"):
-        TransformGrid(np.linspace(0.001, 0.02, 20), np.linspace(0.1, 1, 33))
-    with pytest.raises(ValueError, match="increasing"):
-        TransformGrid(np.zeros(20), np.linspace(-1, 1, 33))
-    with pytest.raises(ValueError, match="uniform"):
-        TransformGrid(np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33) ** 3)
-    with pytest.raises(ValueError, match="finite"):
-        TransformGrid(np.full(20, np.nan), np.linspace(-1, 1, 33))
-
-
-def test_tau_grid_must_fit_call():
+    for sizes in ({"n_tau": 8}, {"n_y": 15}):
+        with pytest.raises(ValueError, match="16 nodes"):
+            TransformGrid(**sizes)
+    for sizes in ({"n_time_quad": 7}, {"n_space_quad": 20}):
+        with pytest.raises(ValueError, match="coarse"):
+            TransformGrid(**sizes)
+    for y_half in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="y_half"):
+            TransformGrid(y_half=y_half)
+    # the grid holds sizes only: its nodes are laid for a call, and end at
+    # tau_max and at +-y_half exactly
     spec = CallSpec(100.0, 0.25, 0.2, 0.0)
-    grid = TransformGrid(np.linspace(0.001, 0.02, 20), np.linspace(-1, 1, 33))
-    with pytest.raises(ValueError, match="exceeds"):
-        solve_perturbation(spec, grid)  # tau_max = 0.005 < 0.02
+    tau_axis, y = TransformGrid(n_tau=20, n_y=33, y_half=0.4).nodes(spec)
+    assert tau_axis.size == 21 and tau_axis[0] == 0.0 and tau_axis[-1] == spec.tau_max
+    assert np.all(np.diff(tau_axis) > 0)
+    assert y.size == 33 and y[0] == -0.4 and y[-1] == 0.4
 
 
 def test_solution_determinism():
     spec = CallSpec(100.0, 1.0, 0.2, 0.01)
-    grid = TransformGrid.for_call(
-        spec, n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
     )
     a = solve_perturbation(spec, grid)
     b = solve_perturbation(spec, grid)

@@ -53,8 +53,8 @@ def test_pde_surface_is_the_column_stack_table(tmp_path):
                                "pde_grid": {"n_x": 65, "n_t": 64}}))
     assert cli.main(["solve-pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     spec = CallSpec(**call)
-    result = solve(spec, PdeGrid.for_call(spec, n_x=65, n_t=64))
+    result = solve(spec, PdeGrid(n_x=65, n_t=64))
     write_csv(tmp_path / "ref.csv", ["t", "X", "Phi"],
-              (np.column_stack([np.full(result.n_x, t), result.x_nodes, row])
+              (np.column_stack([np.full(result.x_nodes.size, t), result.x_nodes, row])
                for t, row in zip(result.t_nodes, result.surface)))
     assert (tmp_path / "o" / "pde_surface.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
