@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fdsolver, geometry, pricing, simulate as mc
 from .fdsolver import comparison_report
-from .tables import write_csv, write_long_csv
+from .tables import replacing, write_csv, write_long_csv
 
 SCHEMA_VERSION = 1
 
@@ -241,7 +241,8 @@ def _call_spec(cfg: dict) -> pricing.CallSpec:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with replacing(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _meta_skeleton(cfg: dict, command: str) -> dict:
@@ -270,11 +271,11 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
         res = geometry.zc_residual(c)
         worst = max(worst, res)
         rows.append((c.t, res, rho_vec.size, rho_vec))
-    with open(out / "zc_report.csv", "w", newline="") as fh:
-        fh.write("t,zc_residual,kernel_dim,rho_norm,rho_components\n")
+    with replacing(out / "zc_report.csv") as fh:
+        fh.write(b"t,zc_residual,kernel_dim,rho_norm,rho_components\n")
         for t, res, b, vec in rows:
             comp = ";".join(f"{v:.12g}" for v in vec)
-            fh.write(f"{t:.12g},{res:.12g},{b},{geometry._norm(vec):.12g},{comp}\n")
+            fh.write(f"{t:.12g},{res:.12g},{b},{geometry._norm(vec):.12g},{comp}\n".encode())
     meta = _meta_skeleton(cfg, "check-zc")
     meta["max_zc_residual"] = worst
     meta["tolerance"] = tol
@@ -311,12 +312,15 @@ def cmd_solve_pde(cfg: dict, out: Path) -> int:
         spec = _call_spec(cfg)
         grid = fdsolver.PdeGrid(**cfg.get("pde_grid", {}))
         grid.nodes(spec)  # a strike off the domain, or a domain past the float range
-    result, atm = fdsolver.solve_with_atm_probe(spec, grid)
-    write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], result.t_nodes, result.x_nodes,
-                   result.surface)
+    import tempfile  # here, so that importing the CLI does not load it
+
+    # the march ends, or raises, before pde_surface.csv is opened; the spill
+    # has no name, so no exit leaves it behind
+    with tempfile.TemporaryFile(dir=out) as spill:
+        x, t, atm, rows = fdsolver.spill(spec, grid, spill.fileno())
+        write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], t, x, rows)
     meta = _meta_skeleton(cfg, "solve-pde")
-    meta["grid"] = {"n_x": result.x_nodes.size, "n_t": result.t_nodes.size,
-                    "x_min": float(result.x_nodes[0]), "x_max": float(result.x_nodes[-1])}
+    meta["grid"] = {"n_x": x.size, "n_t": t.size, "x_min": float(x[0]), "x_max": float(x[-1])}
     meta["probe_price_atm_t0"] = atm
     _write_json(out / "run_meta.json", meta)
     print(f"solve-pde: ATM probe {atm:.6f}")

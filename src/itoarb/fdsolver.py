@@ -22,10 +22,10 @@ flow ``V exp(-h g)`` of the source rate ``g = source / V``, a factor in ``[0, 1]
 for ``rho >= 0``.  A nonzero rate (the undiscounted price) adds the
 convection and discounting terms in the same framework.  One march steps a
 column per ``rho`` and streams its rows from maturity to ``t = 0``:
-:func:`solve` stores every row of its one column, and
-:func:`comparison_report` (the only user of :mod:`itoarb.pricing` beyond
-``CallSpec``) keeps the ``t = 0`` row of one march over ``[0, *rhos]`` per
-time resolution.
+:func:`solve` stores every row of its one column, :func:`spill` writes each
+row to a file as it comes out and holds two, and :func:`comparison_report`
+(the only user of :mod:`itoarb.pricing` beyond ``CallSpec``) keeps the
+``t = 0`` row of one march over ``[0, *rhos]`` per time resolution.
 
 Prices between nodes are read with the not-a-knot cubic spline in log price
 (bit for bit ``scipy.interpolate.CubicSpline``).  The implicit diffusion
@@ -36,6 +36,8 @@ loads ``scipy.linalg`` and no other scipy subpackage.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -43,8 +45,9 @@ import numpy as np
 
 from . import pricing
 from .pricing import CallSpec
+from .tables import pwrite_all
 
-__all__ = ["PdeGrid", "PdeSolution", "solve", "evaluate", "solve_with_atm_probe",
+__all__ = ["PdeGrid", "PdeSolution", "solve", "spill", "evaluate",
            "comparison_inputs", "comparison_report"]
 
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
@@ -246,6 +249,26 @@ def solve(spec: CallSpec, grid: PdeGrid, rate: float = 0.0) -> PdeSolution:
     return PdeSolution(x, t, surf)
 
 
+def spill(spec: CallSpec, grid: PdeGrid,
+          fd: int) -> tuple[np.ndarray, np.ndarray, float, Iterator[np.ndarray]]:
+    """The discounted surface of :func:`solve`, kept in the file ``fd`` instead
+    of memory: each row of the one-column :func:`_march` is written there as
+    raw float64 as it comes out (``t = T`` first), so two rows are held.
+
+    Returns the nodes ``x`` and ``t``, the price at the at-the-money probe
+    ``(t, x) = (0, K)`` (bit for bit ``evaluate(solve(spec, grid), 0.0, K)``)
+    and an iterator of the rows in ascending ``t``, each read back with
+    ``os.pread`` when it is reached.  The march has ended, or raised, when this
+    returns."""
+    x, t = grid.nodes(spec)
+    size = 8 * x.size
+    for k, row in enumerate(_march(spec, x, t, 0.0, [spec.rho])):
+        pwrite_all(fd, row[:, 0], k * size)
+    atm = float(_cubic_in_log_price(np.log(x), row, np.log([spec.strike]))[0, 0])
+    rows = (np.frombuffer(os.pread(fd, size, (t.size - 1 - i) * size)) for i in range(t.size))
+    return x, t, atm, rows
+
+
 def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:
     """Price columns ``(n_x, m)`` on log nodes ``lx`` at log prices ``q``: ``(m, q.size)``.
 
@@ -302,12 +325,6 @@ def evaluate(result: PdeSolution, t, x):
         out[sel] = (1.0 - flat_w[sel]) * lo_row + flat_w[sel] * hi_row
     out = out.reshape(q.shape)
     return out if out.ndim else float(out)
-
-
-def solve_with_atm_probe(spec: CallSpec, grid: PdeGrid) -> tuple[PdeSolution, float]:
-    """:func:`solve`, and the price at the at-the-money probe ``(t, x) = (0, K)``."""
-    result = solve(spec, grid)
-    return result, float(evaluate(result, 0.0, spec.strike))
 
 
 def comparison_inputs(spec: CallSpec, rhos=(0.01, 0.02, 0.04), probe_moneyness=(0.95, 1.0, 1.05)):

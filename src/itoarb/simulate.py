@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ItoCoefficients, kernel_basis
-from .tables import write_long_csv
+from .tables import pwrite_all, replacing, write_long_csv
 
 __all__ = [
     "PathEnsemble",
@@ -443,14 +443,6 @@ def _sections(m_paths: int, n: int, k: int, n_steps: int) -> tuple[int, int, int
     return _HEADER.size, noise_at, noise_at + 8 * m_paths * (n_steps + 1) * k
 
 
-def _pwrite(fd: int, data, offset: int) -> None:
-    """Write all of ``data`` at ``offset``; a short write goes on where it stopped."""
-    view = memoryview(data).cast("B")
-    while view:
-        written = os.pwrite(fd, view, offset)
-        view, offset = view[written:], offset + written
-
-
 def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, path,
                     lag_steps: int | None = None, t_indices=()) -> RhoEstimate | None:
     """Simulate as :func:`simulate` does, write the ensemble to ``path``
@@ -463,7 +455,7 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     sections (:func:`_sections`) as it is built and projects its paths'
     quotients (:func:`_rho_quotients`), which alone are kept, (len(t_indices),
     M, B).  The file is written as ``path.partial`` and renamed to ``path`` on
-    success; on any failure it is removed.
+    success; on any failure it is removed (:func:`~itoarb.tables.replacing`).
     """
     n_steps = step_count(dt, horizon)
     project = None
@@ -480,23 +472,15 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
 
     def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
         for a, at in ((states, states_at), (noise, noise_at)):
-            _pwrite(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
+            pwrite_all(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
         if project is not None:
             quotients[:, lo:hi] = project(*_lagged(states, steps, lag_steps), _rows(noise, steps))
 
-    partial = f"{path}.partial"
-    fd = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        try:
-            _pwrite(fd, _HEADER.pack(MAGIC, FORMAT_VERSION, m_paths, n, k, n_steps, dt,
-                                     seed & 0xFFFFFFFFFFFFFFFF), 0)
-            _blocks(m_paths, n_steps, dt, seed, k, (sigma, drift), sink=sink)
-        finally:
-            os.close(fd)
-        os.replace(partial, path)
-    except BaseException:
-        os.unlink(partial)
-        raise
+    with replacing(path) as fh:
+        fd = fh.fileno()
+        pwrite_all(fd, _HEADER.pack(MAGIC, FORMAT_VERSION, m_paths, n, k, n_steps, dt,
+                                    seed & 0xFFFFFFFFFFFFFFFF), 0)
+        _blocks(m_paths, n_steps, dt, seed, k, (sigma, drift), sink=sink)
     return None if project is None else _rho_estimate(quotients, steps * dt)
 
 

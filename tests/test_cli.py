@@ -9,9 +9,11 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -343,6 +345,66 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert run(["solve-pde", "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
     assert out.read_text() == "a file, not a directory"
+
+
+def pde_cfg(tmp_path, n_x=65, n_t=64):
+    return write_cfg(tmp_path, f"pde{n_x}x{n_t}.json", {
+        "schema_version": 1, "call": {**BASE_CALL, "rho": 0.02},
+        "pde_grid": {"n_x": n_x, "n_t": n_t}})
+
+
+def test_solve_pde_memory_does_not_grow_with_n_t(tmp_path):
+    # the march spills each row as it comes out, so solve-pde holds rows of
+    # n_x prices, never the (n_t + 1) x n_x surface the table lists from t = 0 up
+    def peak(n_t):
+        cfg, out = pde_cfg(tmp_path, 257, n_t), tmp_path / f"o{n_t}"
+        tracemalloc.start()
+        try:
+            assert run(["solve-pde", "--config", cfg, "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            shutil.rmtree(out)
+
+    assert run(["solve-pde", "--config", pde_cfg(tmp_path), "--out", tmp_path / "warm"]) == 0
+    short, long = peak(256), peak(4096)
+    surface = 257 * 4097 * 8
+    assert long - short < 1e6 and long < surface, (short, long, surface)
+
+
+def test_solve_pde_failed_march_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the march ends before pde_surface.csv is opened, and the spill has no name
+    march = fdsolver._march
+
+    def failing(*args):
+        for k, row in enumerate(march(*args)):
+            if k == 10:
+                raise RuntimeError("price row below the positivity floor")
+            yield row
+
+    monkeypatch.setattr(fdsolver, "_march", failing)
+    out = tmp_path / "o"
+    assert run(["solve-pde", "--config", pde_cfg(tmp_path), "--out", out]) == 3
+    assert "internal failure: price row below" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_solve_pde_spill_disk_full_writes_nothing(tmp_path, monkeypatch, capsys):
+    calls = itertools.count(1)
+    pwrite = os.pwrite
+
+    def disk_full(fd, data, offset):
+        if next(calls) == 10:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", disk_full)
+    out = tmp_path / "o"
+    assert run(["solve-pde", "--config", pde_cfg(tmp_path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
+    assert next(calls) > 10  # the failing write was reached
+    assert not any(out.iterdir())
 
 
 def test_missing_section_is_usage_error(tmp_path):

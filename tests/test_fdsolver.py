@@ -178,6 +178,21 @@ def test_ladder_keeps_one_row_in_memory():
     assert peak < half_surface
 
 
+def test_spill_is_the_solved_surface(tmp_path):
+    # the rows written as the march yields them, read back in ascending t, are
+    # solve's surface bit for bit, and the probe is evaluate's at (0, K)
+    spec = replace(SPEC, rho=0.02)
+    g = PdeGrid(n_x=65, n_t=64)
+    result = solve(spec, g)
+    with open(tmp_path / "spill", "w+b") as fh:
+        x, t, atm, rows = fdsolver.spill(spec, g, fh.fileno())
+        assert fh.seek(0, 2) == result.surface.nbytes
+        np.testing.assert_array_equal(np.array(list(rows)), result.surface)
+    np.testing.assert_array_equal(x, result.x_nodes)
+    np.testing.assert_array_equal(t, result.t_nodes)
+    assert atm == evaluate(result, 0.0, spec.strike)
+
+
 def test_rho_change_second_order_in_time():
     # successive differences of the rho-change in n_t shrink 4x (a first-order
     # source step reads 2); n_x is fixed, so the space error cancels

@@ -1,8 +1,11 @@
+import errno
 import json
+import os
 
 import numpy as np
+import pytest
 
-from itoarb import cli
+from itoarb import cli, tables
 from itoarb.fdsolver import PdeGrid, solve
 from itoarb.pricing import CallSpec
 from itoarb.tables import write_csv, write_long_csv
@@ -58,3 +61,67 @@ def test_pde_surface_is_the_column_stack_table(tmp_path):
               (np.column_stack([np.full(result.x_nodes.size, t), result.x_nodes, row])
                for t, row in zip(result.t_nodes, result.surface)))
     assert (tmp_path / "o" / "pde_surface.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_failed_write_keeps_the_old_table(tmp_path):
+    # a table is written whole or not at all: a block that raises leaves the
+    # file as it was and no .partial beside it
+    p = tmp_path / "t.csv"
+    write_csv(p, ["a"], [np.ones((2, 1))])
+    before = p.read_bytes()
+
+    def blocks(shape):
+        yield np.zeros(shape)
+        raise RuntimeError("no more rows")
+
+    with pytest.raises(RuntimeError):
+        write_csv(p, ["a"], blocks((3, 1)))
+    with pytest.raises(RuntimeError):
+        write_long_csv(p, ["k", "a", "v"], range(3), [1.0], blocks(1))
+    assert p.read_bytes() == before
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["t.csv"]
+
+
+MARKET = {"alpha": [0.05, 0.05], "sigma": [[0.2], [0.1]], "short_rate": [0.0, 0.0]}
+PDE_CALL = {"call": {"strike": 100.0, "maturity": 1.0, "sigma": 0.2, "rho": 0.02},
+            "pde_grid": {"n_x": 65, "n_t": 64}}
+
+
+@pytest.mark.parametrize("command, payload, failing, left", [
+    ("solve-pde", PDE_CALL, 3, []),  # in the surface, after the header and one block
+    ("check-zc", {"market": MARKET}, 2, []),  # in zc_report.csv, after its header
+    ("check-zc", {"market": MARKET}, 3, ["zc_report.csv"]),  # in run_meta.json
+], ids=["pde-surface", "zc-report", "run-meta"])
+def test_disk_full_leaves_no_part_written_file(tmp_path, monkeypatch, capsys, command, payload,
+                                               failing, left):
+    # every output file is renamed into place only when whole: a write that
+    # fails for a full disk exits 2 and leaves no .partial, no truncated file
+    # and, for solve-pde, no spill
+    class DiskFull:
+        writes = 0
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            DiskFull.writes += 1
+            if DiskFull.writes == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+    monkeypatch.setattr(tables, "open", lambda path, mode: DiskFull(open(path, mode)),
+                        raising=False)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"schema_version": 1, **payload}))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
+    assert DiskFull.writes == failing
+    assert sorted(p.name for p in out.iterdir()) == left
