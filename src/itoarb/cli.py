@@ -275,7 +275,7 @@ def cmd_check_zc(cfg: dict, out: Path) -> int:
         fh.write(b"t,zc_residual,kernel_dim,rho_norm,rho_components\n")
         for t, res, b, vec in rows:
             comp = ";".join(f"{v:.12g}" for v in vec)
-            fh.write(f"{t:.12g},{res:.12g},{b},{geometry._norm(vec):.12g},{comp}\n".encode())
+            fh.write(f"{t:.12g},{res:.12g},{b},{geometry.norm(vec):.12g},{comp}\n".encode())
     meta = _meta_skeleton(cfg, "check-zc")
     meta["max_zc_residual"] = worst
     meta["tolerance"] = tol
@@ -296,7 +296,7 @@ def cmd_price(cfg: dict, out: Path) -> int:
         # reject surface points the solution cannot price before building it
         pricing.check_points(spec, grid, x_nodes[None, :], t_nodes[:, None])
     sol, conv = pricing.solve_with_refinement_check(spec, grid)
-    surf = pricing.surface(sol, t_nodes, x_nodes)
+    surf = pricing.price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
     write_long_csv(out / "price_surface.csv", ["t", "X", "Phi"], t_nodes, x_nodes, surf)
     meta = _meta_skeleton(cfg, "price")
     meta["diagnostics"] = dict(sol.diagnostics)

@@ -306,24 +306,22 @@ def _t0_prices(spec: CallSpec, grid: PdeGrid, rhos, x) -> np.ndarray:
     return _cubic_in_log_price(np.log(nodes), row, np.log(x))
 
 
-def evaluate(result: PdeSolution, t, x):
-    """Interpolate a solved surface: cubic in log price, linear in time."""
-    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+def evaluate(result: PdeSolution, t: float, x):
+    """A solved surface at one time ``t`` and prices ``x``: the two time rows
+    that bracket ``t``, each read with the cubic in log price of
+    :func:`_cubic_in_log_price`, mixed linearly in time.  A ``t`` or an ``x``
+    outside the solved range, NaN included, raises ``ValueError``."""
+    x = np.asarray(x, dtype=float)
     tn = result.t_nodes
-    if not np.all((tn[0] - 1e-12 <= t) & (t <= tn[-1] + 1e-12)):  # so written that NaN fails
+    if not tn[0] - 1e-12 <= t <= tn[-1] + 1e-12:  # so written that NaN fails
         raise ValueError("t outside solved range")
     if not np.all((result.x_nodes[0] <= x) & (x <= result.x_nodes[-1])):
         raise ValueError("x outside solved range")
-    lx, q = np.log(result.x_nodes), np.log(x)
-    i = np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2)
+    i = int(np.clip(np.searchsorted(tn, t) - 1, 0, tn.size - 2))
     w = np.clip((t - tn[i]) / (tn[i + 1] - tn[i]), 0.0, 1.0)
-    flat_i, flat_w, flat_q = np.ravel(i), np.ravel(w), np.ravel(q)
-    out = np.empty(flat_q.shape)
-    for k in np.unique(flat_i):
-        sel = flat_i == k
-        lo_row, hi_row = _cubic_in_log_price(lx, result.surface[k:k + 2].T, flat_q[sel])
-        out[sel] = (1.0 - flat_w[sel]) * lo_row + flat_w[sel] * hi_row
-    out = out.reshape(q.shape)
+    lo_row, hi_row = _cubic_in_log_price(np.log(result.x_nodes), result.surface[i:i + 2].T,
+                                         np.log(x).ravel())
+    out = ((1.0 - w) * lo_row + w * hi_row).reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -396,11 +394,9 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
             "observed_orders": orders,
             "third_order": all(ORDER_WINDOW[0] <= p <= ORDER_WINDOW[1] for p in orders),
         }
-    # direct agreement of the two routes in the classical limit (the series
-    # collapses to the closed form there)
-    classical_series = pricing.price_discounted(
-        pricing.solve_perturbation(replace(spec0, rho=0.0), grid), probes, np.zeros(probes.size)
-    )
+    # direct agreement of the two routes in the classical limit, where the
+    # series is the closed form u0
+    classical_series = pref * pricing.u0(taus, ys)
     classical_gap = float(np.max(np.abs(classical_series - fine[0])))
 
     return {

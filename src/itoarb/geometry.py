@@ -22,6 +22,7 @@ __all__ = [
     "kernel_basis",
     "rho",
     "zc_residual",
+    "norm",
     "curvature_spread",
 ]
 
@@ -155,10 +156,10 @@ def zc_residual(c: ItoCoefficients) -> float:
     condition ``alpha + r in Range(sigma)`` holds.
     """
     _, p_perp = range_projections(c.sigma)
-    return _norm(p_perp @ (c.alpha + c.r))
+    return norm(p_perp @ (c.alpha + c.r))
 
 
-def _norm(v: np.ndarray) -> float:
+def norm(v: np.ndarray) -> float:
     """``||v||_2``, scaled by the largest ``|v|`` only where the plain norm overflows."""
     with np.errstate(over="ignore"):
         plain = np.linalg.norm(v)

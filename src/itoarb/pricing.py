@@ -30,21 +30,25 @@ tau axis ``[0, tau_max (k / n_tau)^2]`` and uniform y nodes over
 semigroup steps over that tau axis (:func:`compute_corrections`): each step
 carries the previous rows forward with the heat kernel, applied as a
 convolution with exact Gaussian-times-hat weights, and adds the in-step
-integral of each source, evaluated only on the nodes of the padded y grid.  A step evaluates its heat weights and ``u0``
-once for both tables.  Both are built at spacing ``dy`` and ``dy/2`` and
-Richardson-combined; a padded y grid too large for any array raises
-``MemoryError``.  ``n_time_quad`` sets the in-step quadrature spacing; with
-``n_space_quad`` it also sizes the direct full-history quadrature
+integral of each source, evaluated only on the nodes of the padded y grid.
+A step evaluates its heat weights and ``u0`` once for both tables.  Both are
+built at spacing ``dy`` and ``dy/2`` and Richardson-combined; a padded y
+grid of more than ``MAX_PADDED_Y_NODES`` nodes raises ``MemoryError`` before
+anything is built.  ``n_time_quad`` sets the in-step quadrature spacing;
+with ``n_space_quad`` it also sizes the direct full-history quadrature
 (:func:`duhamel_integral`) that checks the stepped U1 at one node.
 
 The series has one build and one reader.  ``solve_perturbation(spec, grid)``
 builds U1/U2 with the strike-free constant exactly when ``spec.rho != 0``
 and records the stepped-vs-direct U1 gap in its diagnostics;
-:func:`compute_corrections` takes the constant as a number.
-``PerturbationSolution.correction_values`` and ``u_values`` read the
-tables at points on the grid and raise ``ValueError`` off it;
-:func:`check_points` holds the checks that :func:`price_discounted` applies
-to ``(x, t)``, for callers that vet points before building.
+:func:`compute_corrections` takes the constant as a number.  A
+:class:`PerturbationSolution` is the stacked ``(U1, U2)`` tables on
+``grid.nodes(spec)``; ``correction_values`` reads them at points on the
+grid and raises ``ValueError`` off it, and :func:`price_discounted`, the one
+price reader, assembles ``u0 - rho U1 + rho^2 U2`` from it with ``u0`` in
+closed form.  :func:`check_points` holds the checks that
+:func:`price_discounted` applies to ``(x, t)``, for callers that vet points
+before building.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ __all__ = [
     "canonical_variables",
     "check_points",
     "price_discounted",
-    "surface",
 ]
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -83,6 +86,12 @@ REFINEMENT_THRESHOLD = 1e-4  # relative ATM change allowed on halving the grid
 # heat kernels and the direct quadrature's z-integration are truncated at this
 # many kernel standard deviations: the Gaussian tails beyond are below 1e-22
 Z_HALF_WIDTH_SDS = 10.0
+# bound on the padded series y grid.  A build's time grows about as the square
+# and its memory linearly in the padded node count: on the README call one
+# solve_perturbation takes 3.5 s and a 38 MiB heap peak at 5,507 nodes and
+# 67 s and 186 MiB at 27,009 (y_half 0.01), so at the bound about 100 s and
+# 230 MiB (extrapolated); y_half 1e-3 (268,929 nodes) is refused
+MAX_PADDED_Y_NODES = 2**15
 
 
 @dataclass(frozen=True)
@@ -283,18 +292,18 @@ def _heat_apply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.convolve(values, weights)[k : k + values.size]
 
 
-def _steps(tau_axis: np.ndarray, ys: np.ndarray, dw: float):
-    """Per step ``i >= 1`` over ``tau_axis``: ``i``, the in-step times ``s =
+def _steps(taus: np.ndarray, ys: np.ndarray, dw: float):
+    """Per step ``i >= 1`` over ``taus``: ``i``, the in-step times ``s =
     tau_i - w^2`` (a column), their midpoint factors ``2 dw_i w`` and the
     heat weights of ``[h_i, *w^2]`` at the spacing of ``ys``."""
     dy = float(ys[1] - ys[0])
-    for i in range(1, tau_axis.size):
-        h = tau_axis[i] - tau_axis[i - 1]
+    for i in range(1, taus.size):
+        h = taus[i] - taus[i - 1]
         m = int(np.ceil(np.sqrt(h) / dw))
         dwi = np.sqrt(h) / m
         w = (np.arange(m) + 0.5) * dwi
         weights = _heat_weights(np.concatenate([[h], w * w]), dy)
-        yield i, (tau_axis[i] - w * w)[:, None], 2.0 * dwi * w, weights
+        yield i, (taus[i] - w * w)[:, None], 2.0 * dwi * w, weights
 
 
 def _advance(prev: np.ndarray, src: np.ndarray, factors: np.ndarray, weights) -> np.ndarray:
@@ -324,16 +333,17 @@ def _step_dw(spec: CallSpec, grid: TransformGrid) -> float:
 def _extended_y(spec: CallSpec, grid: TransformGrid) -> np.ndarray:
     """Pad the y nodes by the kernel's reach over the whole tau range, so that
     the zero values assumed beyond the padded grid cannot reach them.  A
-    padded grid too large for any float64 array raises ``MemoryError``."""
+    padded grid of more than ``MAX_PADDED_Y_NODES`` nodes raises
+    ``MemoryError`` before anything is built."""
     y = grid.nodes(spec)[1]
     dy = y[1] - y[0]
     with np.errstate(over="ignore"):  # an inf count fails the check below
         n_pad = np.ceil(Z_HALF_WIDTH_SDS * np.sqrt(2.0 * spec.tau_max) * 1.05 / dy)
         size = y.size + 2.0 * n_pad
-        too_large = not size * y.itemsize <= np.iinfo(np.intp).max
-    if too_large:
+    if not size <= MAX_PADDED_Y_NODES:  # so written that an inf or NaN count fails
         raise MemoryError(f"the series y grid, padded by the heat kernel's reach over tau_max "
-                          f"{spec.tau_max:.4g} at dy {dy:.4g}, needs {size:.4g} nodes")
+                          f"{spec.tau_max:.4g} at dy {dy:.4g}, needs {size:.4g} nodes, more "
+                          f"than the {MAX_PADDED_Y_NODES} a build may take")
     return y[0] + dy * np.arange(-int(n_pad), y.size + int(n_pad))
 
 
@@ -361,14 +371,14 @@ def compute_corrections(spec: CallSpec, grid: TransformGrid, ys: np.ndarray,
     of the one march advances U1, then U2, whose source reads U1 and its
     centered y-difference linear in tau between the step's two U1 rows.
     """
-    tau_axis = grid.nodes(spec)[0]
+    taus = grid.nodes(spec)[0]
     ys = np.asarray(ys, dtype=float)
-    v1, v2 = u0_and_prime(tau_axis[:, None], ys[None, :])
-    out = np.zeros((2, tau_axis.size, ys.size))
-    out[0] = tau_axis[:, None] * coeff * (v2 + 0.5 * v1)
+    v1, v2 = u0_and_prime(taus[:, None], ys[None, :])
+    out = np.zeros((2, taus.size, ys.size))
+    out[0] = taus[:, None] * coeff * (v2 + 0.5 * v1)
     stepped = np.zeros(ys.size)  # the stepped part of U1
     hi = np.stack([out[0, 0], np.gradient(out[0, 0], ys)])
-    for i, s, factors, weights in _steps(tau_axis, ys, _step_dw(spec, grid)):
+    for i, s, factors, weights in _steps(taus, ys, _step_dw(spec, grid)):
         v1, v2 = u0_and_prime(s, ys[None, :])
         lin = v2 + 0.5 * v1
         with np.errstate(invalid="ignore"):
@@ -376,7 +386,7 @@ def compute_corrections(spec: CallSpec, grid: TransformGrid, ys: np.ndarray,
         stepped = _advance(stepped, np.where(lin > 0.0, rest, 0.0), factors, weights)
         out[0, i] += stepped
         lo, hi = hi, np.stack([out[0, i], np.gradient(out[0, i], ys)])
-        frac = (s - tau_axis[i - 1]) / (tau_axis[i] - tau_axis[i - 1])
+        frac = (s - taus[i - 1]) / (taus[i] - taus[i - 1])
         out[1, i] = _advance(out[1, i - 1], _u2_source(v1, v2, frac, lo, hi, coeff),
                              factors, weights)
     return out
@@ -394,21 +404,19 @@ def _check_coverage(spec: CallSpec, grid: TransformGrid, tau, y) -> None:
 
 @dataclass(frozen=True)
 class PerturbationSolution:
-    """Assembled correction tables over (tau, y), including the tau = 0 row."""
+    """The series tables: ``tables[0]`` is U1 and ``tables[1]`` U2 on the
+    ``(n_tau + 1, n_y)`` nodes of ``grid.nodes(spec)``, the tau = 0 row
+    included; all zeros at ``rho = 0``."""
 
     spec: CallSpec
     grid: TransformGrid
-    tau_axis: np.ndarray    # with y_nodes, grid.nodes(spec)
-    y_nodes: np.ndarray
-    u1_grid: np.ndarray     # (n_tau + 1, n_y)
-    u2_grid: np.ndarray
+    tables: np.ndarray      # (2, n_tau + 1, n_y)
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("tau_axis", "y_nodes", "u1_grid", "u2_grid"):
-            a = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        tables = np.ascontiguousarray(self.tables, dtype=float)
+        tables.flags.writeable = False
+        object.__setattr__(self, "tables", tables)
 
     def correction_values(self, tau, y) -> np.ndarray:
         """``(U1, U2)`` at ``(tau, y)``, stacked on a leading axis: bilinear
@@ -417,27 +425,16 @@ class PerturbationSolution:
         tau = np.asarray(tau, dtype=float)
         y = np.asarray(y, dtype=float)
         _check_coverage(self.spec, self.grid, tau, y)
-        ta, yn = self.tau_axis, self.y_nodes
+        ta, yn = self.grid.nodes(self.spec)
         i = np.clip(np.searchsorted(ta, tau) - 1, 0, ta.size - 2)
         ft = np.clip((tau - ta[i]) / (ta[i + 1] - ta[i]), 0.0, 1.0)
         g = (y - yn[0]) / (yn[1] - yn[0])
         j = np.clip(g.astype(int), 0, yn.size - 2)
         fy = np.clip(g - j, 0.0, 1.0)
-        table = np.stack([self.u1_grid, self.u2_grid])
+        table = self.tables
         lo = (1.0 - fy) * table[:, i, j] + fy * table[:, i, j + 1]
         hi = (1.0 - fy) * table[:, i + 1, j] + fy * table[:, i + 1, j + 1]
         return (1.0 - ft) * lo + ft * hi
-
-    def u_values(self, tau, y):
-        """Series value ``u0 - rho U1 + rho^2 U2`` at ``(tau, y)`` on the grid.
-
-        ``u0`` is evaluated in closed form (it has one); only the quadrature
-        corrections are interpolated, so the classical limit is exact up to
-        floating point.  Raises ``ValueError`` for a point off the grid.
-        """
-        u1, u2 = self.correction_values(tau, y)
-        rho = self.spec.rho
-        return u0(tau, y) - rho * u1 + rho * rho * u2
 
 
 def solve_perturbation(spec: CallSpec,
@@ -457,10 +454,10 @@ def solve_perturbation(spec: CallSpec,
     if abs(spec.rho) * spec.maturity > 0.5:
         warnings.warn("perturbation series is reliable only for |rho| * T << 1; "
                       f"got {abs(spec.rho) * spec.maturity:.3g}", stacklevel=2)
-    tau_axis, y_nodes = grid.nodes(spec)
-    n_y = y_nodes.size
+    taus, ys = grid.nodes(spec)
+    n_y = ys.size
     want = bool(spec.rho != 0.0)
-    u1_grid = u2_grid = np.zeros((tau_axis.size, n_y))
+    tables = np.zeros((2, taus.size, n_y))
     diag = {
         "source_convention": SOURCE_STRIKE_FREE,
         "series": "u0 - rho*U1 + rho^2*U2",
@@ -478,20 +475,20 @@ def solve_perturbation(spec: CallSpec,
         # are ~0 (left of the kink in the first rows, far tails) the
         # extrapolation can undershoot; clipping there only reduces the error.
         with np.errstate(over="ignore", invalid="ignore"):  # judged by the check below
-            tables = richardson_halving(lambda ys: compute_corrections(spec, grid, ys, coeff),
-                                        y_ext)
+            tables = richardson_halving(
+                lambda nodes: compute_corrections(spec, grid, nodes, coeff), y_ext)
         tables = tables[:, :, lo : lo + n_y]
         if not np.isfinite(tables).all():
             raise RuntimeError(f"U1/U2 tables are not finite on a y grid padded to {y_ext[-1]:.4g}")
-        u1_grid, u2_grid = np.maximum(tables, 0.0)
-        j = int(np.argmin(np.abs(y_nodes)))
+        tables = np.maximum(tables, 0.0)
+        j = int(np.argmin(np.abs(ys)))
         direct = duhamel_integral(
-            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [tau_axis[-1]], [y_nodes[j]],
+            lambda s, z: nonlinear_f(*u0_and_prime(s, z), coeff), [taus[-1]], [ys[j]],
             grid.n_time_quad, grid.n_space_quad,
         )[0, 0]
-        gap = abs(u1_grid[-1, j] - direct) / max(abs(direct), 1e-300)
+        gap = abs(tables[0, -1, j] - direct) / max(abs(direct), 1e-300)
         diag["u1_stepped_vs_direct_gap"] = float(gap)
-    return PerturbationSolution(spec, grid, tau_axis, y_nodes, u1_grid, u2_grid, diag)
+    return PerturbationSolution(spec, grid, tables, diag)
 
 
 def solve_with_refinement_check(
@@ -552,9 +549,12 @@ def price_discounted(sol: PerturbationSolution, x, t):
     """Discounted call price ``Phi(t, X_t)``.
 
     At ``t = T`` the payoff is returned exactly.  Prices are evaluated as
-    ``K e^{y/2 - tau/4} u(tau, y)`` with ``y = log(X/K)``; points that
-    :func:`check_points` rejects raise ``ValueError``, and a price that is
-    not finite (``u0`` overflows at a huge ``tau``) raises ``RuntimeError``.
+    ``K e^{y/2 - tau/4} u(tau, y)`` with ``y = log(X/K)`` and the series
+    ``u = u0 - rho U1 + rho^2 U2``: ``u0`` in closed form, so the classical
+    limit is exact up to floating point, and only the corrections read from
+    the tables.  Points that :func:`check_points` rejects raise
+    ``ValueError``, and a price that is not finite (``u0`` overflows at a
+    huge ``tau``) raises ``RuntimeError``.
     """
     spec = sol.spec
     x, t, live = check_points(spec, sol.grid, x, t)
@@ -562,16 +562,10 @@ def price_discounted(sol: PerturbationSolution, x, t):
     out[~live] = np.maximum(x[~live] - spec.strike, 0.0)
     if np.any(live):
         tau, y, prefactor = canonical_variables(spec, x[live], t[live])
-        out[live] = prefactor * sol.u_values(tau, y)
+        u1, u2 = sol.correction_values(tau, y)
+        rho = spec.rho
+        out[live] = prefactor * (u0(tau, y) - rho * u1 + rho * rho * u2)
     if not np.isfinite(out).all():
         raise RuntimeError(f"{np.count_nonzero(~np.isfinite(out))} of {out.size} series prices "
                            "are not finite")
     return out if out.ndim else float(out)
-
-
-def surface(sol: PerturbationSolution, t_nodes, x_nodes) -> np.ndarray:
-    """Discounted price surface on a (t, x) mesh, rows indexed by time."""
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    return price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
-

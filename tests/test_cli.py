@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -646,6 +647,28 @@ def test_price_padded_grid_too_large_is_config_error(tmp_path, capsys, call, pri
         warnings.simplefilter("always")
         assert run(["price", "--config", cfg, "--out", out]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory for this config: the series y grid")
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_price_padded_grid_over_the_bound_exits_fast(tmp_path, capsys, monkeypatch):
+    # y_half 1e-3 pads the README call's y grid to 268,929 nodes, above
+    # pricing.MAX_PADDED_Y_NODES: a run too large to allocate (exit 2, no
+    # files), refused before any table is built
+    def no_build(*args):
+        raise AssertionError("a correction table was built")
+
+    monkeypatch.setattr(pricing, "compute_corrections", no_build)
+    payload = {"schema_version": 1, "call": dict(BASE_CALL, rho=0.02),
+               "pricing_grid": {"n_tau": 48, "n_y": 129, "y_half": 1e-3},
+               "surface_output": {"times": [0.0], "moneyness": [1.0]}}
+    cfg = write_cfg(tmp_path, "narrow.json", payload)
+    out = tmp_path / "narrow"
+    start = time.perf_counter()
+    assert run(["price", "--config", cfg, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: not enough memory for this config: the series y grid")
     assert "Traceback" not in err

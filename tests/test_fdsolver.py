@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from bs_oracle import bs_call
-from itoarb import fdsolver
+from itoarb import fdsolver, pricing
 from itoarb.fdsolver import PdeGrid, evaluate, solve
 from itoarb.pricing import CallSpec
 
@@ -339,3 +339,18 @@ def test_comparison_inputs_checked():
     for bad in ([0.02], [0.0, 0.02], [0.02, 0.02]):
         with pytest.raises(ValueError, match="distinct positive"):
             fdsolver.comparison_inputs(spec, bad)
+
+
+def test_comparison_report_builds_the_series_once(monkeypatch):
+    # the classical series is u0 in closed form: only the corrections, at the
+    # largest rho, need a build
+    built = []
+    original = pricing.solve_perturbation
+
+    def counting(spec, grid):
+        built.append(spec.rho)
+        return original(spec, grid)
+
+    monkeypatch.setattr(pricing, "solve_perturbation", counting)
+    fdsolver.comparison_report(SPEC)
+    assert built == [0.04]

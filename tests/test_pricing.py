@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -258,7 +260,7 @@ def test_u1_probe_value_and_doubling_stability():
     for n_tau, n_y, n_w in ((16, 33, 48), (32, 65, 96)):
         grid = TransformGrid(n_tau=n_tau, n_y=n_y, y_half=0.4,
                                       n_time_quad=n_w)
-        vals.append(float(solve_perturbation(spec, grid).u1_grid[-1, n_y // 2]))
+        vals.append(float(solve_perturbation(spec, grid).tables[0][-1, n_y // 2]))
     base, fine = vals
     assert base == pytest.approx(U1_PROBE, abs=2e-5)
     assert fine == pytest.approx(U1_PROBE, abs=2e-5)
@@ -270,20 +272,21 @@ def test_u1_is_rho_independent(sol_rho_002):
     spec_b = CallSpec(100.0, 1.0, 0.2, 0.11)
     grid = sol_rho_002.grid
     sol_b = solve_perturbation(spec_b, grid)
-    np.testing.assert_array_equal(sol_rho_002.u1_grid, sol_b.u1_grid)
-    np.testing.assert_array_equal(sol_rho_002.u2_grid, sol_b.u2_grid)
+    np.testing.assert_array_equal(sol_rho_002.tables[0], sol_b.tables[0])
+    np.testing.assert_array_equal(sol_rho_002.tables[1], sol_b.tables[1])
 
 
 def test_u1_vanishes_at_small_tau(sol_rho_002):
     sol = sol_rho_002
-    tau1 = sol.tau_axis[1]
-    assert np.all(sol.u1_grid[0] == 0.0)
-    assert np.max(sol.u1_grid[1]) < 100.0 * tau1  # no more than sup|f| * tau
+    tau1 = sol.grid.nodes(sol.spec)[0][1]
+    assert np.all(sol.tables[0][0] == 0.0)
+    assert np.max(sol.tables[0][1]) < 100.0 * tau1  # no more than sup|f| * tau
 
 
 def test_u1_nonnegative_u0_nonnegative(sol_rho_002):
-    assert np.all(u0(sol_rho_002.tau_axis[:, None], sol_rho_002.y_nodes[None, :]) >= 0.0)
-    assert np.all(sol_rho_002.u1_grid >= 0.0)
+    tau_axis, y_nodes = sol_rho_002.grid.nodes(sol_rho_002.spec)
+    assert np.all(u0(tau_axis[:, None], y_nodes[None, :]) >= 0.0)
+    assert np.all(sol_rho_002.tables[0] >= 0.0)
 
 
 def test_u2_zero_when_u1_zero():
@@ -486,6 +489,42 @@ def test_series_build_heap_peak(grid_name, limit_mib):
     assert peak <= limit_mib * 2**20
 
 
+def test_solution_is_its_tables():
+    # the solution keeps the stacked (U1, U2) it is built from; the grid lays
+    # the nodes, and at rho = 0 the tables are zeros
+    spec = CallSpec(100.0, 1.0, 0.2, 0.02)
+    grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61)
+    sol = solve_perturbation(spec, grid)
+    assert [f.name for f in dataclasses.fields(sol)] == ["spec", "grid", "tables", "diagnostics"]
+    assert sol.tables.shape == (2, 17, 33) and not sol.tables.flags.writeable
+    classical = solve_perturbation(dataclasses.replace(spec, rho=0.0), grid)
+    assert classical.tables.shape == (2, 17, 33) and not classical.tables.any()
+
+
+def test_one_point_read_holds_less_than_one_table():
+    # correction_values indexes the stacked tables where they are: a one-point
+    # read on the README grid allocates less than one 49 x 129 table (50,568
+    # bytes), where stacking U1 and U2 on every read allocates two
+    sol = solve_perturbation(README_SPEC, build_grid("readme"))
+    sol.correction_values(0.02, 0.0)
+    tracemalloc.start()
+    try:
+        sol.correction_values(0.02, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sol.tables[0].nbytes
+
+
+def test_padded_grid_bound():
+    # the README call at y_half 0.01 pads to 27,009 nodes and builds; at 1e-3
+    # it would pad to 268,929 (about 420 MB of tables) and is refused first
+    y_ext = pricing._extended_y(README_SPEC, TransformGrid(y_half=0.01))
+    assert y_ext.size == 27009 <= pricing.MAX_PADDED_Y_NODES
+    with pytest.raises(MemoryError, match=r"needs 2\.689e\+05 nodes"):
+        pricing._extended_y(README_SPEC, TransformGrid(y_half=1e-3))
+
+
 def test_correction_values_reject_off_grid():
     spec = CallSpec(100.0, 1.0, 0.2, 0.02)
     grid = TransformGrid(n_tau=16, n_y=33, y_half=0.3, n_time_quad=16, n_space_quad=61
@@ -501,13 +540,13 @@ def test_correction_values_reject_off_grid():
         sol.correction_values(2.0 * spec.tau_max, 0.0)
     # the grid's edges are on it
     u1, u2 = sol.correction_values([0.0, spec.tau_max], [-0.3, 0.3])
-    np.testing.assert_array_equal(u1, [sol.u1_grid[0, 0], sol.u1_grid[-1, -1]])
-    np.testing.assert_array_equal(u2, [sol.u2_grid[0, 0], sol.u2_grid[-1, -1]])
+    np.testing.assert_array_equal(u1, [sol.tables[0][0, 0], sol.tables[0][-1, -1]])
+    np.testing.assert_array_equal(u2, [sol.tables[1][0, 0], sol.tables[1][-1, -1]])
     # the series value is read through the same check, with or without rho
     classical = solve_perturbation(CallSpec(100.0, 1.0, 0.2, 0.0), grid)
     for s in (sol, classical):
         with pytest.raises(ValueError, match="coverage"):
-            s.u_values(0.02, 0.9)
+            price_discounted(s, spec.strike * np.exp(0.9), 0.0)  # tau 0.02, y 0.9
 
 
 # ---------------------------------------------------------------- prices
@@ -612,8 +651,8 @@ def test_solution_determinism():
     )
     a = solve_perturbation(spec, grid)
     b = solve_perturbation(spec, grid)
-    np.testing.assert_array_equal(a.u1_grid, b.u1_grid)
-    np.testing.assert_array_equal(a.u2_grid, b.u2_grid)
+    np.testing.assert_array_equal(a.tables[0], b.tables[0])
+    np.testing.assert_array_equal(a.tables[1], b.tables[1])
 
 
 # ---------------------------------------------------------------- Black-Scholes oracle
