@@ -31,12 +31,14 @@ semigroup steps over that tau axis (:func:`compute_corrections`): each step
 carries the previous rows forward with the heat kernel, applied as a
 convolution with exact Gaussian-times-hat weights, and adds the in-step
 integral of each source, evaluated only on the nodes of the padded y grid.
-A step evaluates its heat weights and ``u0`` once for both tables.  Both are
-built at spacing ``dy`` and ``dy/2`` and Richardson-combined; a padded y
-grid of more than ``MAX_PADDED_Y_NODES`` nodes raises ``MemoryError`` before
-anything is built.  ``n_time_quad`` sets the in-step quadrature spacing;
-with ``n_space_quad`` it also sizes the direct full-history quadrature
-(:func:`duhamel_integral`) that checks the stepped U1 at one node.
+The march advances the tables at spacing ``dy/2`` and ``dy`` together: a
+step evaluates ``u0`` and both sources once, on the ``dy/2`` nodes, whose
+every other node is a ``dy`` node, and the pair is Richardson-combined.  A
+padded y grid of more than ``MAX_PADDED_Y_NODES`` nodes raises
+``MemoryError`` before anything is built.  ``n_time_quad`` sets the in-step
+quadrature spacing; with ``n_space_quad`` it also sizes the direct
+full-history quadrature (:func:`duhamel_integral`) that checks the stepped
+U1 at one node.
 
 The series has one build and one reader.  ``solve_perturbation(spec, grid)``
 builds U1/U2 with the strike-free constant exactly when ``spec.rho != 0``
@@ -160,16 +162,6 @@ class TransformGrid:
         return np.concatenate([[0.0], taus]), np.linspace(-self.y_half, self.y_half, self.n_y)
 
 
-def _u0_parts(tau, y):
-    """Shared evaluation of the two lognormal terms of u0 for tau > 0."""
-    from scipy.special import ndtr
-
-    rt = np.sqrt(2.0 * tau)
-    a = np.exp(y / 2 + tau / 4) * ndtr((y + tau) / rt)
-    b = np.exp(-y / 2 + tau / 4) * ndtr((y - tau) / rt)
-    return a, b
-
-
 def u0_and_prime(tau, y):
     """Heat-equation solution for the call payoff and its y-derivative.
 
@@ -177,24 +169,23 @@ def u0_and_prime(tau, y):
     ``d+- = (y +- tau) / sqrt(2 tau)``; the Gaussian-density terms of the
     derivative cancel, leaving ``u0' = (e^{y/2+tau/4} N(d+) +
     e^{-y/2+tau/4} N(d-)) / 2``.  At ``tau = 0`` both reduce to the initial
-    data ``max(e^{y/2} - e^{-y/2}, 0)`` and its derivative.
+    data ``max(e^{y/2} - e^{-y/2}, 0)`` and its derivative, which replace the
+    closed form only where ``tau <= 0``; ``tau`` and ``y`` broadcast as given.
     """
+    from scipy.special import ndtr
+
     tau = np.asarray(tau, dtype=float)
     y = np.asarray(y, dtype=float)
-    tau, y = np.broadcast_arrays(tau, y)
-    u = np.empty(tau.shape)
-    up = np.empty(tau.shape)
     zero = tau <= 0.0
-    if np.any(zero):
-        yz = y[zero]
-        ep, em = np.exp(yz / 2), np.exp(-yz / 2)
-        u[zero] = np.maximum(ep - em, 0.0)
-        up[zero] = np.where(yz > 0, 0.5 * (ep + em), 0.0)
-    pos = ~zero
-    if np.any(pos):
-        a, b = _u0_parts(tau[pos], y[pos])
-        u[pos] = a - b
-        up[pos] = 0.5 * (a + b)
+    t = np.where(zero, 1.0, tau) if zero.any() else tau
+    rt = np.sqrt(2.0 * t)
+    a = np.exp(y / 2 + t / 4) * ndtr((y + t) / rt)
+    b = np.exp(-y / 2 + t / 4) * ndtr((y - t) / rt)
+    u, up = a - b, 0.5 * (a + b)
+    if zero.any():
+        ep, em = np.exp(y / 2), np.exp(-y / 2)
+        u = np.where(zero, np.maximum(ep - em, 0.0), u)
+        up = np.where(zero, np.where(y > 0, 0.5 * (ep + em), 0.0), up)
     return u, up
 
 
@@ -292,18 +283,16 @@ def _heat_apply(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.convolve(values, weights)[k : k + values.size]
 
 
-def _steps(taus: np.ndarray, ys: np.ndarray, dw: float):
+def _steps(taus: np.ndarray, dw: float):
     """Per step ``i >= 1`` over ``taus``: ``i``, the in-step times ``s =
     tau_i - w^2`` (a column), their midpoint factors ``2 dw_i w`` and the
-    heat weights of ``[h_i, *w^2]`` at the spacing of ``ys``."""
-    dy = float(ys[1] - ys[0])
+    times ``[h_i, *w^2]`` of the step's heat kernels."""
     for i in range(1, taus.size):
         h = taus[i] - taus[i - 1]
         m = int(np.ceil(np.sqrt(h) / dw))
         dwi = np.sqrt(h) / m
         w = (np.arange(m) + 0.5) * dwi
-        weights = _heat_weights(np.concatenate([[h], w * w]), dy)
-        yield i, (taus[i] - w * w)[:, None], 2.0 * dwi * w, weights
+        yield i, (taus[i] - w * w)[:, None], 2.0 * dwi * w, np.concatenate([[h], w * w])
 
 
 def _advance(prev: np.ndarray, src: np.ndarray, factors: np.ndarray, weights) -> np.ndarray:
@@ -314,14 +303,12 @@ def _advance(prev: np.ndarray, src: np.ndarray, factors: np.ndarray, weights) ->
     return out
 
 
-def richardson_halving(build, ys) -> np.ndarray:
-    """Run ``build(nodes)`` on the uniform ``ys`` and on ``ys`` with its
-    spacing halved, and cancel the second-order error at the ``ys`` nodes:
-    ``(4 U_{dy/2} - U_dy) / 3``.  ``build`` returns arrays whose last axis
-    runs over the nodes."""
-    ys = np.asarray(ys, dtype=float)
-    half = ys[0] + 0.5 * (ys[1] - ys[0]) * np.arange(2 * ys.size - 1)
-    return (4.0 * build(half)[..., ::2] - build(ys)) / 3.0
+def richardson_halving(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Cancel the second-order error of tables built at spacing ``dy/2``
+    (``fine``) and ``dy`` (``coarse``, on every other fine node) at the
+    coarse nodes: ``(4 U_{dy/2} - U_dy) / 3``.  The last axis of both runs
+    over the nodes."""
+    return (4.0 * fine[..., ::2] - coarse) / 3.0
 
 
 def _step_dw(spec: CallSpec, grid: TransformGrid) -> float:
@@ -347,19 +334,22 @@ def _extended_y(spec: CallSpec, grid: TransformGrid) -> np.ndarray:
     return y[0] + dy * np.arange(-int(n_pad), y.size + int(n_pad))
 
 
-def _u2_source(v1, v2, frac, lo: np.ndarray, hi: np.ndarray, coeff: float):
-    """U2 source ``grad f(v1, v2) . (U1, U1')`` at ``(v1, v2) = (u0, u0')``, with
-    ``(U1, U1')`` mixed by ``frac`` from the stacked ``(2, n)`` rows ``lo``, ``hi``."""
+def _u2_source(g1, g2, frac, lo: np.ndarray, hi: np.ndarray):
+    """U2 source ``grad f . (U1, U1')`` for the partials ``(g1, g2)`` of f at
+    ``(u0, u0')``, with ``(U1, U1')`` mixed by ``frac`` from the stacked
+    ``(2, n)`` rows ``lo``, ``hi``."""
     u1, u1p = (1.0 - frac) * lo[:, None, :] + frac * hi[:, None, :]
-    g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
     return g1 * u1 + g2 * u1p
 
 
 def compute_corrections(spec: CallSpec, grid: TransformGrid, ys: np.ndarray,
-                        coeff: float) -> np.ndarray:
+                        coeff: float) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-order corrections ``(U1, U2)``, stacked, on the tau
-    axis of ``grid.nodes(spec)`` and ``ys`` for the source constant ``coeff``
-    (:func:`source_coefficient`); independent of rho.
+    axis of ``grid.nodes(spec)`` for the source constant ``coeff``
+    (:func:`source_coefficient`); independent of rho.  One march returns them
+    at two spacings, ``(fine, coarse)``: ``fine`` on the nodes ``ys[0] + k
+    dy/2`` that halve the spacing ``dy`` of the uniform ``ys``, ``coarse`` on
+    every other one of those, which are ``ys`` up to rounding.
 
     ``U1 = int int G f(u0, u0')`` with ``f = C sqrt(lin^2 + u0^2)`` and
     ``lin = u0' + u0/2``.  The part ``C lin`` is linear in ``(u0, u0')``,
@@ -368,28 +358,38 @@ def compute_corrections(spec: CallSpec, grid: TransformGrid, ys: np.ndarray,
     payoff kink; only the remainder ``f - C lin = C u0^2 / (f/C + lin) >=
     0``, which is continuously differentiable there, is stepped.  The source
     of U2 is ``grad f(u0, u0') . (U1, U1')`` (:func:`_u2_source`).  Each step
-    of the one march advances U1, then U2, whose source reads U1 and its
-    centered y-difference linear in tau between the step's two U1 rows.
+    evaluates ``u0``, ``u0'``, the remainder and ``grad f`` once, on the fine
+    nodes, and each spacing advances its own U1, then U2, whose source reads
+    U1 and its centered y-difference linear in tau between the step's rows.
     """
     taus = grid.nodes(spec)[0]
-    ys = np.asarray(ys, dtype=float)
-    v1, v2 = u0_and_prime(taus[:, None], ys[None, :])
-    out = np.zeros((2, taus.size, ys.size))
-    out[0] = taus[:, None] * coeff * (v2 + 0.5 * v1)
-    stepped = np.zeros(ys.size)  # the stepped part of U1
-    hi = np.stack([out[0, 0], np.gradient(out[0, 0], ys)])
-    for i, s, factors, weights in _steps(taus, ys, _step_dw(spec, grid)):
-        v1, v2 = u0_and_prime(s, ys[None, :])
+    fine = ys[0] + 0.5 * (ys[1] - ys[0]) * np.arange(2 * len(ys) - 1)
+    v1, v2 = u0_and_prime(taus[:, None], fine[None, :])
+    linear = taus[:, None] * coeff * (v2 + 0.5 * v1)
+    spacings = [(k, fine[::k]) for k in (1, 2)]  # node stride and nodes
+    tables, state = [], []  # per spacing: (U1, U2), and the stepped part of U1 with the last U1 row
+    for k, y in spacings:
+        out = np.zeros((2, taus.size, y.size))
+        out[0] = linear[:, ::k]
+        tables.append(out)
+        state.append((np.zeros(y.size), np.stack([out[0, 0], np.gradient(out[0, 0], y)])))
+    for i, s, factors, t in _steps(taus, _step_dw(spec, grid)):
+        v1, v2 = u0_and_prime(s, fine[None, :])
         lin = v2 + 0.5 * v1
         with np.errstate(invalid="ignore"):
-            rest = coeff * v1 * v1 / (np.sqrt(lin * lin + v1 * v1) + lin)
-        stepped = _advance(stepped, np.where(lin > 0.0, rest, 0.0), factors, weights)
-        out[0, i] += stepped
-        lo, hi = hi, np.stack([out[0, i], np.gradient(out[0, i], ys)])
+            rest = np.where(lin > 0.0, coeff * v1 * v1 / (np.sqrt(lin * lin + v1 * v1) + lin), 0.0)
+        g1, g2 = nonlinear_f_gradient(v1, v2, coeff)
         frac = (s - taus[i - 1]) / (taus[i] - taus[i - 1])
-        out[1, i] = _advance(out[1, i - 1], _u2_source(v1, v2, frac, lo, hi, coeff),
-                             factors, weights)
-    return out
+        for j, ((k, y), out) in enumerate(zip(spacings, tables)):
+            stepped, lo = state[j]
+            weights = _heat_weights(t, float(y[1] - y[0]))
+            stepped = _advance(stepped, rest[:, ::k], factors, weights)
+            out[0, i] += stepped
+            hi = np.stack([out[0, i], np.gradient(out[0, i], y)])
+            out[1, i] = _advance(out[1, i - 1], _u2_source(g1[:, ::k], g2[:, ::k], frac, lo, hi),
+                                 factors, weights)
+            state[j] = stepped, hi
+    return tables[0], tables[1]
 
 
 def _check_coverage(spec: CallSpec, grid: TransformGrid, tau, y) -> None:
@@ -442,14 +442,15 @@ def solve_perturbation(spec: CallSpec,
     """Build the series tables.
 
     U1 and U2 are built exactly when ``rho != 0`` (otherwise they do not
-    contribute and stay zero), with the strike-free source constant, on the
-    padded y grid at spacing ``dy`` and ``dy/2``, combined by
-    :func:`richardson_halving`.  The stepped U1 at the top tau node nearest
-    ``y = 0`` is checked against a direct :func:`duhamel_integral` sized by
-    ``n_time_quad`` x ``n_space_quad``; the relative gap is recorded in
-    ``diagnostics``.  Tables that are not finite (``u0`` overflows on a wide
-    y grid) raise ``RuntimeError``.  A ``|rho| * T`` above 0.5 warns that the
-    series is out of its range.
+    contribute and stay zero), with the strike-free source constant, by one
+    :func:`compute_corrections` march on the padded y grid at spacing
+    ``dy/2`` and ``dy``; :func:`richardson_halving` combines the pair at the
+    ``dy`` nodes, which are cut to the grid.  The stepped U1 at the top tau
+    node nearest ``y = 0`` is checked against a direct
+    :func:`duhamel_integral` sized by ``n_time_quad`` x ``n_space_quad``; the
+    relative gap is recorded in ``diagnostics``.  Tables that are not finite
+    (``u0`` overflows on a wide y grid) raise ``RuntimeError``.  A ``|rho| *
+    T`` above 0.5 warns that the series is out of its range.
     """
     if abs(spec.rho) * spec.maturity > 0.5:
         warnings.warn("perturbation series is reliable only for |rho| * T << 1; "
@@ -475,8 +476,7 @@ def solve_perturbation(spec: CallSpec,
         # are ~0 (left of the kink in the first rows, far tails) the
         # extrapolation can undershoot; clipping there only reduces the error.
         with np.errstate(over="ignore", invalid="ignore"):  # judged by the check below
-            tables = richardson_halving(
-                lambda nodes: compute_corrections(spec, grid, nodes, coeff), y_ext)
+            tables = richardson_halving(*compute_corrections(spec, grid, y_ext, coeff))
         tables = tables[:, :, lo : lo + n_y]
         if not np.isfinite(tables).all():
             raise RuntimeError(f"U1/U2 tables are not finite on a y grid padded to {y_ext[-1]:.4g}")

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bs_oracle import bs_call
 from itoarb import pricing
@@ -213,15 +215,21 @@ def test_duhamel_linear_stub_second_order():
 
 # the same closed-form stubs through semigroup steps (reference_stepped_duhamel
 # below, which the fused build must match): 16 sqrt-spaced steps up to
-# tau = 0.02 on a padded y grid, extrapolated over dy and dy/2
+# tau = 0.02 on a padded y grid, extrapolated over dy/2 and dy
 STUB_TAUS = 0.02 * (np.arange(17) / 16) ** 2
 STUB_YS = np.linspace(-2.5, 2.5, 401)
 STUB_PROBES = [int(np.argmin(np.abs(STUB_YS - y))) for y in (-0.2, 0.0, 0.3)]
 
 
+def halved(ys):
+    """The nodes that halve the spacing of the uniform ``ys``, as the build lays them."""
+    return ys[0] + 0.5 * (ys[1] - ys[0]) * np.arange(2 * ys.size - 1)
+
+
 def stepped_top_row(src):
-    build = lambda ys: reference_stepped_duhamel(src, STUB_TAUS, ys, np.sqrt(0.02) / 96)
-    return richardson_halving(build, STUB_YS)[-1, STUB_PROBES]
+    fine, coarse = (reference_stepped_duhamel(src, STUB_TAUS, nodes, np.sqrt(0.02) / 96)
+                    for nodes in (halved(STUB_YS), halved(STUB_YS)[::2]))
+    return richardson_halving(fine, coarse)[-1, STUB_PROBES]
 
 
 def test_stepped_linear_stub_first_order():
@@ -301,7 +309,8 @@ def test_u2_zero_when_u1_zero():
 
     def src(s, z):
         # (U1, U1') is zero at both ends of every step, whatever the fraction
-        return pricing._u2_source(*u0_and_prime(s, z), 0.5, zero_rows, zero_rows, coeff)
+        grad = nonlinear_f_gradient(*u0_and_prime(s, z), coeff)
+        return pricing._u2_source(*grad, 0.5, zero_rows, zero_rows)
 
     u2 = reference_stepped_duhamel(src, tau_axis, y_ext, pricing._step_dw(spec, grid))
     np.testing.assert_array_equal(u2, 0.0)
@@ -345,8 +354,8 @@ def test_correction_homogeneity_in_constant():
     k = spec.strike
     free = source_coefficient(spec, pricing.SOURCE_STRIKE_FREE)
     scaled = source_coefficient(spec, pricing.SOURCE_STRIKE_SCALED)
-    u1_a, u2_a = pricing.compute_corrections(spec, grid, ys, free)
-    u1_b, u2_b = pricing.compute_corrections(spec, grid, ys, scaled)
+    u1_a, u2_a = pricing.compute_corrections(spec, grid, ys, free)[1]
+    u1_b, u2_b = pricing.compute_corrections(spec, grid, ys, scaled)[1]
     np.testing.assert_allclose(u1_b[:, keep], k * u1_a[:, keep], rtol=1e-12)
     np.testing.assert_allclose(u2_b[:, keep], k * k * u2_a[:, keep], rtol=1e-12)
 
@@ -437,24 +446,51 @@ def build_grid(name):
 @pytest.mark.parametrize("convention", [pricing.SOURCE_STRIKE_FREE, pricing.SOURCE_STRIKE_SCALED])
 @pytest.mark.parametrize("grid_name", list(BUILD_GRIDS))
 def test_fused_corrections_match_per_table_march(grid_name, convention):
-    # the fused march does the reference's arithmetic in the reference's
-    # order, so the tables agree bit for bit on both node sets of the build
+    # the paired march does the reference's arithmetic in the reference's
+    # order, so its dy/2 tables agree bit for bit with a march on the halved
+    # nodes and its dy tables with a march on every other one of those
     grid = build_grid(grid_name)
     coeff = source_coefficient(README_SPEC, convention)
     y_ext = pricing._extended_y(README_SPEC, grid)
-    half = y_ext[0] + 0.5 * (y_ext[1] - y_ext[0]) * np.arange(2 * y_ext.size - 1)
-    for ys in (y_ext, half):
-        u1, u2 = pricing.compute_corrections(README_SPEC, grid, ys, coeff)
+    half = halved(y_ext)
+    tables = pricing.compute_corrections(README_SPEC, grid, y_ext, coeff)
+    for (u1, u2), ys in zip(tables, (half, half[::2])):
         ref_u1 = reference_u1(README_SPEC, grid, ys, coeff)
         np.testing.assert_array_equal(u1, ref_u1)
         np.testing.assert_array_equal(u2, reference_u2(README_SPEC, grid, ref_u1, ys, coeff))
 
 
-def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
-    # u0 and u0' at each in-step node serve both sources, and the closed-form
-    # linear part of U1 reads them once on the (tau, y) table
+def test_coarse_nodes_are_every_other_fine_node(monkeypatch):
+    # each spacing takes the centered difference of U1 on its own nodes: the
+    # dy nodes are exactly every other dy/2 node, not the padded grid laid
+    # again (which differs from them by rounding)
     grid = build_grid("series-price")
-    ys = pricing._extended_y(README_SPEC, grid)
+    y_ext = pricing._extended_y(README_SPEC, grid)
+    half = halved(y_ext)
+    assert not np.array_equal(half[::2], y_ext)
+    nodes = []
+    original = np.gradient
+
+    def recording(values, *coords, **kwargs):
+        nodes.append(coords[0])
+        return original(values, *coords, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", recording)
+    pricing.compute_corrections(README_SPEC, grid, y_ext, source_coefficient(README_SPEC))
+    monkeypatch.undo()
+    assert len(nodes) == 2 * grid.n_tau + 2
+    for ys in nodes:
+        assert ys.size in (half.size, y_ext.size)
+        np.testing.assert_array_equal(ys, half if ys.size == half.size else half[::2])
+
+
+def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
+    # u0 and u0' at each in-step node serve both sources and both spacings,
+    # and the closed-form linear part of U1 reads them once on the (tau, y)
+    # table: one series build evaluates u0 on the dy/2 nodes only, plus the
+    # direct check's n_time_quad x n_space_quad points
+    grid = build_grid("series-price")
+    n_ext = pricing._extended_y(README_SPEC, grid).size
     tau_axis = grid.nodes(README_SPEC)[0]
     dw = pricing._step_dw(README_SPEC, grid)
     m = np.ceil(np.sqrt(np.diff(tau_axis)) / dw).astype(int)
@@ -466,15 +502,17 @@ def test_fused_corrections_evaluate_u0_once_per_node(monkeypatch):
         return original(tau, y)
 
     monkeypatch.setattr(pricing, "u0_and_prime", counting)
-    pricing.compute_corrections(README_SPEC, grid, ys, source_coefficient(README_SPEC))
-    assert sum(points) == m.sum() * ys.size + tau_axis.size * ys.size
+    solve_perturbation(README_SPEC, grid)
+    direct = grid.n_time_quad * grid.n_space_quad
+    assert sum(points) == (m.sum() + tau_axis.size) * (2 * n_ext - 1) + direct
 
 
 @pytest.mark.parametrize("grid_name, limit_mib", [("series-price", 2.0), ("readme", 5.0)])
 def test_series_build_heap_peak(grid_name, limit_mib):
-    # the march holds one step's nodes and weights at a time (peaks 0.83 and
-    # 3.26 MiB on these grids); evaluating the sources of all steps at once
-    # holds about ten sum(m_i) x n arrays and exceeds both limits
+    # the march holds one step's nodes and weights at a time (peaks 0.86 and
+    # 2.69 MiB on these grids, 1.97 on the compare grid); evaluating the
+    # sources of all steps at once holds about ten sum(m_i) x n arrays and
+    # exceeds both limits
     import tracemalloc
 
     import scipy.special  # noqa: F401  (its import is not the build's memory)
@@ -487,6 +525,37 @@ def test_series_build_heap_peak(grid_name, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2**20
+
+
+# the clip at 0 after the Richardson step removes at most this share of each
+# table's maximum on calls and grids that the refinement check accepts.
+# Measured over about 4,000 accepted draws of the strategy below, corners
+# included: worst 7.2e-6 for U1 and 8.6e-3 for U2, both at sigma 0.1 and T
+# 0.1-0.2 on 17-19 y nodes over y_half 0.7-0.8, where the kernel's width at
+# maturity is under half a y spacing; on the README grid they read 6e-23
+# and 5.6e-8 (U2 -7.7e-8 absolute), on the series_price grid 1.3e-21 and
+# 4.5e-7
+CLIP_SHARE = (1e-5, 1e-2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(strike=st.floats(50.0, 150.0), maturity=st.floats(0.1, 2.0),
+       sigma=st.floats(0.1, 0.5), rho=st.floats(0.005, 0.05),
+       n_tau=st.integers(16, 32), n_y=st.integers(17, 65), y_half=st.floats(0.3, 0.8),
+       n_time_quad=st.integers(8, 32), n_space_quad=st.integers(21, 81))
+def test_series_clip_is_small_where_refinement_accepts(strike, maturity, sigma, rho, n_tau, n_y,
+                                                       y_half, n_time_quad, n_space_quad):
+    spec = CallSpec(strike, maturity, sigma, rho)
+    grid = TransformGrid(n_tau, n_y, y_half, n_time_quad, n_space_quad)
+    sol, check = pricing.solve_with_refinement_check(spec, grid)
+    assume(check["converged"])
+    y_ext = pricing._extended_y(spec, grid)
+    lo = (y_ext.size - n_y) // 2
+    pairs = pricing.compute_corrections(spec, grid, y_ext, source_coefficient(spec))
+    tables = richardson_halving(*pairs)[:, :, lo : lo + n_y]
+    np.testing.assert_array_equal(np.maximum(tables, 0.0), sol.tables)
+    for table, share in zip(tables, CLIP_SHARE):
+        assert -table.min() <= share * table.max()
 
 
 def test_solution_is_its_tables():
