@@ -9,7 +9,8 @@ Commands::
     itoarb simulate   --config cfg.json --out DIR [--seed N]
 
 Configs are JSON trees checked against ``CONFIG_SCHEMA`` (unknown keys
-rejected; integer fields take JSON integers only; ``schema_version`` is 1).
+rejected; integer fields take JSON integers only, sizes at most ``MAX_COUNT``;
+``schema_version`` is 1), after ``--seed`` replaces the config's ``seed``.
 All randomness flows from the single ``seed`` field; outputs carry no
 wall-clock entropy, so reruns are byte-identical.  Commands turn config
 sections into library objects and write what the library returns.  Exit
@@ -39,6 +40,10 @@ SCHEMA_VERSION = 1
 ANALYSIS_FLAG = 1
 USAGE_ERROR = 2
 INTERNAL_FAILURE = 3
+
+# the largest integer every float holds exactly: a size past it is refused
+# before it becomes an array dimension
+MAX_COUNT = 2**53
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
@@ -78,19 +83,19 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_tau": {"type": "integer", "minimum": 16},
-                "n_y": {"type": "integer", "minimum": 16},
+                "n_tau": {"type": "integer", "minimum": 16, "maximum": MAX_COUNT},
+                "n_y": {"type": "integer", "minimum": 16, "maximum": MAX_COUNT},
                 "y_half": {"type": "number", "exclusiveMinimum": 0},
-                "n_time_quad": {"type": "integer", "minimum": 8},
-                "n_space_quad": {"type": "integer", "minimum": 21},
+                "n_time_quad": {"type": "integer", "minimum": 8, "maximum": MAX_COUNT},
+                "n_space_quad": {"type": "integer", "minimum": 21, "maximum": MAX_COUNT},
             },
         },
         "pde_grid": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_x": {"type": "integer", "minimum": 64},
-                "n_t": {"type": "integer", "minimum": 64},
+                "n_x": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
+                "n_t": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
                 "x_min": {"type": "number", "exclusiveMinimum": 0},
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -121,10 +126,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["paths", "dt", "horizon"],
             "properties": {
-                "paths": {"type": "integer", "minimum": 64},
+                "paths": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "lag_steps": {"type": "integer", "minimum": 1},
+                "lag_steps": {"type": "integer", "minimum": 1, "maximum": MAX_COUNT},
                 "report_times": _NUMBER_ARRAY,
                 "export_csv_paths": {"type": "integer", "minimum": 0},
             },
@@ -149,6 +154,8 @@ def _violation(schema: dict, value, path: str) -> str | None:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if "minimum" in schema and value < schema["minimum"]:
             return f"{where}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return f"{where}: {value!r} is greater than the maximum of {schema['maximum']!r}"
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             return (f"{where}: {value!r} is less than or equal to the minimum of "
                     f"{schema['exclusiveMinimum']!r}")
@@ -203,12 +210,16 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def load_config(path) -> dict:
+def load_config(path, seed: int | None = None) -> dict:
+    """The config at ``path``, its ``seed`` replaced by ``seed`` if given,
+    checked against ``CONFIG_SCHEMA``."""
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, ValueError) as exc:  # ValueError: undecodable text or bad JSON
         raise ConfigError(f"cannot read config: {exc}") from exc
+    if seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = seed
     error = _violation(CONFIG_SCHEMA, cfg, "")
     if error is not None:
         raise ConfigError(f"config schema violation: {error}")
@@ -409,9 +420,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)

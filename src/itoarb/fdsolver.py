@@ -16,12 +16,13 @@ Scheme: in log price ``xi`` the diffusion operator is ``a (d_xixi - d_xi)``
 with ``a = sigma^2/2``; the substitution ``Phi = e^{(xi - log K)/2} V``
 symmetrizes it to ``a (d_xixi - 1/4)``, which a three-point stencil
 discretizes without convection dispersion.  Each step is the Strang split
-``D(dt/2) S(dt) D(dt/2)``, second order in time: ``D`` is theta-weighted implicit
-diffusion (factored once per step size, Rannacher start) and ``S`` the exact
-flow ``V exp(-h g)`` of the source rate ``g = source / V``, a factor in ``[0, 1]``
-for ``rho >= 0``.  A nonzero rate (the undiscounted price) adds the
-convection and discounting terms in the same framework.  One march steps a
-column per ``rho`` and streams its rows from maturity to ``t = 0``:
+``D(dt/2) S(dt) D(dt/2)``, second order in time: ``D`` is theta-weighted
+diffusion by one tridiagonal operator ``L`` (:func:`_operator`), applied as a
+product in the explicit part and factored once per step size in the implicit
+part (Rannacher start), and ``S`` the exact flow ``V exp(-h g)`` of the source
+rate ``g = source / V``, a factor in ``[0, 1]`` for ``rho >= 0``.  A nonzero
+rate (the undiscounted price) adds convection and discounting to ``L``.  One
+march steps a column per ``rho`` and streams its rows from maturity to ``t = 0``:
 :func:`solve` stores every row of its one column, :func:`spill` writes each
 row to a file as it comes out and holds two, and :func:`comparison_report`
 (the only user of :mod:`itoarb.pricing` beyond ``CallSpec``) keeps the
@@ -138,14 +139,27 @@ def _tridiagonal_solver(dl, d, du):
     return partial(gttrs, *factors)
 
 
-def _implicit_factors(n, th_dt, lo, di, up, top_lo, top_di):
-    """:func:`_tridiagonal_solver` of ``I - th_dt L`` on ``n`` nodes.  ``L`` is
-    ``(lo, di, up)`` inside and ``(top_lo, top_di)`` on the top row, and the
-    first row pins the boundary value."""
-    dl = np.append(np.full(n - 2, -th_dt * lo), -th_dt * top_lo)
-    d = np.concatenate([[1.0], np.full(n - 2, 1.0 - th_dt * di), [1.0 - th_dt * top_di]])
-    du = np.append(0.0, np.full(n - 2, -th_dt * up))
-    return _tridiagonal_solver(dl, d, du)
+def _operator(n: int, dxi: float, a: float, r: float):
+    """The symmetrized ``L[V] = a V'' + r V' - (a/4 + r/2) V`` on ``n`` log
+    nodes ``dxi`` apart, as its diagonals ``(sub, main, sup)``: ``sub[i] =
+    L[i + 1, i]`` and ``sup[i] = L[i, i + 1]``.  The first row is zero (the
+    boundary value is pinned).  The top row has zero gamma, so convection and
+    discounting survive: ``r V' - (r/2) V`` with a one-sided ``V'``."""
+    sub = np.full(n - 1, a / dxi**2 - r / (2 * dxi))
+    main = np.full(n, -2 * a / dxi**2 + (-a / 4.0 - r / 2.0))
+    sup = np.full(n - 1, a / dxi**2 + r / (2 * dxi))
+    main[0] = sup[0] = 0.0
+    sub[-1], main[-1] = -r / dxi, r / dxi - r / 2.0
+    return sub, main, sup
+
+
+def _times(op, v: np.ndarray) -> np.ndarray:
+    """``L v`` for the diagonals ``op`` of :func:`_operator`, one column per column of ``v``."""
+    sub, main, sup = op
+    out = main[:, None] * v
+    out[1:] += sub[:, None] * v[:-1]
+    out[:-1] += sup[:, None] * v[1:]
+    return out
 
 
 def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
@@ -168,27 +182,8 @@ def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
     lk = np.log(spec.strike)
     dxi = xi[1] - xi[0]
     half = np.exp(0.5 * (xi - lk))[:, None]
-    a, r = 0.5 * spec.sigma**2, rate
     rho = np.asarray(rhos, dtype=float)
-
-    # In log coordinates L[Phi] = a(Phi'' - Phi') + r Phi' - r Phi; the
-    # substitution Phi = half * V symmetrizes it to
-    # L[V] = a V'' + r V' - (a/4 + r/2) V.
-    c2, c1, c0 = a, r, -a / 4.0 - r / 2.0
-
-    lo = c2 / dxi**2 - c1 / (2 * dxi)
-    di = -2 * c2 / dxi**2 + c0
-    up = c2 / dxi**2 + c1 / (2 * dxi)
-    # top row: zero gamma in x kills the diffusion part; convection and
-    # discounting survive, L_top[V] = r V' - (r/2) V with one-sided V'
-    top_di = r / dxi - r / 2.0
-    top_lo = -r / dxi
-
-    def apply_interior(v):
-        out = np.zeros_like(v)
-        out[1:-1] = lo * v[:-2] + di * v[1:-1] + up * v[2:]
-        out[-1] = top_lo * v[-2] + top_di * v[-1]
-        return out
+    op = _operator(x.size, dxi, 0.5 * spec.sigma**2, rate)
 
     def source_rate(v):  # 0 where V <= 0
         phi = half * v
@@ -207,10 +202,11 @@ def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
 
     @cache
     def factors(th, dtl):
-        return _implicit_factors(x.size, th * dtl, lo, di, up, top_lo, top_di)
+        sub, main, sup = (-th * dtl * d for d in op)  # I - th dtl L
+        return _tridiagonal_solver(sub, 1.0 + main, sup)
 
     def diffuse(v, th, dtl):
-        rhs = v + (1.0 - th) * dtl * apply_interior(v)
+        rhs = v + (1.0 - th) * dtl * _times(op, v)
         rhs[0] = 0.0
         return factors(th, dtl)(rhs)[0]
 

@@ -101,8 +101,9 @@ def schema_fields(schema, path=()):
 
 
 # the keywords cli._violation implements
-WALKER_KEYWORDS = {"type", "const", "minimum", "exclusiveMinimum", "required", "properties",
-                   "additionalProperties", "items", "minItems", "uniqueItems", "oneOf"}
+WALKER_KEYWORDS = {"type", "const", "minimum", "maximum", "exclusiveMinimum", "required",
+                   "properties", "additionalProperties", "items", "minItems", "uniqueItems",
+                   "oneOf"}
 
 
 def test_schema_uses_only_keywords_the_checker_implements():
@@ -190,7 +191,7 @@ STOCK = _Draft(cli.CONFIG_SCHEMA)
 STRICT = jsonschema.validators.extend(_Draft, type_checker=_Draft.TYPE_CHECKER.redefine(
     "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))(cli.CONFIG_SCHEMA)
 BOUNDS = sorted({s[k] for s in subschemas(cli.CONFIG_SCHEMA)
-                 for k in ("minimum", "exclusiveMinimum") if k in s})
+                 for k in ("minimum", "maximum", "exclusiveMinimum") if k in s})
 NUMBERS = [v for b in BOUNDS for v in (b, b - 1, b + 1, float(b), b - 0.5, b + 0.5, -b)]
 NUMBERS += [-0.0, 1e-300, 0.25, 2**40, 1e300]
 ODD_VALUES = ["x", None, True, False, {}, [], {"a": 1}, [1.0], [[1.0]]]
@@ -1178,6 +1179,49 @@ def test_simulate_too_large_to_allocate(tmp_path, capsys):
     assert err.startswith("error: ") and "memory" in err
     assert "Traceback" not in err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, section, change, named", [
+    ("price", "pricing_grid", {"n_tau": 10**30}, "pricing_grid.n_tau"),
+    ("price", "pricing_grid", {"n_y": 10**30}, "pricing_grid.n_y"),
+    ("price", "pricing_grid", {"n_time_quad": 10**30}, "pricing_grid.n_time_quad"),
+    ("price", "pricing_grid", {"n_space_quad": 10**30}, "pricing_grid.n_space_quad"),
+    ("solve-pde", "pde_grid", {"n_x": 10**30}, "pde_grid.n_x"),
+    ("solve-pde", "pde_grid", {"n_t": 10**30}, "pde_grid.n_t"),
+    ("simulate", "estimator", {"paths": 10**30}, "estimator.paths"),
+    ("simulate", "estimator", {"lag_steps": 10**30}, "estimator.lag_steps"),
+    ("simulate", "estimator", {"dt": 1e-320}, "horizon / dt = inf steps"),
+    ("simulate", "estimator", {"horizon": 1e300, "dt": 1e-10}, "horizon / dt = inf steps"),
+    ("simulate", "estimator", {"horizon": 1e18, "dt": 1.0, "report_times": [20.0]},
+     "horizon / dt = 1e+18 steps"),
+    ("simulate", "estimator", {"horizon": 1e300, "dt": 1.0, "report_times": [20.0]},
+     "horizon / dt = 1e+300 steps"),
+], ids=["n_tau", "n_y", "n_time_quad", "n_space_quad", "n_x", "n_t", "paths", "lag_steps",
+        "tiny-dt", "inf-steps", "1e18-steps", "1e300-steps"])
+def test_size_no_array_holds_is_config_error(tmp_path, capsys, command, section, change, named):
+    # a schema-valid size too large for any array is a run too large to
+    # allocate: exit 2, a message naming the field or the size, no files
+    payload = copy.deepcopy(README_CALL if section != "estimator" else sim_cfg())
+    payload[section].update(change)
+    cfg = write_cfg(tmp_path, "huge.json", payload)
+    out = tmp_path / "huge"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_seed_override_is_checked_by_the_schema(tmp_path, capsys):
+    # --seed replaces the config's seed before the schema check, so a seed of
+    # -1 is a config error on every command, as it is in the config
+    cfg = write_cfg(tmp_path, "m.json", dict(sim_cfg(), call=BASE_CALL))
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == ("error: config schema violation: seed: -1 is less "
+                                           "than the minimum of 0\n")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- imports

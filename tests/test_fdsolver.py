@@ -231,17 +231,45 @@ def test_spline_is_scipy_cubic_spline(strike, n_x, n_t):
 # ---------------------------------------------------------------- factored step
 
 
-@pytest.mark.parametrize("rate", [0.0, 0.05])
-def test_factored_step_matches_solve_banded(rate):
-    # the band matrix and solve_banded every step used to call, against the
-    # gttrf factors cached per step size and one gttrs per step
-    g = PdeGrid(n_x=513, n_t=1024)
-    x, t = g.nodes(SPEC)
+def _pde_coefficients(rate, n_x=513):
+    """The log spacing of ``n_x`` default nodes, ``a = sigma^2/2`` and the
+    PDE's stencil coefficients, written out here as the oracle of the
+    module's operator: interior ``(lo, di, up)`` and the zero-gamma top row
+    ``(top_lo, top_di)``."""
+    x = PdeGrid(n_x=n_x).nodes(SPEC)[0]
     dxi = np.log(x)[1] - np.log(x)[0]
     a = 0.5 * SPEC.sigma**2
     lo, up = a / dxi**2 - rate / (2 * dxi), a / dxi**2 + rate / (2 * dxi)
     di = -2 * a / dxi**2 - a / 4.0 - rate / 2.0
-    top_lo, top_di = -rate / dxi, rate / dxi - rate / 2.0
+    return dxi, a, (lo, di, up), (-rate / dxi, rate / dxi - rate / 2.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+def test_operator_product_matches_dense_matrix(rate):
+    # the explicit half step's product against a dense L assembled from the
+    # PDE coefficients: a zero first row (the pinned boundary value), the
+    # interior stencil and the one-sided top row
+    n = 129
+    dxi, a, (lo, di, up), (top_lo, top_di) = _pde_coefficients(rate, n)
+    dense = np.zeros((n, n))
+    for i in range(1, n - 1):
+        dense[i, i - 1:i + 2] = lo, di, up
+    dense[-1, -2:] = top_lo, top_di
+    v = np.random.default_rng(7).standard_normal((n, 3))
+    got = fdsolver._times(fdsolver._operator(n, dxi, a, rate), v)
+    assert np.array_equal(got[0], np.zeros(3))
+    np.testing.assert_allclose(got, dense @ v, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+def test_factored_step_matches_solve_banded(rate):
+    # the band matrix and solve_banded every step used to call, against the
+    # gttrf factors of the module's operator, as the march builds them once
+    # per step size
+    g = PdeGrid(n_x=513, n_t=1024)
+    t = g.nodes(SPEC)[1]
+    dxi, a, (lo, di, up), (top_lo, top_di) = _pde_coefficients(rate, g.n_x)
+    sub, main, sup = fdsolver._operator(g.n_x, dxi, a, rate)
     rhs = np.random.default_rng(5).standard_normal((g.n_x, 4))
     dt = t[1] - t[0]
     # the Crank-Nicolson step and the fully implicit Rannacher half step
@@ -253,15 +281,18 @@ def test_factored_step_matches_solve_banded(rate):
         ab[1, -1] = 1.0 - th * dtl * top_di
         ab[2, :-2] = -th * dtl * lo
         ab[2, -2] = -th * dtl * top_lo
-        step_solve = fdsolver._implicit_factors(g.n_x, th * dtl, lo, di, up, top_lo, top_di)
+        step_solve = fdsolver._tridiagonal_solver(-th * dtl * sub, 1.0 - th * dtl * main,
+                                                  -th * dtl * sup)
         got = step_solve(rhs)[0]
         assert np.array_equal(got, solve_banded((1, 1), ab, rhs))
 
 
 def test_singular_step_matrix_raises():
     # a zero pivot is a LinAlgError, which is a ValueError (exit 3 in the CLI)
+    d = np.ones(64)
+    d[1] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        fdsolver._implicit_factors(64, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        fdsolver._tridiagonal_solver(np.zeros(63), d, np.zeros(63))
     assert issubclass(np.linalg.LinAlgError, ValueError)
 
 
