@@ -9,8 +9,9 @@ Commands::
     itoarb simulate   --config cfg.json --out DIR [--seed N]
 
 Configs are JSON trees checked against ``CONFIG_SCHEMA`` (unknown keys
-rejected; integer fields take JSON integers only, sizes at most ``MAX_COUNT``;
-``schema_version`` is 1), after ``--seed`` replaces the config's ``seed``.
+rejected; integer fields take JSON integers only, sizes at most
+``simulate.MAX_COUNT``; ``schema_version`` is 1), after ``--seed`` replaces
+the config's ``seed``.
 All randomness flows from the single ``seed`` field; outputs carry no
 wall-clock entropy, so reruns are byte-identical.  Commands turn config
 sections into library objects and write what the library returns.  Exit
@@ -40,10 +41,6 @@ SCHEMA_VERSION = 1
 ANALYSIS_FLAG = 1
 USAGE_ERROR = 2
 INTERNAL_FAILURE = 3
-
-# the largest integer every float holds exactly: a size past it is refused
-# before it becomes an array dimension
-MAX_COUNT = 2**53
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
@@ -83,19 +80,19 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_tau": {"type": "integer", "minimum": 16, "maximum": MAX_COUNT},
-                "n_y": {"type": "integer", "minimum": 16, "maximum": MAX_COUNT},
+                "n_tau": {"type": "integer", "minimum": 16, "maximum": mc.MAX_COUNT},
+                "n_y": {"type": "integer", "minimum": 16, "maximum": mc.MAX_COUNT},
                 "y_half": {"type": "number", "exclusiveMinimum": 0},
-                "n_time_quad": {"type": "integer", "minimum": 8, "maximum": MAX_COUNT},
-                "n_space_quad": {"type": "integer", "minimum": 21, "maximum": MAX_COUNT},
+                "n_time_quad": {"type": "integer", "minimum": 8, "maximum": mc.MAX_COUNT},
+                "n_space_quad": {"type": "integer", "minimum": 21, "maximum": mc.MAX_COUNT},
             },
         },
         "pde_grid": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_x": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
-                "n_t": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
+                "n_x": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
+                "n_t": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
                 "x_min": {"type": "number", "exclusiveMinimum": 0},
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -126,10 +123,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["paths", "dt", "horizon"],
             "properties": {
-                "paths": {"type": "integer", "minimum": 64, "maximum": MAX_COUNT},
+                "paths": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "lag_steps": {"type": "integer", "minimum": 1, "maximum": MAX_COUNT},
+                "lag_steps": {"type": "integer", "minimum": 1, "maximum": mc.MAX_COUNT},
                 "report_times": _NUMBER_ARRAY,
                 "export_csv_paths": {"type": "integer", "minimum": 0},
             },

@@ -20,10 +20,7 @@ discretizes without convection dispersion.  Each step is the Strang split
 diffusion by one tridiagonal operator ``L`` (:func:`_operator`), applied as a
 product in the explicit part and factored once per step size in the implicit
 part (Rannacher start), and ``S`` the exact flow ``V exp(-h g)`` of the source
-rate ``g = source / V``, a factor in ``[0, 1]`` for ``rho >= 0``.  The rate
-reads ``X Phi_x`` as the centred difference of ``Phi``, or, in a march whose
-cell Peclet number ``|rho| dxi / sigma^2`` exceeds 1, as ``Phi`` times the
-centred difference of ``log Phi`` (see :func:`_march`).  A nonzero
+rate ``g = source / V``, a factor in ``[0, 1]`` for ``rho >= 0``.  A nonzero
 rate (the undiscounted price) adds convection and discounting to ``L``.  One
 march steps a column per ``rho`` and streams its rows from maturity to ``t = 0``:
 :func:`solve` stores every row of its one column, :func:`spill` writes each
@@ -172,8 +169,7 @@ def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
     (``rate = 0`` gives the discounted equation) on the nodes ``x``, ``t`` of
     :meth:`PdeGrid.nodes` from the payoff struck at ``K e^{rT}`` and yields
     the ``(n_x, n_rho)`` price rows from ``t = T`` down to ``t = 0``, payoff
-    first.  Columns never mix, so the block equals one-column marches that
-    read the source with the same stencil (chosen from the largest ``|rho|``).  A
+    first.  Columns never mix, so the block equals one-column marches.  A
     payoff strike outside the nodes raises ``ValueError``.  A non-finite row
     (``rho < 0`` can overflow the source flow) raises, and so does a row below
     the positivity floor, which Crank-Nicolson can still undershoot.
@@ -188,22 +184,11 @@ def _march(spec: CallSpec, x: np.ndarray, t: np.ndarray, rate: float, rhos):
     half = np.exp(0.5 * (xi - lk))[:, None]
     rho = np.asarray(rhos, dtype=float)
     op = _operator(x.size, dxi, 0.5 * spec.sigma**2, rate)
-    # The centred difference of Phi couples a node's source rate to its
-    # downwind neighbour in proportion to their price ratio, which is large at
-    # the steep out-of-the-money fronts.  Above cell Peclet number 1 diffusion
-    # no longer outweighs that coupling and prices can rise with rho, so there
-    # X Phi_x is read as Phi d(log Phi)/dxi, whose coupling the ratio does not
-    # scale.  One choice per march keeps the columns on one scheme.
-    log_stencil = bool(np.abs(rho).max() * dxi > spec.sigma**2)
 
     def source_rate(v):  # 0 where V <= 0
         phi = half * v
         phix = np.empty_like(phi)
         phix[1:-1] = (phi[2:] - phi[:-2]) / (2 * dxi)
-        if log_stencil:  # where both neighbours are positive
-            lphi = np.log(phi)
-            phix[1:-1] = np.where((phi[2:] > 0.0) & (phi[:-2] > 0.0),
-                                  phi[1:-1] * (lphi[2:] - lphi[:-2]) / (2 * dxi), phix[1:-1])
         phix[0] = (phi[1] - phi[0]) / dxi
         phix[-1] = (phi[-1] - phi[-2]) / dxi
         # X Phi_x = dPhi/dxi on the log grid

@@ -97,7 +97,9 @@ class PathEnsemble:
         return np.arange(self.states.shape[1]) * self.dt
 
 
-MAX_STEPS = 2**53  # the largest count every float holds exactly
+# the largest integer every float holds exactly: a size or step count past it
+# is refused before it becomes an array dimension
+MAX_COUNT = 2**53
 MIN_STEP = 10  # earliest estimation step: the noise correction W_t/(2t) is singular at t = 0
 
 
@@ -214,12 +216,11 @@ def _coefficients(model, n_steps: int, dt: float) -> tuple[np.ndarray, np.ndarra
 
 def step_count(dt: float, horizon: float) -> int:
     """Number of ``dt`` steps in ``horizon``; ``ValueError`` unless whole and
-    positive.  More than ``MAX_STEPS`` steps (an inf count included) raise
+    positive.  More than ``MAX_COUNT`` steps (an inf count included) raise
     ``MemoryError`` before anything is built."""
-    with np.errstate(over="ignore"):  # an inf count fails the check below
-        ratio = horizon / dt
-    if not ratio <= MAX_STEPS:  # so written that an inf or NaN count fails
-        raise MemoryError(f"horizon / dt = {ratio:.4g} steps, more than the {MAX_STEPS} a "
+    ratio = horizon / dt
+    if not ratio <= MAX_COUNT:  # so written that an inf or NaN count fails
+        raise MemoryError(f"horizon / dt = {ratio:.4g} steps, more than the {MAX_COUNT} a "
                           "path may take")
     n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
