@@ -26,7 +26,8 @@ march steps a column per ``rho`` and streams its rows from maturity to ``t = 0``
 :func:`solve` stores every row of its one column, :func:`spill` writes each
 row to a file as it comes out and holds two, and :func:`comparison_report`
 (the only user of :mod:`itoarb.pricing` beyond ``CallSpec``) keeps the
-``t = 0`` row of one march over ``[0, *rhos]`` per time resolution.
+``t = 0`` row of one march over ``[0, *rhos]`` per time resolution, the finer
+one in a forked child (:func:`~itoarb.tables.forked`).
 
 Prices between nodes are read with the not-a-knot cubic spline in log price
 (bit for bit ``scipy.interpolate.CubicSpline``).  The implicit diffusion
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import pricing
 from .pricing import CallSpec
-from .tables import pwrite_all
+from .tables import forked, pwrite_all
 
 __all__ = ["PdeGrid", "PdeSolution", "solve", "spill", "evaluate",
            "comparison_inputs", "comparison_report"]
@@ -351,7 +352,9 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     classical price is computed on both routes; the finite-difference change
     is Richardson extrapolated to second order in time (``COMPARE_N_T`` and
     twice that many steps).  Each time resolution is one :func:`_march` over
-    ``[0, *rhos]``, of which only the ``t = 0`` row is kept.
+    ``[0, *rhos]``, of which only the ``t = 0`` row is kept; the finer one runs
+    in a :func:`~itoarb.tables.forked` child while this process marches the
+    coarser one and builds the series.
     The residual table is produced for both source constants so the
     printed-constant ambiguity is adjudicated by the data: the adopted
     constant must show third-order decay (every observed order between
@@ -361,17 +364,18 @@ def comparison_report(spec0: CallSpec, **inputs) -> dict:
     rhos, moneyness, grid = comparison_inputs(spec0, **inputs)
     probes = moneyness * spec0.strike
     n_x, n_t = COMPARE_N_X, COMPARE_N_T
-    coarse, fine = (_t0_prices(spec0, PdeGrid(n_x=n_x, n_t=nt), [0.0, *rhos],
-                               probes) for nt in (n_t, 2 * n_t))
-    # change from the classical price (column 0), second-order Richardson in time
-    fd = dict(zip(rhos, (4.0 * (fine[1:] - fine[0]) - (coarse[1:] - coarse[0])) / 3.0))
-
-    # one quadrature build suffices: the corrections are exactly homogeneous
-    # in the source constant (U1 linear, U2 quadratic), so each candidate is
-    # the strike-free build rescaled by the ratio of the constants
-    sol = pricing.solve_perturbation(replace(spec0, rho=max(rhos)), grid)
+    ladder = [0.0, *rhos]
+    with forked(_t0_prices, spec0, PdeGrid(n_x=n_x, n_t=2 * n_t), ladder, probes) as fine_result:
+        coarse = _t0_prices(spec0, PdeGrid(n_x=n_x, n_t=n_t), ladder, probes)
+        # one quadrature build suffices: the corrections are exactly homogeneous
+        # in the source constant (U1 linear, U2 quadratic), so each candidate is
+        # the strike-free build rescaled by the ratio of the constants
+        sol = pricing.solve_perturbation(replace(spec0, rho=max(rhos)), grid)
+        fine = fine_result()
     taus, ys, pref = pricing.canonical_variables(spec0, probes, np.zeros(probes.size))
     u1_free, u2_free = sol.correction_values(taus, ys)
+    # change from the classical price (column 0), second-order Richardson in time
+    fd = dict(zip(rhos, (4.0 * (fine[1:] - fine[0]) - (coarse[1:] - coarse[0])) / 3.0))
 
     table = {}
     for convention in (pricing.SOURCE_STRIKE_FREE, pricing.SOURCE_STRIKE_SCALED):

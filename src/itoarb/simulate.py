@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ItoCoefficients, kernel_basis
-from .tables import pwrite_all, replacing, write_long_csv
+from .tables import pwrite_all, replacing, usable_cpus, write_long_csv
 
 __all__ = [
     "PathEnsemble",
@@ -192,8 +192,7 @@ def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=Non
             failed.set()
             raise
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max(1, min(n_blocks, cpus or 1))) as pool:
+    with ThreadPoolExecutor(max(1, min(n_blocks, usable_cpus()))) as pool:
         list(pool.map(guarded, range(n_blocks)))  # re-raises a block's exception
 
 
@@ -463,8 +462,9 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
     sub-block of ``_SUB`` paths writes its rows of the states and the noise
     sections (:func:`_sections`) as it is built and projects its paths'
     quotients (:func:`_rho_quotients`), which alone are kept, (len(t_indices),
-    M, B).  The file is written as ``path.partial`` and renamed to ``path`` on
-    success; on any failure it is removed (:func:`~itoarb.tables.replacing`).
+    M, B); more than ``MAX_COUNT`` of them raise ``MemoryError`` first.  The
+    file is written as ``path.partial`` and renamed to ``path`` on success; on
+    any failure it is removed (:func:`~itoarb.tables.replacing`).
     """
     n_steps = step_count(dt, horizon)
     project = None
@@ -474,6 +474,10 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
                              "a per-step schedule")
         steps = _window(dt, n_steps + 1, lag_steps, t_indices)
         b, project = _rho_quotients(model, lag_steps * dt, steps * dt)
+        if steps.size * m_paths * b > MAX_COUNT:
+            raise MemoryError(f"{steps.size} report times x {m_paths} paths x {b} kernel "
+                              f"directions of quotients, more than the {MAX_COUNT} an array "
+                              "may hold")
         quotients = np.empty((steps.size, m_paths, b))
     sigma, drift = _coefficients(model, n_steps, dt)
     n, k = sigma.shape[1], sigma.shape[2]

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import errno
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -25,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bs_oracle import bs_call
-from itoarb import cli, fdsolver, pricing
+from itoarb import cli, fdsolver, pricing, tables
 
 
 def write_cfg(tmp_path, name, payload):
@@ -406,6 +407,72 @@ def test_solve_pde_spill_disk_full_writes_nothing(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output") and "Traceback" not in err
     assert next(calls) > 10  # the failing write was reached
+    assert not any(out.iterdir())
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_forked_work_writes_the_same_files(tmp_path, monkeypatch, forked_pids):
+    # with two CPUs compare marches its finer resolution in a child and
+    # solve-pde formats half of its 257 x 513 surface (above 2 MIN_PART_CELLS)
+    # in one; every file is the one a single process writes
+    cfg = write_cfg(tmp_path, "c.json", dict(README_CALL, pde_grid={"n_x": 257, "n_t": 512}))
+    digests = {}
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        for command in ("compare", "solve-pde"):
+            out = tmp_path / f"{command}-{cpus}"
+            assert run([command, "--config", cfg, "--out", out]) == 0
+            digests[cpus, command] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                      for p in out.iterdir()}
+        assert len(forked_pids) == 2 * (cpus - 1)
+    for command in ("compare", "solve-pde"):
+        assert digests[1, command] == digests[2, command]
+    assert sorted(digests[2, "solve-pde"]) == ["pde_surface.csv", "run_meta.json"]
+
+
+def test_compare_forked_march_failure_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                     forked_pids):
+    # the child's exception reaches the command with its type: exit 3
+    usable_cpus(monkeypatch, 2)
+    parent, march = os.getpid(), fdsolver._march
+
+    def failing(spec, x, t, rate, rhos):
+        if os.getpid() != parent and t.size - 1 == 2 * fdsolver.COMPARE_N_T:
+            raise RuntimeError("price row below the positivity floor in the finer march")
+        return march(spec, x, t, rate, rhos)
+
+    monkeypatch.setattr(fdsolver, "_march", failing)
+    out = tmp_path / "o"
+    assert run(["compare", "--config", write_cfg(tmp_path, "c.json", README_CALL),
+                "--out", out]) == 3
+    assert ("error [compare]: internal failure: price row below the positivity floor in the "
+            "finer march") in capsys.readouterr().err
+    assert len(forked_pids) == 1
+    assert not any(out.iterdir())
+
+
+def test_solve_pde_disk_full_in_a_forked_part_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                              forked_pids):
+    # the child's OSError is an output error (exit 2); the table's .partial,
+    # the spill and the child's part file all go
+    usable_cpus(monkeypatch, 2)
+    parent, write_blocks = os.getpid(), tables._write_blocks
+
+    def disk_full_in_child(fh, *args):
+        if os.getpid() != parent:
+            fh.write(b"0,1,2\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_blocks(fh, *args)
+
+    monkeypatch.setattr(tables, "_write_blocks", disk_full_in_child)
+    out = tmp_path / "o"
+    assert run(["solve-pde", "--config", pde_cfg(tmp_path, 257, 512), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: [Errno 28]") and "Traceback" not in err
+    assert len(forked_pids) == 1
     assert not any(out.iterdir())
 
 
@@ -1196,8 +1263,12 @@ def test_simulate_too_large_to_allocate(tmp_path, capsys):
      "horizon / dt = 1e+18 steps"),
     ("simulate", "estimator", {"horizon": 1e300, "dt": 1.0, "report_times": [20.0]},
      "horizon / dt = 1e+300 steps"),
+    # each size within the schema, their product past what numpy can index
+    ("simulate", "estimator", {"paths": 2**53, "dt": 0.005,
+                               "report_times": [round(0.06 + 0.005 * i, 3) for i in range(180)]},
+     "180 report times x 9007199254740992 paths"),
 ], ids=["n_tau", "n_y", "n_time_quad", "n_space_quad", "n_x", "n_t", "paths", "lag_steps",
-        "tiny-dt", "inf-steps", "1e18-steps", "1e300-steps"])
+        "tiny-dt", "inf-steps", "1e18-steps", "1e300-steps", "quotients"])
 def test_size_no_array_holds_is_config_error(tmp_path, capsys, command, section, change, named):
     # a schema-valid size too large for any array is a run too large to
     # allocate: exit 2, a message naming the field or the size, no files

@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -125,3 +127,69 @@ def test_disk_full_leaves_no_part_written_file(tmp_path, monkeypatch, capsys, co
     assert err.startswith("error: cannot write output") and "Traceback" not in err
     assert DiskFull.writes == failing
     assert sorted(p.name for p in out.iterdir()) == left
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_forked_returns_the_child_value_or_raises_its_exception(monkeypatch, forked_pids):
+    usable_cpus(monkeypatch, 2)
+    with tables.forked(divmod, 17, 5) as result:
+        assert result() == (3, 2)
+    # the exception keeps its type and fields, an OSError its errno
+    with tables.forked(os.open, "/nonexistent-dir/x", os.O_RDONLY) as result:
+        with pytest.raises(FileNotFoundError) as info:
+            result()
+    assert info.value.errno == errno.ENOENT
+    with tables.forked(lambda: lambda: None) as result:  # a value pickle cannot send
+        with pytest.raises(RuntimeError, match="the forked <lambda> ended without a result"):
+            result()
+    with tables.forked(os._exit, 0) as result:
+        with pytest.raises(RuntimeError, match="the forked _exit ended without a result"):
+            result()
+    assert len(forked_pids) == 4
+
+
+def test_forked_runs_inline_on_one_cpu(monkeypatch, forked_pids):
+    usable_cpus(monkeypatch, 1)
+    calls = []
+    with tables.forked(calls.append, 1) as result:
+        result()
+    assert calls == [1] and forked_pids == []
+
+
+@pytest.mark.parametrize("raises", [True, False], ids=["block-raises", "never-waited"])
+def test_forked_kills_and_reaps_a_child_left_running(monkeypatch, forked_pids, raises):
+    # a child still at work when the block ends is killed, not waited for
+    usable_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+        with tables.forked(time.sleep, 60):
+            if raises:
+                raise KeyError("the parent's side failed")
+    assert time.monotonic() - start < 30
+    (pid,) = forked_pids
+    with pytest.raises(ChildProcessError):  # already reaped
+        os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 3)])
+def test_long_table_split_across_cpus_is_the_same_file(tmp_path, monkeypatch, forked_pids,
+                                                       cpus, parts):
+    # a table of 2 MIN_PART_CELLS cells or more is written in one part per
+    # usable CPU, each of at least MIN_PART_CELLS and each past the first by
+    # a child, and every part reads its lazy blocks in order
+    keys = np.arange(301) * 0.25
+    axis = np.linspace(0.5, 1.5, 3 * tables.MIN_PART_CELLS // keys.size + 1)
+    values = np.sin(keys[:, None, None] * axis[None, :, None] + np.arange(2))
+    usable_cpus(monkeypatch, cpus)
+    write_long_csv(tmp_path / "small.csv", ["k", "a", "v", "w"], keys[:3], axis, values)
+    assert forked_pids == []  # a small table stays in one process
+    usable_cpus(monkeypatch, 1)
+    write_long_csv(tmp_path / "one.csv", ["k", "a", "v", "w"], keys, axis, values)
+    usable_cpus(monkeypatch, cpus)
+    write_long_csv(tmp_path / "split.csv", ["k", "a", "v", "w"], keys, axis, iter(values))
+    assert len(forked_pids) == parts - 1
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["one.csv", "small.csv", "split.csv"]
