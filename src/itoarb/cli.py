@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,6 +45,7 @@ INTERNAL_FAILURE = 3
 
 _NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
+_SIZE = {"type": "integer", "maximum": mc.MAX_COUNT}  # a size field, less its "minimum"
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -80,19 +82,19 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_tau": {"type": "integer", "minimum": 16, "maximum": mc.MAX_COUNT},
-                "n_y": {"type": "integer", "minimum": 16, "maximum": mc.MAX_COUNT},
+                "n_tau": {**_SIZE, "minimum": pricing.MIN_N_TAU},
+                "n_y": {**_SIZE, "minimum": pricing.MIN_N_Y},
                 "y_half": {"type": "number", "exclusiveMinimum": 0},
-                "n_time_quad": {"type": "integer", "minimum": 8, "maximum": mc.MAX_COUNT},
-                "n_space_quad": {"type": "integer", "minimum": 21, "maximum": mc.MAX_COUNT},
+                "n_time_quad": {**_SIZE, "minimum": pricing.MIN_N_TIME_QUAD},
+                "n_space_quad": {**_SIZE, "minimum": pricing.MIN_N_SPACE_QUAD},
             },
         },
         "pde_grid": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_x": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
-                "n_t": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
+                "n_x": {**_SIZE, "minimum": fdsolver.MIN_N_X},
+                "n_t": {**_SIZE, "minimum": fdsolver.MIN_N_T},
                 "x_min": {"type": "number", "exclusiveMinimum": 0},
                 "x_max": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -123,10 +125,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["paths", "dt", "horizon"],
             "properties": {
-                "paths": {"type": "integer", "minimum": 64, "maximum": mc.MAX_COUNT},
+                "paths": {**_SIZE, "minimum": 64},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "lag_steps": {"type": "integer", "minimum": 1, "maximum": mc.MAX_COUNT},
+                "lag_steps": {**_SIZE, "minimum": 1},
                 "report_times": _NUMBER_ARRAY,
                 "export_csv_paths": {"type": "integer", "minimum": 0},
             },
@@ -305,7 +307,8 @@ def cmd_price(cfg: dict, out: Path) -> int:
         pricing.check_points(spec, grid, x_nodes[None, :], t_nodes[:, None])
     sol, conv = pricing.solve_with_refinement_check(spec, grid)
     surf = pricing.price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
-    write_long_csv(out / "price_surface.csv", ["t", "X", "Phi"], t_nodes, x_nodes, surf)
+    write_long_csv(out / "price_surface.csv", ["t", "X", "Phi"], t_nodes, x_nodes,
+                   surf.__getitem__)
     meta = _meta_skeleton(cfg, "price")
     meta["diagnostics"] = dict(sol.diagnostics)
     meta["convergence"] = conv
@@ -320,13 +323,11 @@ def cmd_solve_pde(cfg: dict, out: Path) -> int:
         spec = _call_spec(cfg)
         grid = fdsolver.PdeGrid(**cfg.get("pde_grid", {}))
         grid.nodes(spec)  # a strike off the domain, or a domain past the float range
-    import tempfile  # here, so that importing the CLI does not load it
-
     # the march ends, or raises, before pde_surface.csv is opened; the spill
     # has no name, so no exit leaves it behind
     with tempfile.TemporaryFile(dir=out) as spill:
-        x, t, atm, rows = fdsolver.spill(spec, grid, spill.fileno())
-        write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], t, x, rows)
+        x, t, atm, row = fdsolver.spill(spec, grid, spill.fileno())
+        write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], t, x, row)
     meta = _meta_skeleton(cfg, "solve-pde")
     meta["grid"] = {"n_x": x.size, "n_t": t.size, "x_min": float(x[0]), "x_max": float(x[-1])}
     meta["probe_price_atm_t0"] = atm

@@ -39,7 +39,7 @@ loads ``scipy.linalg`` and no other scipy subpackage.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache, partial
 
@@ -55,6 +55,7 @@ __all__ = ["PdeGrid", "PdeSolution", "solve", "spill", "evaluate",
 THETA = 0.5  # Crank-Nicolson weight of the implicit diffusion
 RANNACHER_STEPS = 2  # leading steps taken as two fully implicit half steps
 COMPARE_N_X, COMPARE_N_T = 513, 256  # FD reference grid of comparison_report
+MIN_N_X, MIN_N_T = 64, 64  # floors of the PdeGrid sizes, which the config schema reads too
 DEFAULT_SPAN = 0.25  # log-moneyness each side of the strike in the default domain
 # observed orders log(e[i+1]/e[i]) / log(rho[i+1]/rho[i]) that comparison_report
 # reads as third order: on a doubling ladder, halving ratios in [5.5, 10.5]
@@ -82,8 +83,8 @@ class PdeGrid:
     x_max: float | None = None
 
     def __post_init__(self):
-        if self.n_x < 64 or self.n_t < 64:
-            raise ValueError("resolution below 64 x 64")
+        if self.n_x < MIN_N_X or self.n_t < MIN_N_T:
+            raise ValueError(f"resolution below {MIN_N_X} x {MIN_N_T}")
         if not all(b is None or 0 < b < np.inf for b in (self.x_min, self.x_max)):
             raise ValueError("x_min and x_max must be positive and finite")
 
@@ -247,23 +248,21 @@ def solve(spec: CallSpec, grid: PdeGrid, rate: float = 0.0) -> PdeSolution:
 
 
 def spill(spec: CallSpec, grid: PdeGrid,
-          fd: int) -> tuple[np.ndarray, np.ndarray, float, Iterator[np.ndarray]]:
+          fd: int) -> tuple[np.ndarray, np.ndarray, float, Callable[[int], np.ndarray]]:
     """The discounted surface of :func:`solve`, kept in the file ``fd`` instead
     of memory: each row of the one-column :func:`_march` is written there as
     raw float64 as it comes out (``t = T`` first), so two rows are held.
 
     Returns the nodes ``x`` and ``t``, the price at the at-the-money probe
     ``(t, x) = (0, K)`` (bit for bit ``evaluate(solve(spec, grid), 0.0, K)``)
-    and an iterator of the rows in ascending ``t``, each read back with
-    ``os.pread`` when it is reached.  The march has ended, or raised, when this
-    returns."""
+    and ``row``: ``row(i)`` reads the prices at ``t[i]`` back with ``os.pread``.
+    The march has ended, or raised, when this returns."""
     x, t = grid.nodes(spec)
     size = 8 * x.size
     for k, row in enumerate(_march(spec, x, t, 0.0, [spec.rho])):
         pwrite_all(fd, row[:, 0], k * size)
     atm = float(_cubic_in_log_price(np.log(x), row, np.log([spec.strike]))[0, 0])
-    rows = (np.frombuffer(os.pread(fd, size, (t.size - 1 - i) * size)) for i in range(t.size))
-    return x, t, atm, rows
+    return x, t, atm, lambda i: np.frombuffer(os.pread(fd, size, (t.size - 1 - i) * size))
 
 
 def _cubic_in_log_price(lx: np.ndarray, columns: np.ndarray, q) -> np.ndarray:

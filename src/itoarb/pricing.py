@@ -94,6 +94,7 @@ Z_HALF_WIDTH_SDS = 10.0
 # 67 s and 186 MiB at 27,009 (y_half 0.01), so at the bound about 100 s and
 # 230 MiB (extrapolated); y_half 1e-3 (268,929 nodes) is refused
 MAX_PADDED_Y_NODES = 2**15
+MIN_N_TAU, MIN_N_Y, MIN_N_TIME_QUAD, MIN_N_SPACE_QUAD = 16, 16, 8, 21  # TransformGrid floors
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,11 @@ class TransformGrid:
     n_space_quad: int = 161
 
     def __post_init__(self):
-        if self.n_tau < 16 or self.n_y < 16:
+        if self.n_tau < MIN_N_TAU or self.n_y < MIN_N_Y:
             raise ValueError("need at least 16 nodes per axis")
         if not 0 < self.y_half < np.inf:
             raise ValueError("y_half must be positive and finite")
-        if self.n_time_quad < 8 or self.n_space_quad < 21:
+        if self.n_time_quad < MIN_N_TIME_QUAD or self.n_space_quad < MIN_N_SPACE_QUAD:
             raise ValueError("quadrature rules too coarse")
 
     def nodes(self, spec: CallSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -495,16 +496,16 @@ def solve_with_refinement_check(
     spec: CallSpec, grid: TransformGrid
 ) -> tuple[PerturbationSolution, dict]:
     """Build the series on ``grid`` and again at half resolution (node and
-    quadrature sizes halved, floors 16/17/8/21, same ``y_half``); it
-    converges when the at-the-money price at ``t = 0`` changes by less than
-    ``REFINEMENT_THRESHOLD`` relative.  Returns the solution on ``grid`` and
-    the check."""
+    quadrature sizes halved, not below the grid floors and ``MIN_N_Y + 1`` y
+    nodes, same ``y_half``); it converges when the at-the-money price at
+    ``t = 0`` changes by less than ``REFINEMENT_THRESHOLD`` relative.  Returns
+    the solution on ``grid`` and the check."""
     coarse_grid = replace(
         grid,
-        n_tau=max(grid.n_tau // 2, 16),
-        n_y=max((grid.n_y - 1) // 2 + 1, 17),
-        n_time_quad=max(grid.n_time_quad // 2, 8),
-        n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, 21),
+        n_tau=max(grid.n_tau // 2, MIN_N_TAU),
+        n_y=max((grid.n_y - 1) // 2 + 1, MIN_N_Y + 1),
+        n_time_quad=max(grid.n_time_quad // 2, MIN_N_TIME_QUAD),
+        n_space_quad=max((grid.n_space_quad - 1) // 2 + 1, MIN_N_SPACE_QUAD),
     )
     # one call site, so that the default warning filter shows a |rho| * T warning once
     sol, coarse_sol = (solve_perturbation(spec, g) for g in (grid, coarse_grid))

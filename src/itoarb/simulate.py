@@ -310,6 +310,13 @@ def _lagged(a: np.ndarray, steps: np.ndarray, m: int):
     return _rows(a, steps - m), _rows(a, steps), _rows(a, steps + m)
 
 
+def _quotients(before, now, after, lag: float):
+    """Forward and backward difference quotients of a :func:`_lagged` window, and their mean."""
+    fq = (after - now) / lag
+    bq = (now - before) / lag
+    return fq, bq, 0.5 * (fq + bq)
+
+
 def nelson_derivatives(
     values: np.ndarray,
     state: np.ndarray,
@@ -335,11 +342,7 @@ def nelson_derivatives(
     _check_count(neighbors, "neighbors", 8)
     if state.shape[2] != 1:
         raise ValueError(f"state must be scalar, (M, n_times, 1); got dimension {state.shape[2]}")
-    before, now, after = _lagged(values, steps, lag_steps)
-    lag = lag_steps * dt
-    fq = (after - now) / lag
-    bq = (now - before) / lag
-    raw = 0.5 * (fq + bq)
+    fq, bq, raw = _quotients(*_lagged(values, steps, lag_steps), lag_steps * dt)
     forward, backward = np.empty_like(fq), np.empty_like(bq)
     for j, x in enumerate(_rows(state[:, :, 0], steps)):
         forward[j], backward[j] = _window_means(x, (fq[j], bq[j]), neighbors)
@@ -419,11 +422,9 @@ def _rho_quotients(model: ItoCoefficients, lag: float, times: np.ndarray):
             # than the matrix kernels that any larger set of paths gets
             rows = (np.repeat(a, 2, axis=1) for a in (before, now, after, noise))
             return project(*rows)[:, :1]
-        before, now, after = np.log(before), np.log(now), np.log(after)
-        fq = (after - now) / lag
-        bq = (now - before) / lag
+        *_, raw = _quotients(np.log(before), np.log(now), np.log(after), lag)
         w_corr = noise / two_t  # exact, never estimated
-        raw_hat = 0.5 * (fq + bq) + ito - w_corr @ model.sigma.T
+        raw_hat = raw + ito - w_corr @ model.sigma.T
         return (raw_hat + model.r) @ basis.J
 
     return basis.B, project
@@ -527,4 +528,4 @@ def ensemble_to_csv(ens: PathEnsemble, path, max_paths: int | None = None) -> No
     header = (["path", "t"] + [f"S_{j + 1}" for j in range(ens.n_assets)]
               + [f"W_{j + 1}" for j in range(ens.n_drivers)])
     write_long_csv(path, header, range(m), ens.times,
-                   (np.hstack([ens.states[p], ens.noise[p]]) for p in range(m)))
+                   lambda p: np.hstack([ens.states[p], ens.noise[p]]))

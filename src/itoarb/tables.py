@@ -2,14 +2,17 @@
 
 The one table format is a header line, then comma-separated ``%.12g`` cells,
 LF-ended.  A file is written as ``path.partial`` and renamed to ``path`` only
-when complete (:func:`replacing`).  A long table of ``2 * MIN_PART_CELLS``
-cells or more is formatted in consecutive parts, one per usable CPU, each
-past the first in a :func:`forked` child.
+when complete (:func:`replacing`).  A long table reads its blocks by key
+index, ``block(i)``; one of ``2 * MIN_PART_CELLS`` cells or more is formatted
+in consecutive runs of keys, one per usable CPU, each past the first in a
+:func:`forked` child, and each run reads only its own blocks.
 """
 
 import os
+import pickle
+import shutil
+import tempfile
 from contextlib import ExitStack, contextmanager
-from itertools import islice
 
 import numpy as np
 
@@ -67,8 +70,7 @@ def forked(fn, *args):
     if usable_cpus() < 2 or not hasattr(os, "fork"):
         yield lambda: fn(*args)
         return
-    import pickle
-    import signal
+    import signal  # here, not at the top: unlike the modules above, numpy does not load it
 
     r, w = os.pipe()
     pid = os.fork()
@@ -116,36 +118,30 @@ def write_csv(path, header, blocks) -> None:
             fh.write(b"".join([row % tuple(r) for r in block.tolist()]))
 
 
-def _write_blocks(fh, rows, keys, values) -> None:
+def _write_blocks(fh, rows, keys, blocks) -> None:
     """Write one block of :func:`write_long_csv` per key to ``fh`` and flush it."""
-    for key, block in zip(keys, values):
+    for key, block in zip(keys, blocks):
         fh.write((b"%.12g" % key).join(rows) % tuple(np.ravel(block).tolist()))
     fh.flush()
 
 
-def write_long_csv(path, header, keys, axis, values) -> None:
-    """:func:`write_csv` of the rows ``(keys[i], axis[j], *values[i][j])``, ``values``
-    yielding one ``(len(axis), len(header) - 2)`` block per key (1-D for one column),
+def write_long_csv(path, header, keys, axis, block) -> None:
+    """:func:`write_csv` of the rows ``(keys[i], axis[j], *block(i)[j])``, ``block(i)``
+    returning key ``i``'s ``(len(axis), len(header) - 2)`` block (1-D for one column),
     with each axis cell formatted once per table and each key once per block.
 
     A table of ``2 * MIN_PART_CELLS`` (key, axis) cells or more is cut into
-    consecutive runs of keys, one per usable CPU.  The first run is written
-    into ``path.partial``; each other is formatted by a :func:`forked` child
-    into an unnamed temporary file beside ``path`` and then appended in order.
-    Each takes its blocks with ``itertools.islice``, so a lazy ``values`` must
-    yield the same blocks in every process (a generator of file reads does).
+    consecutive runs of keys, one per usable CPU, and each run calls ``block``
+    for its own keys only.  The first run is written into ``path.partial``;
+    each other is formatted by a :func:`forked` child into an unnamed temporary
+    file beside ``path`` and then appended in order.
     """
-    import shutil
-    import tempfile
-
     tail = b",%.12g" * (len(header) - 2) + b"\n"
     # a block's template is its key cell joined before each row; no formatted
     # number contains a "%"
     rows = [b""] + [b",%.12g" % x + tail for x in np.asarray(axis, dtype=float).tolist()]
     keys = np.asarray(keys, dtype=float).tolist()
-    # forked runs fn inline without os.fork, which would read values out of order
-    cpus = usable_cpus() if hasattr(os, "fork") else 1
-    n = max(1, min(cpus, len(keys) * (len(rows) - 1) // MIN_PART_CELLS))
+    n = max(1, min(usable_cpus(), len(keys) * (len(rows) - 1) // MIN_PART_CELLS))
     cut = [len(keys) * p // n for p in range(n + 1)]
     with replacing(path) as fh, ExitStack() as stack:
         fh.write(",".join(header).encode() + b"\n")
@@ -153,8 +149,8 @@ def write_long_csv(path, header, keys, axis, values) -> None:
         for a, b in zip(cut[1:], cut[2:]):
             spill = stack.enter_context(tempfile.TemporaryFile(dir=os.path.dirname(path) or "."))
             parts.append((spill, stack.enter_context(
-                forked(_write_blocks, spill, rows, keys[a:b], islice(values, a, b)))))
-        _write_blocks(fh, rows, keys[:cut[1]], islice(values, cut[1]))
+                forked(_write_blocks, spill, rows, keys[a:b], map(block, range(a, b))))))
+        _write_blocks(fh, rows, keys[:cut[1]], map(block, range(cut[1])))
         for spill, result in parts:
             result()
             spill.seek(0)

@@ -124,6 +124,22 @@ def test_grid_fields_are_their_config_section(section, grid):
     assert fields == list(cli.CONFIG_SCHEMA["properties"][section]["properties"])
 
 
+@pytest.mark.parametrize("section, grid, field, floor", [
+    ("pricing_grid", pricing.TransformGrid, "n_tau", pricing.MIN_N_TAU),
+    ("pricing_grid", pricing.TransformGrid, "n_y", pricing.MIN_N_Y),
+    ("pricing_grid", pricing.TransformGrid, "n_time_quad", pricing.MIN_N_TIME_QUAD),
+    ("pricing_grid", pricing.TransformGrid, "n_space_quad", pricing.MIN_N_SPACE_QUAD),
+    ("pde_grid", fdsolver.PdeGrid, "n_x", fdsolver.MIN_N_X),
+    ("pde_grid", fdsolver.PdeGrid, "n_t", fdsolver.MIN_N_T),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_schema_minimum_is_the_grid_floor(section, grid, field, floor):
+    # the schema refuses exactly the sizes the grid refuses
+    assert cli.CONFIG_SCHEMA["properties"][section]["properties"][field]["minimum"] == floor
+    grid(**{field: floor})
+    with pytest.raises(ValueError):
+        grid(**{field: floor - 1})
+
+
 # every section and every field of the schema, each at a valid value
 FULL_CFG = {
     "schema_version": 1,
@@ -1388,9 +1404,11 @@ def test_nelson_derivatives_loads_no_scipy():
 
 
 def test_cli_import_loads_no_thread_pool():
-    # simulate imports its thread pool when it runs, so start-up does not pay for it
+    # simulate imports its thread pool, and forked its signal module, when they
+    # run, so start-up does not pay for them
     src = Path(cli.__file__).resolve().parents[1]
-    probe = "import sys, itoarb.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import sys, itoarb.cli; "
+             "print('concurrent.futures' in sys.modules, 'signal' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]

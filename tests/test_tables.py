@@ -39,13 +39,13 @@ def test_write_long_csv_matches_per_cell_format(tmp_path):
                                 + np.arange(axis.size)[None, :, None]
                                 + np.arange(3)) % len(SPECIAL)]
     p = tmp_path / "long.csv"
-    write_long_csv(p, ["k", "a", "v1", "v2", "v3"], keys, axis, values)
+    write_long_csv(p, ["k", "a", "v1", "v2", "v3"], keys, axis, values.__getitem__)
     expected = "k,a,v1,v2,v3\n" + "".join(
         ",".join(f"{v:.12g}" for v in (k, x, *values[i, j])) + "\n"
         for i, k in enumerate(keys) for j, x in enumerate(axis))
     assert p.read_bytes().decode() == expected
-    # one value column: a block per key may be 1-D, and blocks may be lazy
-    write_long_csv(p, ["k", "a", "v"], range(2), axis, (values[i, :, 0] for i in range(2)))
+    # one value column: a block per key may be 1-D
+    write_long_csv(p, ["k", "a", "v"], range(2), axis, lambda i: values[i, :, 0])
     assert p.read_bytes().decode() == "k,a,v\n" + "".join(
         f"{i},{x:.12g},{values[i, j, 0]:.12g}\n" for i in range(2) for j, x in enumerate(axis))
 
@@ -76,10 +76,15 @@ def test_failed_write_keeps_the_old_table(tmp_path):
         yield np.zeros(shape)
         raise RuntimeError("no more rows")
 
+    def block(i):
+        if i == 1:
+            raise RuntimeError("no more rows")
+        return np.zeros(1)
+
     with pytest.raises(RuntimeError):
         write_csv(p, ["a"], blocks((3, 1)))
     with pytest.raises(RuntimeError):
-        write_long_csv(p, ["k", "a", "v"], range(3), [1.0], blocks(1))
+        write_long_csv(p, ["k", "a", "v"], range(3), [1.0], block)
     assert p.read_bytes() == before
     assert sorted(q.name for q in tmp_path.iterdir()) == ["t.csv"]
 
@@ -174,22 +179,55 @@ def test_forked_kills_and_reaps_a_child_left_running(monkeypatch, forked_pids, r
         os.waitpid(pid, os.WNOHANG)
 
 
+# a table of 3 MIN_PART_CELLS (key, axis) cells, two value columns
+LONG_KEYS = np.arange(301) * 0.25
+LONG_AXIS = np.linspace(0.5, 1.5, 3 * tables.MIN_PART_CELLS // LONG_KEYS.size + 1)
+LONG_VALUES = np.sin(LONG_KEYS[:, None, None] * LONG_AXIS[None, :, None] + np.arange(2))
+
+
 @pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 3)])
 def test_long_table_split_across_cpus_is_the_same_file(tmp_path, monkeypatch, forked_pids,
                                                        cpus, parts):
     # a table of 2 MIN_PART_CELLS cells or more is written in one part per
     # usable CPU, each of at least MIN_PART_CELLS and each past the first by
-    # a child, and every part reads its lazy blocks in order
-    keys = np.arange(301) * 0.25
-    axis = np.linspace(0.5, 1.5, 3 * tables.MIN_PART_CELLS // keys.size + 1)
-    values = np.sin(keys[:, None, None] * axis[None, :, None] + np.arange(2))
+    # a child, and across the processes block(i) is called once per key:
+    # each logs its key to one O_APPEND file
+    header, keys, axis = ["k", "a", "v", "w"], LONG_KEYS, LONG_AXIS
     usable_cpus(monkeypatch, cpus)
-    write_long_csv(tmp_path / "small.csv", ["k", "a", "v", "w"], keys[:3], axis, values)
+    write_long_csv(tmp_path / "small.csv", header, keys[:3], axis, LONG_VALUES.__getitem__)
     assert forked_pids == []  # a small table stays in one process
     usable_cpus(monkeypatch, 1)
-    write_long_csv(tmp_path / "one.csv", ["k", "a", "v", "w"], keys, axis, values)
+    write_long_csv(tmp_path / "one.csv", header, keys, axis, LONG_VALUES.__getitem__)
     usable_cpus(monkeypatch, cpus)
-    write_long_csv(tmp_path / "split.csv", ["k", "a", "v", "w"], keys, axis, iter(values))
+    with open(tmp_path / "calls", "ab", buffering=0) as log:
+        def block(i):
+            log.write(b"%d\n" % i)
+            return LONG_VALUES[i]
+
+        write_long_csv(tmp_path / "split.csv", header, keys, axis, block)
     assert len(forked_pids) == parts - 1
+    assert sorted(map(int, (tmp_path / "calls").read_bytes().split())) == list(range(keys.size))
     assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(q.name for q in tmp_path.iterdir()) == ["one.csv", "small.csv", "split.csv"]
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["calls", "one.csv", "small.csv",
+                                                          "split.csv"]
+
+
+def test_long_table_parts_run_inline_without_fork(tmp_path, monkeypatch, forked_pids):
+    # with two CPUs and no os.fork the table is still cut in two, the second
+    # part is written inline, and the file is the one-CPU file
+    header, keys, axis = ["k", "a", "v", "w"], LONG_KEYS, LONG_AXIS
+    usable_cpus(monkeypatch, 1)
+    write_long_csv(tmp_path / "one.csv", header, keys, axis, LONG_VALUES.__getitem__)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    parts, write_blocks = [], tables._write_blocks
+
+    def recording(fh, rows, part_keys, blocks):
+        parts.append(part_keys)
+        write_blocks(fh, rows, part_keys, blocks)
+
+    monkeypatch.setattr(tables, "_write_blocks", recording)
+    write_long_csv(tmp_path / "inline.csv", header, keys, axis, LONG_VALUES.__getitem__)
+    assert parts == [keys[:150].tolist(), keys[150:].tolist()] and forked_pids == []
+    assert (tmp_path / "inline.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["inline.csv", "one.csv"]
