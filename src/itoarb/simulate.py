@@ -1,21 +1,26 @@
 """Monte Carlo engine and ensemble estimators of stochastic derivatives.
 
-Paths follow the log-Euler scheme for
-``dS = S (alpha dt + sigma dW)``; forward, backward and mean stochastic
-derivatives of path functionals are estimated by nearest-neighbour
-regression on a scalar present state (valid for Markov functionals of that
-state).  The empirical arbitrage measure built on top of them reports
-ensemble means and needs no regression: the mean of a conditional
-expectation is the mean of the raw difference quotients (tower property).
+Paths follow the log-Euler scheme for ``dS = S (alpha dt + sigma dW)``.  One
+generator builds them (:func:`_blocks`) a sub-block of paths at a time and
+hands each sub-block to a sink that keeps what it needs of it, so no function
+holds a whole ensemble.  Forward, backward and mean stochastic derivatives of
+path functionals are estimated by nearest-neighbour regression on a scalar
+present state (valid for Markov functionals of that state).  The empirical
+arbitrage measure reports ensemble means and needs no regression: the mean of
+a conditional expectation is the mean of the raw difference quotients (tower
+property).
 
-Every estimator takes its lag in whole steps, ``lag_steps``, checks it and
-its report steps with one rule on integers (:func:`_window`), divides its
-difference quotients by ``lag_steps * dt`` and reads the nodes
-``i - lag_steps``, ``i``, ``i + lag_steps`` of all report steps ``i`` at
-once, time-major (:func:`_lagged`).  :func:`stream_ensemble` writes an
-ensemble to disk as it builds it and keeps no path; each sub-block projects
-its own paths' quotients for the arbitrage measure (:func:`_rho_quotients`),
-so only ``B`` numbers per path and report step stay in memory.
+Every estimator takes its lag in whole steps, ``lag_steps``, and divides its
+difference quotients by ``lag_steps * dt``.  Where the nodes ``i -
+lag_steps``, ``i``, ``i + lag_steps`` of the report steps ``i`` are read, all
+at once and time-major (:func:`_lagged`), the steps and the lag are first
+checked with one rule on integers (:func:`_window`).
+
+Two sinks read the generator.  :func:`stream_ensemble` writes the ensemble to
+disk, if given a file, and each sub-block projects its own paths' quotients
+for the arbitrage measure (:func:`_rho_quotients`), so only ``B`` numbers per
+path and report step stay in memory.  :func:`lagged_rows` keeps the state and
+noise rows of those nodes, which :func:`nelson_derivatives` reads.
 """
 
 from __future__ import annotations
@@ -33,11 +38,9 @@ __all__ = [
     "PathEnsemble",
     "NelsonEstimates",
     "step_count",
-    "simulate",
-    "brownian_paths",
     "estimation_steps",
+    "lagged_rows",
     "nelson_derivatives",
-    "empirical_rho",
     "RhoEstimate",
     "stream_ensemble",
     "load_ensemble",
@@ -47,7 +50,8 @@ __all__ = [
 MAGIC = b"GATE"
 FORMAT_VERSION = 1
 _CHUNK = 4096  # paths per RNG stream and per parallel block (see _blocks)
-_SUB = 512  # paths per draw and per built sub-block of a block
+_SUB = 512  # paths per draw and per built sub-block of a block, at most
+_SUB_BYTES = 2**22  # scratch of a sub-block, at most, unless one path needs more
 
 
 def _frozen(a) -> np.ndarray:
@@ -130,22 +134,24 @@ def _window(dt: float, n_times: int, lag_steps: int, t_indices, times=None) -> n
     return steps
 
 
-def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=None,
-            out=None, sink=None) -> None:
-    """Build ``m_paths`` paths block-parallel, ``_SUB`` paths at a time.
+def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, sigma: np.ndarray,
+            drift: np.ndarray, sink) -> None:
+    """Build ``m_paths`` paths block-parallel, a sub-block at a time.
 
     Splitting rule: the master ``SeedSequence(seed)`` spawns one child stream
     per block of 4096 consecutive paths, and a block draws its stream in
-    sub-blocks of ``_SUB`` paths (the same numbers as one draw).  Each
+    sub-blocks (the same numbers as one draw) of ``_SUB`` paths, or of fewer
+    where their draws, noise and states would take more than ``_SUB_BYTES``,
+    so a long horizon does not raise the memory a block holds.  Each
     sub-block ``[lo, hi)`` gets its Brownian rows ``noise``, (hi - lo,
-    n_steps + 1, K), and, given ``coeffs = (sigma, drift)`` per step, its
-    log-Euler ``states``, (hi - lo, n_steps + 1, N), from ``S_0 = 1``.  They
-    are built in place in ``out = (noise, states)`` if given (``states`` may
-    be None), else in scratch rows of the block, and then passed to
-    ``sink(lo, hi, noise, states)``.  Blocks run on one thread per usable CPU
-    (numpy releases the GIL while it fills, multiplies and sums) and each
-    touches only its own paths, so the result does not depend on the number
-    of threads.  Once a block raises, every block stops before its next
+    n_steps + 1, K), drawn alike whatever the model, and, from ``sigma`` and
+    ``drift`` per step (:func:`_coefficients`), its log-Euler ``states``,
+    (hi - lo, n_steps + 1, N), from ``S_0 = 1``.  They are built in scratch
+    rows of the block and passed to ``sink(lo, hi, noise, states)``, which
+    must copy what it keeps.  Blocks run on one thread per usable CPU (numpy
+    releases the GIL while it fills, multiplies and sums) and each touches
+    only its own paths, so the result does not depend on the number of
+    threads.  Once a block raises, every block stops before its next
     sub-block, and the exception is re-raised.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -154,36 +160,32 @@ def _blocks(m_paths: int, n_steps: int, dt: float, seed: int, k: int, coeffs=Non
     failed = Event()  # set by a block that raised: the others stop before their next sub-block
     n_blocks = (m_paths + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(seed).spawn(n_blocks)
-    n = 0 if coeffs is None else coeffs[0].shape[1]
+    n, k = sigma.shape[1:]
+    sub = max(1, min(_SUB, _SUB_BYTES // (8 * (n_steps * k + (n_steps + 1) * (k + n)))))
 
     def run(c: int) -> None:
         start = c * _CHUNK
         stop = min(start + _CHUNK, m_paths)
         rng = np.random.default_rng(children[c])
-        size = min(_SUB, stop - start)
-        dw_rows = np.empty((size, n_steps, k))
-        scratch = out or (np.empty((size, n_steps + 1, k)), np.empty((size, n_steps + 1, n)))
-        for lo in range(start, stop, _SUB):
+        size = min(sub, stop - start)
+        scratch = (np.empty((size, n_steps, k)), np.empty((size, n_steps + 1, k)),
+                   np.empty((size, n_steps + 1, n)))
+        for lo in range(start, stop, sub):
             if failed.is_set():
                 return
-            hi = min(lo + _SUB, stop)
-            rows = slice(lo, hi) if out else slice(0, hi - lo)
-            noise, states = (None if a is None else a[rows] for a in scratch)
-            dw = dw_rows[:hi - lo]
+            hi = min(lo + sub, stop)
+            dw, noise, states = (a[:hi - lo] for a in scratch)
             rng.standard_normal(out=dw)
             dw *= np.sqrt(dt)
             noise[:, 0] = 0.0
             np.cumsum(dw, axis=1, out=noise[:, 1:])
-            if coeffs is not None:
-                sigma, drift = coeffs
-                logs = states[:, 1:]
-                np.einsum("mtk,tnk->mtn", dw, sigma, out=logs)
-                logs += drift
-                np.cumsum(logs, axis=1, out=logs)
-                np.exp(logs, out=logs)
-                states[:, 0] = 1.0
-            if sink is not None:
-                sink(lo, hi, noise, states)
+            logs = states[:, 1:]
+            np.einsum("mtk,tnk->mtn", dw, sigma, out=logs)
+            logs += drift
+            np.cumsum(logs, axis=1, out=logs)
+            np.exp(logs, out=logs)
+            states[:, 0] = 1.0
+            sink(lo, hi, noise, states)
 
     def guarded(c: int) -> None:
         try:
@@ -227,45 +229,16 @@ def step_count(dt: float, horizon: float) -> int:
     return n_steps
 
 
-def simulate(model, m_paths: int, dt: float, horizon: float, seed: int) -> PathEnsemble:
-    """Log-Euler ensemble: ``S_{t+dt} = S_t exp((alpha - diag(sigma sigma^T)/2) dt
-    + sigma dW)`` from ``S_0 = 1`` in every asset.  Bitwise reproducible for a
-    given seed, whatever the number of CPUs: each 4096-path block has its own
-    RNG stream and is built in place in the output arrays, one thread per
-    usable CPU (:func:`_blocks`).
-
-    ``model`` is a constant :class:`~itoarb.geometry.ItoCoefficients` or a
-    per-step sequence of them sampled on the time grid.
-    """
-    n_steps = step_count(dt, horizon)
-    sigma, drift = _coefficients(model, n_steps, dt)
-    states = np.empty((m_paths, n_steps + 1, sigma.shape[1]))
-    noise = np.empty((m_paths, n_steps + 1, sigma.shape[2]))
-    _blocks(m_paths, n_steps, dt, seed, sigma.shape[2], (sigma, drift), out=(noise, states))
-    return PathEnsemble(states, noise, dt, seed)
-
-
-def brownian_paths(m_paths: int, dt: float, horizon: float, seed: int, k: int = 1) -> np.ndarray:
-    """Plain Brownian paths, (M, n_steps + 1, K), with the block streams and
-    threads of :func:`simulate`."""
-    n_steps = step_count(dt, horizon)
-    noise = np.empty((m_paths, n_steps + 1, k))
-    _blocks(m_paths, n_steps, dt, seed, k, out=(noise, None))
-    return noise
-
-
 @dataclass(frozen=True)
 class NelsonEstimates:
     """Per-time conditional derivative estimates evaluated at each path's state.
 
     ``forward[i]``, ``backward[i]`` and ``mean[i]`` are length-M arrays for
-    estimation time ``times[i]``; ``se`` is the standard error of the
-    ensemble mean computed from the raw (unsmoothed) difference quotients,
-    since neighbour averaging does not reduce the sampling error of the
-    mean.
+    the ``i``-th report step; ``se`` is the standard error of the ensemble
+    mean computed from the raw (unsmoothed) difference quotients, since
+    neighbour averaging does not reduce the sampling error of the mean.
     """
 
-    times: np.ndarray
     forward: np.ndarray
     backward: np.ndarray
     mean: np.ndarray
@@ -300,14 +273,15 @@ def _window_means(x: np.ndarray, responses, k: int) -> np.ndarray:
 
 def _rows(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Nodes ``steps`` of the time axis (axis 1) of ``a``, moved to
-    ``(n_steps, M, ...)`` and contiguous, so that reductions over paths run
-    along contiguous rows."""
+    ``steps.shape + (M, ...)`` and contiguous, so that reductions over paths
+    run along contiguous rows."""
     return np.ascontiguousarray(np.moveaxis(a, 1, 0)[steps])
 
 
-def _lagged(a: np.ndarray, steps: np.ndarray, m: int):
-    """The lag window of each step: :func:`_rows` at ``i - m``, ``i``, ``i + m``."""
-    return _rows(a, steps - m), _rows(a, steps), _rows(a, steps + m)
+def _lagged(a: np.ndarray, steps: np.ndarray, m: int) -> np.ndarray:
+    """The lag window of each step: :func:`_rows` at ``i - m``, ``i``, ``i + m``,
+    (3, len(steps), M, ...)."""
+    return _rows(a, np.stack([steps - m, steps, steps + m]))
 
 
 def _quotients(before, now, after, lag: float):
@@ -317,37 +291,57 @@ def _quotients(before, now, after, lag: float):
     return fq, bq, 0.5 * (fq + bq)
 
 
-def nelson_derivatives(
-    values: np.ndarray,
-    state: np.ndarray,
-    dt: float,
-    lag_steps: int,
-    neighbors: int,
-    t_indices,
-) -> NelsonEstimates:
+def lagged_rows(model, m_paths: int, dt: float, horizon: float, seed: int, lag_steps: int,
+                t_indices) -> tuple[np.ndarray, np.ndarray]:
+    """The states and the noise of :func:`stream_ensemble`'s ensemble at the
+    nodes ``i - lag_steps``, ``i`` and ``i + lag_steps`` of each report step
+    ``i`` of ``t_indices``, (3, n_times, M, N) and (3, n_times, M, K),
+    time-major as :func:`_lagged` gives them.
+
+    The window is checked (:func:`_window`) before anything is allocated.
+    Each sub-block copies its rows and is dropped, so no more of the ensemble
+    than these rows is kept.
+    """
+    n_steps = step_count(dt, horizon)
+    steps = _window(dt, n_steps + 1, lag_steps, t_indices)
+    sigma, drift = _coefficients(model, n_steps, dt)
+    rows = tuple(np.empty((3, steps.size, m_paths, d)) for d in sigma.shape[1:])
+
+    def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
+        for kept, a in zip(rows, (states, noise)):
+            kept[:, :, lo:hi] = _lagged(a, steps, lag_steps)
+
+    _blocks(m_paths, n_steps, dt, seed, sigma, drift, sink)
+    return rows
+
+
+def nelson_derivatives(values: np.ndarray, state: np.ndarray, dt: float, lag_steps: int,
+                       neighbors: int) -> NelsonEstimates:
     """Forward, backward and mean stochastic derivatives of a path functional.
 
-    ``values`` is (M, n_times); ``state`` is (M, n_times, 1) and must carry
-    the scalar Markov state the functional depends on; conditioning is
-    regression on the ``neighbors`` (8 to M) paths nearest in present state
-    (:func:`_window_means`).  The quotients span ``lag_steps`` steps each way
-    and divide by ``lag_steps * dt``.  Estimation steps must pass the window
-    rule (:func:`_window`); a state with ``d > 1`` raises ``ValueError``.
+    ``values`` holds the functional at the nodes ``i - lag_steps``, ``i`` and
+    ``i + lag_steps`` of each report step ``i``, (3, n_times, M), and
+    ``state`` the present state at ``i``, (n_times, M, 1), time-major as
+    :func:`lagged_rows` gives them.  The state must carry the scalar Markov
+    state the functional depends on; conditioning is regression on the
+    ``neighbors`` (8 to M) paths nearest in present state
+    (:func:`_window_means`).  The quotients divide by ``lag_steps * dt``; a
+    state with ``d > 1`` raises ``ValueError``.
     """
     values = np.asarray(values, dtype=float)
     state = np.asarray(state, dtype=float)
-    if values.ndim != 2 or state.ndim != 3 or state.shape[:2] != values.shape:
-        raise ValueError("values must be (M, n_times) and state (M, n_times, d)")
-    steps = _window(dt, values.shape[1], lag_steps, t_indices)
+    if values.ndim != 3 or len(values) != 3 or state.ndim != 3 \
+            or state.shape[:2] != values.shape[1:]:
+        raise ValueError("values must be (3, n_times, M) and state (n_times, M, d)")
+    _check_count(lag_steps, "lag_steps", 1)
     _check_count(neighbors, "neighbors", 8)
     if state.shape[2] != 1:
-        raise ValueError(f"state must be scalar, (M, n_times, 1); got dimension {state.shape[2]}")
-    fq, bq, raw = _quotients(*_lagged(values, steps, lag_steps), lag_steps * dt)
+        raise ValueError(f"state must be scalar, (n_times, M, 1); got dimension {state.shape[2]}")
+    fq, bq, raw = _quotients(*values, lag_steps * dt)
     forward, backward = np.empty_like(fq), np.empty_like(bq)
-    for j, x in enumerate(_rows(state[:, :, 0], steps)):
+    for j, x in enumerate(state[:, :, 0]):
         forward[j], backward[j] = _window_means(x, (fq[j], bq[j]), neighbors)
     return NelsonEstimates(
-        times=steps * dt,
         forward=forward,
         backward=backward,
         mean=0.5 * (forward + backward),
@@ -375,22 +369,6 @@ def estimation_steps(dt: float, n_times: int, lag_steps: int, times) -> np.ndarr
         raise ValueError(f"report time {times[outside][0]} outside [0, horizon {horizon:g}]")
     steps = np.round(times / dt).astype(int)
     return np.unique(_window(dt, n_times, lag_steps, steps, times))
-
-
-def empirical_rho(
-    ens: PathEnsemble,
-    model: ItoCoefficients,
-    lag_steps: int,
-    t_indices,
-) -> RhoEstimate:
-    """Estimate the arbitrage measure from simulated paths: project the rows
-    ``lag_steps`` either side of each report step (:func:`_window`,
-    :func:`_rho_quotients`) and take their ensemble mean (:func:`_rho_estimate`)."""
-    steps = _window(ens.dt, ens.states.shape[1], lag_steps, t_indices)
-    times = steps * ens.dt
-    _, project = _rho_quotients(model, lag_steps * ens.dt, times)
-    return _rho_estimate(project(*_lagged(ens.states, steps, lag_steps),
-                                 _rows(ens.noise, steps)), times)
 
 
 def _rho_quotients(model: ItoCoefficients, lag: float, times: np.ndarray):
@@ -454,18 +432,21 @@ def _sections(m_paths: int, n: int, k: int, n_steps: int) -> tuple[int, int, int
 
 def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, path,
                     lag_steps: int | None = None, t_indices=()) -> RhoEstimate | None:
-    """Simulate as :func:`simulate` does, write the ensemble to ``path``
-    holding only sub-blocks of it, and with ``lag_steps`` return the estimate
-    of :func:`empirical_rho` at the steps ``t_indices`` (else None).
+    """Simulate the log-Euler ensemble ``S_{t+dt} = S_t exp((alpha -
+    diag(sigma sigma^T)/2) dt + sigma dW)``, ``S_0 = 1`` (:func:`_blocks`), of
+    a constant :class:`~itoarb.geometry.ItoCoefficients` ``model`` or a
+    per-step sequence of them; write it to ``path`` unless that is None; and
+    with ``lag_steps`` return the estimate of the arbitrage measure at the
+    steps ``t_indices`` (else None).
 
-    The window is checked (:func:`_window`, and an estimate
-    needs a constant model) before anything is allocated or opened.  Each
-    sub-block of ``_SUB`` paths writes its rows of the states and the noise
-    sections (:func:`_sections`) as it is built and projects its paths'
-    quotients (:func:`_rho_quotients`), which alone are kept, (len(t_indices),
-    M, B); more than ``MAX_COUNT`` of them raise ``MemoryError`` first.  The
-    file is written as ``path.partial`` and renamed to ``path`` on success; on
-    any failure it is removed (:func:`~itoarb.tables.replacing`).
+    The window is checked (:func:`_window`, and an estimate needs a constant
+    model) before anything is allocated or opened.  Each sub-block of paths
+    writes its rows of the states and the noise sections
+    (:func:`_sections`) as it is built and projects its paths' quotients
+    (:func:`_rho_quotients`), which alone are kept, (len(t_indices), M, B);
+    more than ``MAX_COUNT`` of them raise ``MemoryError`` first.  The file is
+    written as ``path.partial`` and renamed to ``path`` on success; on any
+    failure it is removed (:func:`~itoarb.tables.replacing`).
     """
     n_steps = step_count(dt, horizon)
     project = None
@@ -481,20 +462,25 @@ def stream_ensemble(model, m_paths: int, dt: float, horizon: float, seed: int, p
                               "may hold")
         quotients = np.empty((steps.size, m_paths, b))
     sigma, drift = _coefficients(model, n_steps, dt)
-    n, k = sigma.shape[1], sigma.shape[2]
+    n, k = sigma.shape[1:]
     states_at, noise_at, _ = _sections(m_paths, n, k, n_steps)
+    fd = None
 
     def sink(lo: int, hi: int, noise: np.ndarray, states: np.ndarray) -> None:
-        for a, at in ((states, states_at), (noise, noise_at)):
-            pwrite_all(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
+        if fd is not None:
+            for a, at in ((states, states_at), (noise, noise_at)):
+                pwrite_all(fd, a.astype("<f8", copy=False), at + lo * a[0].nbytes)
         if project is not None:
             quotients[:, lo:hi] = project(*_lagged(states, steps, lag_steps), _rows(noise, steps))
 
-    with replacing(path) as fh:
-        fd = fh.fileno()
-        pwrite_all(fd, _HEADER.pack(MAGIC, FORMAT_VERSION, m_paths, n, k, n_steps, dt,
-                                    seed & 0xFFFFFFFFFFFFFFFF), 0)
-        _blocks(m_paths, n_steps, dt, seed, k, (sigma, drift), sink=sink)
+    if path is None:
+        _blocks(m_paths, n_steps, dt, seed, sigma, drift, sink)
+    else:
+        with replacing(path) as fh:
+            fd = fh.fileno()
+            pwrite_all(fd, _HEADER.pack(MAGIC, FORMAT_VERSION, m_paths, n, k, n_steps, dt,
+                                        seed & 0xFFFFFFFFFFFFFFFF), 0)
+            _blocks(m_paths, n_steps, dt, seed, sigma, drift, sink)
     return None if project is None else _rho_estimate(quotients, steps * dt)
 
 

@@ -3,9 +3,10 @@
 The one table format is a header line, then comma-separated ``%.12g`` cells,
 LF-ended.  A file is written as ``path.partial`` and renamed to ``path`` only
 when complete (:func:`replacing`).  A long table reads its blocks by key
-index, ``block(i)``; one of ``2 * MIN_PART_CELLS`` cells or more is formatted
-in consecutive runs of keys, one per usable CPU, each past the first in a
-:func:`forked` child, and each run reads only its own blocks.
+index, ``block(i)``; where :func:`forked` runs children, one of ``2 *
+MIN_PART_CELLS`` cells or more is formatted in consecutive runs of keys, one
+per usable CPU, each past the first in a child, and each run reads only its
+own blocks.
 """
 
 import os
@@ -50,6 +51,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _forks() -> bool:
+    """Whether :func:`forked` runs a child: with two usable CPUs or more and ``os.fork``."""
+    return usable_cpus() > 1 and hasattr(os, "fork")
+
+
 @contextmanager
 def forked(fn, *args):
     """Run ``fn(*args)`` in a forked child while the block runs, and yield
@@ -67,7 +73,7 @@ def forked(fn, *args):
     OpenBLAS's; the children here call no threaded BLAS (the march's
     tridiagonal LAPACK routines are serial).
     """
-    if usable_cpus() < 2 or not hasattr(os, "fork"):
+    if not _forks():
         yield lambda: fn(*args)
         return
     import signal  # here, not at the top: unlike the modules above, numpy does not load it
@@ -130,18 +136,20 @@ def write_long_csv(path, header, keys, axis, block) -> None:
     returning key ``i``'s ``(len(axis), len(header) - 2)`` block (1-D for one column),
     with each axis cell formatted once per table and each key once per block.
 
-    A table of ``2 * MIN_PART_CELLS`` (key, axis) cells or more is cut into
-    consecutive runs of keys, one per usable CPU, and each run calls ``block``
-    for its own keys only.  The first run is written into ``path.partial``;
-    each other is formatted by a :func:`forked` child into an unnamed temporary
-    file beside ``path`` and then appended in order.
+    Where :func:`forked` runs children, a table of ``2 * MIN_PART_CELLS``
+    (key, axis) cells or more is cut into consecutive runs of keys, one per
+    usable CPU, and each run calls ``block`` for its own keys only.  The first
+    run is written into ``path.partial``; each other is formatted by a child
+    into an unnamed temporary file beside ``path`` and then appended in order.
+    Otherwise the table is one run, written into ``path.partial``.
     """
     tail = b",%.12g" * (len(header) - 2) + b"\n"
     # a block's template is its key cell joined before each row; no formatted
     # number contains a "%"
     rows = [b""] + [b",%.12g" % x + tail for x in np.asarray(axis, dtype=float).tolist()]
     keys = np.asarray(keys, dtype=float).tolist()
-    n = max(1, min(usable_cpus(), len(keys) * (len(rows) - 1) // MIN_PART_CELLS))
+    n = max(1, min(usable_cpus() if _forks() else 1,
+                   len(keys) * (len(rows) - 1) // MIN_PART_CELLS))
     cut = [len(keys) * p // n for p in range(n + 1)]
     with replacing(path) as fh, ExitStack() as stack:
         fh.write(",".join(header).encode() + b"\n")

@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bs_oracle import bs_call
+from path_oracle import sequential_reference
 from itoarb import cli, fdsolver, pricing, tables
 
 
@@ -1169,7 +1170,7 @@ def test_simulate_csv_export_is_the_head_of_the_ensemble(tmp_path):
         cfg = write_cfg(tmp_path, "m.json", sim_cfg(paths=paths, export_csv_paths=600))
         out = tmp_path / f"mout{paths}"
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
-        ens = cli.mc.simulate(model, paths, 0.01, 1.0, 77)
+        ens = sequential_reference(model, paths, 0.01, 100, 77)
         head = cli.mc.PathEnsemble(ens.states[:exported], ens.noise[:exported], ens.dt, ens.seed)
         cli.mc.ensemble_to_csv(head, tmp_path / "ref.csv")
         assert (out / "ensemble.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -1388,9 +1389,12 @@ def test_config_check_loads_no_jsonschema(tmp_path):
 
 NELSON_NO_SCIPY_PROBE = """\
 import json, sys
-from itoarb.simulate import brownian_paths, nelson_derivatives
-w = brownian_paths(400, 0.01, 1.0, seed=3)
-nelson_derivatives(w[:, :, 0], w, 0.01, 5, 8, [20, 50])
+import numpy as np
+from itoarb.geometry import ItoCoefficients
+from itoarb.simulate import lagged_rows, nelson_derivatives
+brownian = ItoCoefficients(np.zeros(1), np.ones((1, 1)), np.zeros(1))
+_, w = lagged_rows(brownian, 400, 0.01, 1.0, 3, 5, [20, 50])
+nelson_derivatives(w[..., 0], w[1], 0.01, 5, 8)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

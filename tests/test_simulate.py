@@ -8,17 +8,21 @@ import pytest
 from itoarb.geometry import ItoCoefficients, kernel_basis
 from itoarb.simulate import (
     _HEADER,
+    _SUB_BYTES,
+    _lagged,
+    _rho_estimate,
+    _rho_quotients,
+    _rows,
     _window,
     _window_means,
-    brownian_paths,
-    empirical_rho,
     estimation_steps,
     ensemble_to_csv,
+    lagged_rows,
     load_ensemble,
     nelson_derivatives,
-    simulate,
     stream_ensemble,
 )
+from path_oracle import sequential_reference
 
 
 def model(alpha, sigma, r=None):
@@ -28,12 +32,30 @@ def model(alpha, sigma, r=None):
     return ItoCoefficients(alpha, sigma, r)
 
 
+BROWNIAN = model([0.0], np.array([[1.0]]))  # a one-driver model: its noise rows are W
+
+
+def streamed(directory, m, m_paths, dt, horizon, seed, name="paths.gate"):
+    """The ensemble :func:`stream_ensemble` writes, read back."""
+    stream_ensemble(m, m_paths, dt, horizon, seed, directory / name)
+    return load_ensemble(directory / name)
+
+
+def reference_rho(m, ens, lag_steps, steps):
+    """The arbitrage estimate projected from whole reference paths at once."""
+    steps = np.asarray(steps)
+    times = steps * ens.dt
+    _, project = _rho_quotients(m, lag_steps * ens.dt, times)
+    return _rho_estimate(project(*_lagged(ens.states, steps, lag_steps), _rows(ens.noise, steps)),
+                         times)
+
+
 # ---------------------------------------------------------------- simulation
 
 
-def test_deterministic_growth_exact():
+def test_deterministic_growth_exact(tmp_path):
     m = model([0.07], np.array([[0.0]]))
-    ens = simulate(m, 16, 0.01, 1.0, seed=1)
+    ens = streamed(tmp_path, m, 16, 0.01, 1.0, seed=1)
     t = ens.times
     expected = np.exp(0.07 * t)
     np.testing.assert_allclose(ens.states[:, :, 0], np.tile(expected, (16, 1)), rtol=1e-12)
@@ -41,148 +63,111 @@ def test_deterministic_growth_exact():
     assert np.any(ens.noise[:, -1, :] != 0.0)
 
 
-def test_seed_determinism_and_sensitivity():
+def test_seed_determinism_and_sensitivity(tmp_path):
     m = model([0.05, 0.02], np.array([[0.2, 0.0], [0.05, 0.15]]))
-    a = simulate(m, 300, 0.01, 0.5, seed=42)
-    b = simulate(m, 300, 0.01, 0.5, seed=42)
-    c = simulate(m, 300, 0.01, 0.5, seed=43)
+    a = streamed(tmp_path, m, 300, 0.01, 0.5, seed=42, name="a.gate")
+    b = streamed(tmp_path, m, 300, 0.01, 0.5, seed=42, name="b.gate")
+    c = streamed(tmp_path, m, 300, 0.01, 0.5, seed=43, name="c.gate")
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.noise, b.noise)
     assert not np.array_equal(a.states, c.states)
 
 
-def test_block_splitting_is_path_stable():
+def test_block_splitting_is_path_stable(tmp_path):
     # the first 4096 paths are one stream: a larger run reproduces them
     m = model([0.05], np.array([[0.2]]))
-    small = simulate(m, 100, 0.01, 0.2, seed=9)
-    large = simulate(m, 4096 + 50, 0.01, 0.2, seed=9)
+    small = streamed(tmp_path, m, 100, 0.01, 0.2, seed=9, name="small.gate")
+    large = streamed(tmp_path, m, 4096 + 50, 0.01, 0.2, seed=9, name="large.gate")
     np.testing.assert_array_equal(large.states[:100], small.states)
 
 
 def test_log_mean_matches_clt():
     alpha, sigma = 0.08, 0.25
     m = model([alpha], np.array([[sigma]]))
-    ens = simulate(m, 20000, 0.005, 1.0, seed=5)
-    t_idx = 200  # t = 1.0
-    logs = np.log(ens.states[:, t_idx, 0])
+    states, _ = lagged_rows(m, 20000, 0.005, 1.0, 5, 100, [100])
+    logs = np.log(states[2, 0, :, 0])  # 100 steps after step 100: t = 1.0
     target = (alpha - 0.5 * sigma**2) * 1.0
-    se = sigma * 1.0 / np.sqrt(ens.n_paths)
+    se = sigma * 1.0 / np.sqrt(logs.size)
     assert abs(logs.mean() - target) < 3 * se
 
 
-def test_states_positive_and_frozen():
+def test_states_positive_and_frozen(tmp_path):
     m = model([0.0, 0.0], np.array([[0.3], [0.2]]))
-    ens = simulate(m, 50, 0.01, 0.3, seed=2)
+    ens = streamed(tmp_path, m, 50, 0.01, 0.3, seed=2)
     assert np.all(ens.states > 0)
     assert np.all(ens.noise[:, 0, :] == 0.0)
     with pytest.raises(ValueError):
         ens.states[0, 0, 0] = 2.0
 
 
-def test_schedule_and_validation():
+def test_schedule_and_validation(tmp_path):
     coeffs = [model([0.1 * (i % 2)], np.array([[0.1]])) for i in range(10)]
-    ens = simulate(coeffs, 8, 0.1, 1.0, seed=3)
+    ens = streamed(tmp_path, coeffs, 8, 0.1, 1.0, seed=3)
     assert ens.states.shape == (8, 11, 1)
     with pytest.raises(ValueError, match="schedule"):
-        simulate(coeffs[:4], 8, 0.1, 1.0, seed=3)
-    with pytest.raises(ValueError, match="integer number"):
-        simulate(coeffs[0], 8, 0.3, 1.0, seed=3)
-
-
-def sequential_reference(seed, m_paths, dt, n_steps, k, sigma=None, drift=None):
-    """Noise (and states, given per-step ``sigma`` and ``drift``) built block by
-    block in one thread from the spawned 4096-path streams."""
-    children = np.random.SeedSequence(seed).spawn(-(-m_paths // 4096))
-    z = np.concatenate([
-        np.random.default_rng(child).standard_normal((min(4096, m_paths - 4096 * c), n_steps, k))
-        for c, child in enumerate(children)
-    ])
-    dw = z * np.sqrt(dt)
-    noise = np.concatenate([np.zeros((m_paths, 1, k)), np.cumsum(dw, axis=1)], axis=1)
-    if sigma is None:
-        return noise, None
-    logs = np.cumsum(drift[None] + np.einsum("mtk,tnk->mtn", dw, sigma), axis=1)
-    states = np.concatenate([np.ones((m_paths, 1, logs.shape[2])), np.exp(logs)], axis=1)
-    return noise, states
-
-
-@pytest.mark.parametrize("m_paths", [2 * 4096 + 50, 300])
-def test_block_pool_matches_sequential_streams(m_paths, monkeypatch):
-    dt, n_steps, seed = 0.05, 20, 17
-    const = model([0.05, -0.02], np.array([[0.2, 0.05], [0.1, 0.3]]))
-    schedule = [model([0.01 * i, -0.02], np.array([[0.2, 0.01 * i], [0.1, 0.3]]))
-                for i in range(n_steps)]
-    expected = []
-    for m in (const, schedule):
-        ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
-        sigma = np.stack([c.sigma for c in ms])
-        drift = (np.stack([c.alpha for c in ms])
-                 - 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)) * dt
-        expected.append(sequential_reference(seed, m_paths, dt, n_steps, 2, sigma, drift))
-    expected_bm = sequential_reference(seed, m_paths, dt, n_steps, 3)[0]
-    # the thread count follows the usable CPUs and must not change a bit, also
-    # with more threads than cores switching as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            for m, (noise, states) in zip((const, schedule), expected):
-                ens = simulate(m, m_paths, dt, n_steps * dt, seed=seed)
-                np.testing.assert_array_equal(ens.noise, noise)
-                np.testing.assert_array_equal(ens.states, states)
-            np.testing.assert_array_equal(brownian_paths(m_paths, dt, n_steps * dt, seed, k=3),
-                                          expected_bm)
-    finally:
-        sys.setswitchinterval(interval)
+        stream_ensemble(coeffs[:4], 8, 0.1, 1.0, 3, tmp_path / "short.gate")
+    # 1.0 / 0.3 is not a whole number of steps: no silent truncation to 0.9
+    for call in (lambda: stream_ensemble(coeffs[0], 8, 0.3, 1.0, 3, tmp_path / "cut.gate"),
+                 lambda: lagged_rows(coeffs[0], 8, 0.3, 1.0, 3, 1, [10])):
+        with pytest.raises(ValueError, match="integer number"):
+            call()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_stream_matches_sequential_streams(cpus, tmp_path, monkeypatch):
     # the file holds the header, then the states and noise of the one-thread
     # reference, whatever the thread count, and load_ensemble reads its rows
-    # back; the estimate each sub-block projects is empirical_rho's on the
-    # in-memory ensemble, bit for bit
-    m_paths, dt, n_steps, seed = 2 * 4096 + 50, 0.05, 20, 17
+    # back; the estimate each sub-block projects is the one projected from the
+    # whole reference ensemble, bit for bit, also when no file is written; the
+    # rows lagged_rows keeps are the reference's rows; 300 paths are one
+    # partial block, 8242 end in one
+    dt, n_steps, seed = 0.05, 20, 17
     b1 = model([0.05, -0.02], np.array([[0.2], [0.1]]), r=[0.01, 0.0])
     b2 = model([0.05, -0.02, 0.03], np.array([[0.2], [0.1], [0.3]]))
+    full = model([0.05, -0.02], np.array([[0.2, 0.05], [0.1, 0.3]]))
     schedule = [model([0.01 * i, -0.02], np.array([[0.2, 0.01 * i], [0.1, 0.3]]))
                 for i in range(n_steps)]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     steps = np.array([10, 14])
-    for m, lag_steps in ((b1, 3), (b2, 3), (schedule, None)):
-        ms = [m] * n_steps if isinstance(m, ItoCoefficients) else m
-        sigma = np.stack([c.sigma for c in ms])
-        drift = (np.stack([c.alpha for c in ms])
-                 - 0.5 * np.einsum("tnk,tnk->tn", sigma, sigma)) * dt
-        n, k = sigma.shape[1:]
-        noise, states = sequential_reference(seed, m_paths, dt, n_steps, k, sigma, drift)
-        f = tmp_path / "paths.gate"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
-        try:
-            est = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, lag_steps, steps)
-        finally:
-            sys.setswitchinterval(interval)
-        header = _HEADER.pack(b"GATE", 1, m_paths, n, k, n_steps, dt, seed)
-        payload = states.astype("<f8").tobytes() + noise.astype("<f8").tobytes()
-        assert f.read_bytes() == header + payload
-        if lag_steps is not None:
-            ref = empirical_rho(simulate(m, m_paths, dt, n_steps * dt, seed), m, lag_steps,
-                                steps)
-            assert est.B == ref.B == n - 1
-            for got, want in ((est.times, ref.times), (est.estimate, ref.estimate),
-                              (est.se, ref.se)):
-                np.testing.assert_array_equal(got, want)
-        else:
-            assert est is None
-        head = load_ensemble(f)
-        np.testing.assert_array_equal(head.states[:600], states[:600])
-        np.testing.assert_array_equal(head.noise[:600], noise[:600])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
+    window = np.stack([steps - 3, steps, steps + 3])
+    f = tmp_path / "paths.gate"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads' writes interleave as often as they can
+    try:
+        for m_paths in (2 * 4096 + 50, 300):
+            for m, lag_steps in ((b1, 3), (b2, 3), (full, 3), (schedule, None)):
+                ref = sequential_reference(m, m_paths, dt, n_steps, seed)
+                n, k = ref.n_assets, ref.n_drivers
+                bare = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, None, lag_steps, steps)
+                assert not any(tmp_path.iterdir())
+                est = stream_ensemble(m, m_paths, dt, n_steps * dt, seed, f, lag_steps, steps)
+                with open(f, "rb") as fh:
+                    assert fh.read(_HEADER.size) == _HEADER.pack(b"GATE", 1, m_paths, n, k,
+                                                                 n_steps, dt, seed)
+                    for a in (ref.states, ref.noise):
+                        assert fh.read(a.nbytes) == a.astype("<f8").tobytes()
+                    assert fh.read() == b""
+                if lag_steps is not None:
+                    want = reference_rho(m, ref, lag_steps, steps)
+                    assert est.B == bare.B == want.B == n - k
+                    for got in (est, bare):
+                        for a, b in ((got.times, want.times), (got.estimate, want.estimate),
+                                     (got.se, want.se)):
+                            np.testing.assert_array_equal(a, b)
+                else:
+                    assert est is None and bare is None
+                head = load_ensemble(f)
+                np.testing.assert_array_equal(head.states[:600], ref.states[:600])
+                np.testing.assert_array_equal(head.noise[:600], ref.noise[:600])
+                states, noise = lagged_rows(m, m_paths, dt, n_steps * dt, seed, 3, steps)
+                np.testing.assert_array_equal(states, ref.states[:, window].transpose(1, 2, 0, 3))
+                np.testing.assert_array_equal(noise, ref.noise[:, window].transpose(1, 2, 0, 3))
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["paths.gate"]
+                f.unlink()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("sigma", [[[0.2], [0.1]], [[0.2, 0.0], [0.1, 0.1], [0.0, 0.3]]],
@@ -193,7 +178,7 @@ def test_stream_lone_path_sub_block(sigma, tmp_path):
     m = model([0.05, -0.02, 0.03][:len(sigma)], np.array(sigma))
     dt, steps = 0.05, [10, 14]
     est = stream_ensemble(m, 513, dt, 1.0, 8, tmp_path / "paths.gate", 3, steps)
-    ref = empirical_rho(simulate(m, 513, dt, 1.0, 8), m, 3, steps)
+    ref = reference_rho(m, sequential_reference(m, 513, dt, 20, 8), 3, steps)
     np.testing.assert_array_equal(est.estimate, ref.estimate)
     np.testing.assert_array_equal(est.se, ref.se)
 
@@ -214,11 +199,14 @@ def test_stream_rejects_schedule_with_report_steps(tmp_path):
     (3, 18, "leaves the simulated horizon"),  # 20 steps: node 21 is off the grid
 ], ids=["step-2-lag-3", "step-0-lag-1", "step-18-lag-3"])
 def test_stream_checks_window_first(tmp_path, m_paths, lag_steps, step, named):
-    # the window of empirical_rho, checked before anything is allocated (10**13
-    # paths of quotients would fail to allocate) or any file is opened
+    # the window of the estimate and of the row gatherer, checked before
+    # anything is allocated (10**13 paths of quotients or rows would fail to
+    # allocate) or any file is opened
     m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
     with pytest.raises(ValueError, match=named):
         stream_ensemble(m, m_paths, 0.05, 1.0, 3, tmp_path / "paths.gate", lag_steps, [step])
+    with pytest.raises(ValueError, match=named):
+        lagged_rows(m, m_paths, 0.05, 1.0, 3, lag_steps, [step])
     assert not any(tmp_path.iterdir())
 
 
@@ -242,11 +230,48 @@ def test_stream_estimate_keeps_no_rows(tmp_path, monkeypatch):
     assert est.estimate.shape == (7, 1)
 
 
-def test_brownian_paths_reject_partial_step():
-    # 1.0 / 0.3 is not a whole number of steps: no silent truncation to 0.9
-    with pytest.raises(ValueError, match="integer number"):
-        brownian_paths(4, 0.3, 1.0, seed=1)
-    assert brownian_paths(4, 0.25, 1.0, seed=1).shape == (4, 5, 1)
+def test_long_horizon_builds_smaller_sub_blocks():
+    # a path of 10^4 steps takes 320 kB of scratch, so a sub-block holds 13
+    # paths, not 512: 53 paths end in a lone path, and the scratch stays
+    # within _SUB_BYTES while the estimate and the rows stay the reference's
+    m = model([0.05, -0.02], np.array([[0.2], [0.1]]), r=[0.01, 0.0])
+    m_paths, dt, steps = 53, 1e-4, np.array([5000, 9000])
+    stream_ensemble(m, 8, dt, 1.0, 5, None, 5, steps)  # first-call imports
+    tracemalloc.start()
+    try:
+        est = stream_ensemble(m, m_paths, dt, 1.0, 5, None, 5, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * _SUB_BYTES, (peak, _SUB_BYTES)
+    ref = sequential_reference(m, m_paths, dt, 10000, 5)
+    want = reference_rho(m, ref, 5, steps)
+    np.testing.assert_array_equal(est.estimate, want.estimate)
+    np.testing.assert_array_equal(est.se, want.se)
+    states, noise = lagged_rows(m, m_paths, dt, 1.0, 5, 5, steps)
+    window = np.stack([steps - 5, steps, steps + 5])
+    np.testing.assert_array_equal(states, ref.states[:, window].transpose(1, 2, 0, 3))
+    np.testing.assert_array_equal(noise, ref.noise[:, window].transpose(1, 2, 0, 3))
+
+
+def test_lagged_rows_keep_no_ensemble(monkeypatch):
+    # the gatherer copies three state and noise rows per report step out of
+    # each sub-block and drops it, so it never holds the ensemble it runs
+    # through
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = model([0.05, 0.05], np.array([[0.2], [0.1]]))
+    m_paths, dt, steps = 3 * 4096, 0.005, [50, 100, 150]
+    ensemble_bytes = 8 * m_paths * 201 * (2 + 1)  # (M, n_steps + 1, N + K)
+    lagged_rows(m, 8, dt, 1.0, 4, 5, steps)  # first-call imports
+    tracemalloc.start()
+    try:
+        states, noise = lagged_rows(m, m_paths, dt, 1.0, 4, 5, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * ensemble_bytes, (peak, ensemble_bytes)
+    assert states.shape == (3, 3, m_paths, 2) and noise.shape == (3, 3, m_paths, 1)
 
 
 # ---------------------------------------------------------------- estimators
@@ -256,10 +281,10 @@ def test_estimator_config_guards():
     # neighbors is a count of at least 8; the earliest estimation step,
     # MIN_STEP = 10, is counted in steps, so no dt is small enough to let a
     # report at step 3 through
-    w = brownian_paths(64, 0.01, 1.0, seed=2)
+    _, w = lagged_rows(BROWNIAN, 64, 0.01, 1.0, 2, 5, [50])
     for bad in (4, 8.5):
         with pytest.raises(ValueError, match="neighbors must be"):
-            nelson_derivatives(w[:, :, 0], w, 0.01, 5, bad, [50])
+            nelson_derivatives(w[..., 0], w[1], 0.01, 5, bad)
     with pytest.raises(ValueError, match="estimation time 3e-14 below t_min 1e-13"):
         estimation_steps(1e-14, 101, 1, [3e-14])
 
@@ -281,18 +306,20 @@ def test_estimator_window():
 
 def test_bad_lag_steps_rejected_by_every_estimator(tmp_path):
     # the lag counts grid steps: a lag of 0, -1 or 2.4 steps is a ValueError
-    # in every estimator, never an IndexError, a TypeError or a biased estimate
+    # in every entry point that takes one, never an IndexError, a TypeError or
+    # a biased estimate
     sigma = np.array([[0.2], [0.1]])
     m = ItoCoefficients((sigma @ [0.3]).ravel(), sigma, np.zeros(2))
-    ens = simulate(m, 64, 0.005, 1.0, seed=8)
+    dt = 0.005
+    states, _ = lagged_rows(m, 64, dt, 1.0, 8, 5, [100])
     for lag_steps in (0, -1, 2.4):
         calls = [
-            lambda: empirical_rho(ens, m, lag_steps, [100]),
-            lambda: nelson_derivatives(ens.states[:, :, 0], ens.states, ens.dt, lag_steps, 8,
-                                       [100]),
-            lambda: estimation_steps(ens.dt, 201, lag_steps, [0.5]),
-            lambda: stream_ensemble(m, 64, ens.dt, 1.0, 8, tmp_path / "paths.gate", lag_steps,
+            lambda: stream_ensemble(m, 64, dt, 1.0, 8, None, lag_steps, [100]),
+            lambda: stream_ensemble(m, 64, dt, 1.0, 8, tmp_path / "paths.gate", lag_steps,
                                     [100]),
+            lambda: lagged_rows(m, 64, dt, 1.0, 8, lag_steps, [100]),
+            lambda: nelson_derivatives(states[..., 0], states[1, :, :, :1], dt, lag_steps, 8),
+            lambda: estimation_steps(dt, 201, lag_steps, [0.5]),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="lag_steps must be"):
@@ -301,16 +328,16 @@ def test_bad_lag_steps_rejected_by_every_estimator(tmp_path):
 
 
 def test_insufficient_neighbors_error():
-    w = brownian_paths(16, 0.01, 1.0, seed=1)
+    _, w = lagged_rows(BROWNIAN, 16, 0.01, 1.0, 1, 5, [50])
     with pytest.raises(ValueError, match="insufficient neighbors: requested 64"):
-        nelson_derivatives(w[:, :, 0], w, 0.01, 5, 64, [50])
+        nelson_derivatives(w[..., 0], w[1], 0.01, 5, 64)
 
 
 def test_vector_state_rejected():
     # the estimator conditions on one scalar state; a second asset would be ignored
-    w = brownian_paths(64, 0.01, 1.0, seed=2, k=2)
+    _, w = lagged_rows(model([0.0], np.array([[1.0, 0.5]])), 64, 0.01, 1.0, 2, 5, [50])
     with pytest.raises(ValueError, match="dimension 2"):
-        nelson_derivatives(w[:, :, 0], w, 0.01, 5, 8, [50])
+        nelson_derivatives(w[..., 0], w[1], 0.01, 5, 8)
 
 
 @pytest.mark.parametrize("k", [8, 250, 2000])
@@ -349,10 +376,10 @@ def test_deterministic_functional_recovers_time_derivative():
     # Q(t) = g(t) with no noise: forward/backward quotients straddle g'
     dt = 0.01
     m = model([0.06], np.array([[0.0]]))
-    ens = simulate(m, 16, dt, 1.0, seed=0)
-    g_vals = np.log(ens.states[:, :, 0]) ** 2  # g(t) = (0.06 t)^2
+    states, _ = lagged_rows(m, 16, dt, 1.0, 0, 5, [50])
+    g_vals = np.log(states[..., 0]) ** 2  # g(t) = (0.06 t)^2
     lag = 5 * dt
-    est = nelson_derivatives(g_vals, ens.states, dt, 5, 8, [50])
+    est = nelson_derivatives(g_vals, states[1], dt, 5, 8)
     t = 0.5
     g_prime = 2 * 0.06**2 * t
     assert est.forward[0].mean() == pytest.approx(g_prime, abs=0.06**2 * lag * 1.1)
@@ -378,11 +405,10 @@ def brownian_bin_check(w, est, t, n_bins=10):
 def test_brownian_derivatives_state_binned():
     dt = 1e-3
     h = 5 * dt
-    w = brownian_paths(20000, dt, 1.0, seed=11)
-    i = 500  # t = 0.5
-    est = nelson_derivatives(w[:, :, 0], w, dt, 5, 100, [i])
+    _, w = lagged_rows(BROWNIAN, 20000, dt, 1.0, 11, 5, [500])  # t = 0.5
+    est = nelson_derivatives(w[..., 0], w[1], dt, 5, 100)
     t = 0.5
-    wt = w[:, i, 0]
+    wt = w[1, 0, :, 0]
     quotient_sd = np.sqrt(1.0 / h)  # var of the raw difference quotients
     for w_bin, sel in brownian_bin_check(wt, est, t):
         n_b = sel.sum()
@@ -396,11 +422,10 @@ def test_gbm_mean_derivative_matches_analytic():
     alpha, sigma = 0.1, 0.3
     dt = 1e-3
     m = model([alpha], np.array([[sigma]]))
-    ens = simulate(m, 20000, dt, 1.0, seed=21)
-    i = 500
+    states, noise = lagged_rows(m, 20000, dt, 1.0, 21, 5, [500])
     t = 0.5
-    est = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states, dt, 5, 100, [i])
-    wt = ens.noise[:, i, 0]
+    est = nelson_derivatives(np.log(states[..., 0]), states[1], dt, 5, 100)
+    wt = noise[1, 0, :, 0]
     target = alpha - 0.5 * sigma**2 + sigma * wt / (2 * t)
     quotient_sd = sigma * np.sqrt(1.0 / (2 * 5 * dt))
     edges = np.quantile(wt, np.linspace(0, 1, 11))
@@ -420,8 +445,7 @@ def test_empirical_rho_zc_model_is_zero():
     sigma = np.array([[0.2], [0.1]])
     alpha = (sigma @ [0.3]).ravel()
     m = ItoCoefficients(alpha, sigma, np.zeros(2))
-    ens = simulate(m, 2000, 0.005, 1.0, seed=7)
-    est = empirical_rho(ens, m, 5, [80, 120, 160])
+    est = stream_ensemble(m, 2000, 0.005, 1.0, 7, None, 5, [80, 120, 160])
     # the kernel projection annihilates the driving noise exactly, so the
     # estimate collapses onto the planted value
     assert np.max(np.abs(est.estimate)) < 1e-9
@@ -434,15 +458,15 @@ def test_empirical_rho_planted_value():
     planted = 0.02
     alpha = (sigma @ [0.3]).ravel() + planted * basis.J[:, 0]
     m = ItoCoefficients(alpha, sigma, np.zeros(2))
-    ens = simulate(m, 2000, 0.005, 1.0, seed=8)
-    est = empirical_rho(ens, m, 5, [100, 150])
+    est = stream_ensemble(m, 2000, 0.005, 1.0, 8, None, 5, [100, 150])
     assert np.allclose(est.estimate, planted, atol=max(3 * est.se.max(), 1e-9))
 
 
 def test_empirical_rho_se_shrinks_with_paths():
     # direction-varying volatility keeps genuine noise in the projected
     # responses (a constant direction is annihilated exactly), so the
-    # standard error must scale like 1/sqrt(M)
+    # standard error must scale like 1/sqrt(M); the estimate refuses a
+    # schedule, so the reference paths are projected
     dt = 0.005
     n_steps = 200
     times = np.arange(n_steps) * dt
@@ -459,8 +483,8 @@ def test_empirical_rho_se_shrinks_with_paths():
     model_at_bucket = schedule[i_bucket]
     ses = []
     for m_paths, seed in ((2000, 5), (4000, 5)):
-        ens = simulate(schedule, m_paths, dt, 1.0, seed=seed)
-        est = empirical_rho(ens, model_at_bucket, 5, [i_bucket])
+        ens = sequential_reference(schedule, m_paths, dt, n_steps, seed)
+        est = reference_rho(model_at_bucket, ens, 5, [i_bucket])
         ses.append(float(est.se[0, 0]))
     ratio = ses[0] / ses[1]
     assert np.sqrt(2) * 0.8 < ratio < np.sqrt(2) * 1.2
@@ -468,8 +492,7 @@ def test_empirical_rho_se_shrinks_with_paths():
 
 def test_empirical_rho_single_asset_empty():
     m = model([0.1], np.array([[0.2]]))
-    ens = simulate(m, 500, 0.005, 0.5, seed=9)
-    est = empirical_rho(ens, m, 5, [60])
+    est = stream_ensemble(m, 500, 0.005, 0.5, 9, None, 5, [60])
     assert est.B == 0
     assert est.estimate.shape == (1, 0)
 
@@ -479,7 +502,7 @@ def test_empirical_rho_single_asset_empty():
 
 def test_ensemble_round_trip(tmp_path):
     m = model([0.05, 0.01], np.array([[0.2, 0.0], [0.1, 0.1]]))
-    ens = simulate(m, 37, 0.01, 0.25, seed=4)
+    ens = sequential_reference(m, 37, 0.01, 25, seed=4)
     f = tmp_path / "paths.gate"
     stream_ensemble(m, 37, 0.01, 0.25, 4, f)
     back = load_ensemble(f)
@@ -501,16 +524,15 @@ def test_ensemble_written_without_copies(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ens = simulate(m, 3 * 4096, 0.01, 1.0, seed=4)
-    payload = ens.states.nbytes + ens.noise.nbytes
+    payload = 8 * 3 * 4096 * 101 * (2 + 2)
     assert peak < 0.25 * payload
-    # the layout: header, then states and noise as little-endian float64 in C order
-    header = _HEADER.pack(b"GATE", 1, 3 * 4096, 2, 2, 100, 0.01, 4)
-    reference = header + ens.states.astype("<f8").tobytes() + ens.noise.astype("<f8").tobytes()
-    assert f.read_bytes() == reference
+    # the layout, byte for byte, is test_stream_matches_sequential_streams's;
+    # here the size and the first block's head
+    assert f.stat().st_size == _HEADER.size + payload
+    ens = sequential_reference(m, 600, 0.01, 100, seed=4)
     back = load_ensemble(f)
-    np.testing.assert_array_equal(back.states, ens.states)
-    np.testing.assert_array_equal(back.noise, ens.noise)
+    np.testing.assert_array_equal(back.states[:600], ens.states)
+    np.testing.assert_array_equal(back.noise[:600], ens.noise)
 
 
 def test_ensemble_bad_magic(tmp_path):
@@ -598,7 +620,7 @@ def per_step_reference(ens, m, k, neighbors, steps):
         out["nb"].append(d_b)
         out["nm"].append(0.5 * (d_f + d_b))
         out["nse"].append(raw.std(ddof=1) / np.sqrt(raw.size))
-        # empirical_rho
+        # the arbitrage estimate of stream_ensemble
         fq = (logs[:, i + k] - logs[:, i]) / lag
         bq = (logs[:, i] - logs[:, i - k]) / lag
         w_corr = ens.noise[:, i, :] / (2.0 * t)
@@ -616,12 +638,13 @@ def test_estimators_match_per_step_reference(sigma):
     n = sigma.shape[0]
     m = ItoCoefficients(np.linspace(0.03, 0.06, n), sigma, np.linspace(0.0, 0.02, n))
     dt = 0.01
-    ens = simulate(m, 9000, dt, 0.5, seed=17)
+    ens = sequential_reference(m, 9000, dt, 50, seed=17)
     steps = [10, 20, 33, 47]
     ref = per_step_reference(ens, m, 3, 45, steps)
 
-    nel = nelson_derivatives(np.log(ens.states[:, :, 0]), ens.states[:, :, :1], dt, 3, 45, steps)
-    rho = empirical_rho(ens, m, 3, steps)
+    states, _ = lagged_rows(m, 9000, dt, 0.5, 17, 3, steps)
+    nel = nelson_derivatives(np.log(states[..., 0]), states[1, :, :, :1], dt, 3, 45)
+    rho = stream_ensemble(m, 9000, dt, 0.5, 17, None, 3, steps)
     assert rho.B == n - 1
     for name, got in [("nf", nel.forward), ("nb", nel.backward), ("nm", nel.mean),
                       ("nse", nel.se), ("rho", rho.estimate), ("rhose", rho.se)]:

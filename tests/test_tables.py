@@ -213,8 +213,8 @@ def test_long_table_split_across_cpus_is_the_same_file(tmp_path, monkeypatch, fo
 
 
 def test_long_table_parts_run_inline_without_fork(tmp_path, monkeypatch, forked_pids):
-    # with two CPUs and no os.fork the table is still cut in two, the second
-    # part is written inline, and the file is the one-CPU file
+    # with two CPUs and no os.fork the table is one part, written once into
+    # path.partial, and the file is the one-CPU file
     header, keys, axis = ["k", "a", "v", "w"], LONG_KEYS, LONG_AXIS
     usable_cpus(monkeypatch, 1)
     write_long_csv(tmp_path / "one.csv", header, keys, axis, LONG_VALUES.__getitem__)
@@ -228,6 +228,6 @@ def test_long_table_parts_run_inline_without_fork(tmp_path, monkeypatch, forked_
 
     monkeypatch.setattr(tables, "_write_blocks", recording)
     write_long_csv(tmp_path / "inline.csv", header, keys, axis, LONG_VALUES.__getitem__)
-    assert parts == [keys[:150].tolist(), keys[150:].tolist()] and forked_pids == []
+    assert parts == [keys.tolist()] and forked_pids == []
     assert (tmp_path / "inline.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     assert sorted(q.name for q in tmp_path.iterdir()) == ["inline.csv", "one.csv"]
