@@ -14,12 +14,14 @@ rejected; integer fields take JSON integers only, sizes at most
 the config's ``seed``.
 All randomness flows from the single ``seed`` field; outputs carry no
 wall-clock entropy, so reruns are byte-identical.  Commands turn config
-sections into library objects and write what the library returns.  Exit
-codes: 0 success / no arbitrage flagged, 1 the analysis flags arbitrage or a
-cross-route mismatch, 2 usage or config error (including values the library
-rejects while building its objects, runs too large to allocate, and an output
-directory that cannot be written), 3 internal failure of the numerics or any
-other unexpected exception.
+sections into library objects, write the tables the library returns and return
+their findings; ``main`` alone writes ``run_meta.json``, after the tables,
+prints the one summary line and sets the exit code.  Exit codes: 0 success /
+no arbitrage flagged, 1 the analysis flags arbitrage or a cross-route mismatch,
+2 usage or config error (including values the library rejects while building
+its objects, runs too large to allocate, and an output directory that cannot
+be written), 3 internal failure of the numerics or any other unexpected
+exception.
 """
 
 from __future__ import annotations
@@ -250,52 +252,34 @@ def _call_spec(cfg: dict) -> pricing.CallSpec:
     return pricing.CallSpec(**call)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with replacing(path) as fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-
-
-def _meta_skeleton(cfg: dict, command: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": cfg,
-        "package": "itoarb",
-    }
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its tables and returns ``(flagged, found, summary)``:
+# whether the analysis flags (exit 1), its own ``run_meta.json`` fields, and
+# its stdout line after ``"<command>: "``
 
 
-def cmd_check_zc(cfg: dict, out: Path) -> int:
+def cmd_check_zc(cfg: dict, out: Path) -> tuple[bool, dict, str]:
     if "market" not in cfg:
         raise ConfigError("check-zc requires a 'market' section")
     with _config_values():
         times, coeffs = _market_schedule(cfg)
     tol = cfg.get("zc_tolerance", 1e-8)
-    rows = []
     worst = 0.0
-    for c in coeffs:
-        rho_vec = geometry.rho(c)
-        res = geometry.zc_residual(c)
-        worst = max(worst, res)
-        rows.append((c.t, res, rho_vec.size, rho_vec))
     with replacing(out / "zc_report.csv") as fh:
         fh.write(b"t,zc_residual,kernel_dim,rho_norm,rho_components\n")
-        for t, res, b, vec in rows:
+        for c in coeffs:
+            vec = geometry.rho(c)
+            res = geometry.zc_residual(c)
+            worst = max(worst, res)
             comp = ";".join(f"{v:.12g}" for v in vec)
-            fh.write(f"{t:.12g},{res:.12g},{b},{geometry.norm(vec):.12g},{comp}\n".encode())
-    meta = _meta_skeleton(cfg, "check-zc")
-    meta["max_zc_residual"] = worst
-    meta["tolerance"] = tol
-    meta["arbitrage_flagged"] = bool(worst >= tol)
-    _write_json(out / "run_meta.json", meta)
-    print(f"check-zc: max residual {worst:.3e} (tolerance {tol:.1e})")
-    return ANALYSIS_FLAG if worst >= tol else 0
+            fh.write(f"{c.t:.12g},{res:.12g},{vec.size},{geometry.norm(vec):.12g},{comp}\n"
+                     .encode())
+    flagged = bool(worst >= tol)
+    return (flagged, {"max_zc_residual": worst, "tolerance": tol, "arbitrage_flagged": flagged},
+            f"max residual {worst:.3e} (tolerance {tol:.1e})")
 
 
-def cmd_price(cfg: dict, out: Path) -> int:
+def cmd_price(cfg: dict, out: Path) -> tuple[bool, dict, str]:
     so = cfg.get("surface_output", {})
     with _config_values():
         spec = _call_spec(cfg)
@@ -309,16 +293,12 @@ def cmd_price(cfg: dict, out: Path) -> int:
     surf = pricing.price_discounted(sol, x_nodes[None, :], t_nodes[:, None])
     write_long_csv(out / "price_surface.csv", ["t", "X", "Phi"], t_nodes, x_nodes,
                    surf.__getitem__)
-    meta = _meta_skeleton(cfg, "price")
-    meta["diagnostics"] = dict(sol.diagnostics)
-    meta["convergence"] = conv
-    _write_json(out / "run_meta.json", meta)
-    print(f"price: ATM probe {conv['probe_price']:.6f}, "
-          f"doubling change {conv['relative_change_on_doubling']:.2e}")
-    return 0 if conv["converged"] else ANALYSIS_FLAG
+    return (not conv["converged"], {"diagnostics": dict(sol.diagnostics), "convergence": conv},
+            f"ATM probe {conv['probe_price']:.6f}, "
+            f"doubling change {conv['relative_change_on_doubling']:.2e}")
 
 
-def cmd_solve_pde(cfg: dict, out: Path) -> int:
+def cmd_solve_pde(cfg: dict, out: Path) -> tuple[bool, dict, str]:
     with _config_values():
         spec = _call_spec(cfg)
         grid = fdsolver.PdeGrid(**cfg.get("pde_grid", {}))
@@ -328,15 +308,11 @@ def cmd_solve_pde(cfg: dict, out: Path) -> int:
     with tempfile.TemporaryFile(dir=out) as spill:
         x, t, atm, row = fdsolver.spill(spec, grid, spill.fileno())
         write_long_csv(out / "pde_surface.csv", ["t", "X", "Phi"], t, x, row)
-    meta = _meta_skeleton(cfg, "solve-pde")
-    meta["grid"] = {"n_x": x.size, "n_t": t.size, "x_min": float(x[0]), "x_max": float(x[-1])}
-    meta["probe_price_atm_t0"] = atm
-    _write_json(out / "run_meta.json", meta)
-    print(f"solve-pde: ATM probe {atm:.6f}")
-    return 0
+    grid = {"n_x": x.size, "n_t": t.size, "x_min": float(x[0]), "x_max": float(x[-1])}
+    return False, {"grid": grid, "probe_price_atm_t0": atm}, f"ATM probe {atm:.6f}"
 
 
-def cmd_compare(cfg: dict, out: Path) -> int:
+def cmd_compare(cfg: dict, out: Path) -> tuple[bool, dict, str]:
     compare = cfg.get("compare", {})
     with _config_values():
         spec = _call_spec(cfg)
@@ -347,20 +323,16 @@ def cmd_compare(cfg: dict, out: Path) -> int:
     header = ["rho", "max_abs_error_adopted", "max_abs_error_rejected"]
     write_csv(out / "compare_report.csv", header, [np.column_stack(
         [adopted["rhos"], adopted["max_abs_error"], rejected["max_abs_error"]])])
-    meta = _meta_skeleton(cfg, "compare")
-    meta["comparison"] = report
-    _write_json(out / "run_meta.json", meta)
     ok = report["adjudication_ok"]
-    print(
-        "compare: observed orders (adopted constant): "
+    return not ok, {"comparison": report}, (
+        "observed orders (adopted constant): "
         + ", ".join(f"{p:.2f}" for p in adopted["observed_orders"])
         + " (error ratios " + ", ".join(f"{r:.2f}" for r in adopted["halving_ratios"]) + ")"
         + ("  [third-order confirmed]" if ok else "  [MISMATCH]")
     )
-    return 0 if ok else ANALYSIS_FLAG
 
 
-def cmd_simulate(cfg: dict, out: Path) -> int:
+def cmd_simulate(cfg: dict, out: Path) -> tuple[bool, dict, str]:
     if "market" not in cfg or "estimator" not in cfg:
         raise ConfigError("simulate requires 'market' and 'estimator' sections")
     est = cfg["estimator"]
@@ -368,8 +340,12 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     with _config_values():
         times, coeffs = _market_schedule(cfg)
         n_times = mc.step_count(est["dt"], est["horizon"]) + 1
-        report_times = est.get("report_times", np.linspace(0.2, 0.8, 7) * est["horizon"])
-        idx = mc.estimation_steps(est["dt"], n_times, lag_steps, report_times)
+    try:
+        idx = mc.estimation_steps(est["dt"], n_times, lag_steps, est.get(
+            "report_times", np.linspace(0.2, 0.8, 7) * est["horizon"]))
+    except ValueError as exc:
+        default = "" if "report_times" in est else " (default 0.2-0.8 x horizon)"
+        raise ConfigError(f"estimator.report_times{default}: {exc}") from exc
     if times.size > 1:
         raise ConfigError("simulate needs a constant market: 'market.times' "
                           f"has {times.size} entries, at most one is supported")
@@ -383,14 +359,11 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         pairs = np.full((result.times.size, 2), np.nan)
     header = ["t"] + [f"{c}_{b + 1}" for b in range(max(result.B, 1)) for c in ("rho", "se")]
     write_csv(out / "rho_estimates.csv", header, [np.column_stack([result.times, pairs])])
-    meta = _meta_skeleton(cfg, "simulate")
-    meta["kernel_dim"] = result.B
+    found = {"kernel_dim": result.B}
     if result.B:
-        meta["rho_estimate_time_mean"] = [float(v) for v in result.estimate.mean(axis=0)]
-        meta["rho_se_time_mean"] = [float(v) for v in result.se.mean(axis=0)]
-    _write_json(out / "run_meta.json", meta)
-    print(f"simulate: {est['paths']} paths, kernel dimension {result.B}")
-    return 0
+        found["rho_estimate_time_mean"] = [float(v) for v in result.estimate.mean(axis=0)]
+        found["rho_se_time_mean"] = [float(v) for v in result.se.mean(axis=0)]
+    return False, found, f"{est['paths']} paths, kernel dimension {result.B}"
 
 
 COMMANDS = {
@@ -421,7 +394,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, out)
+        flagged, found, summary = COMMANDS[args.command](cfg, out)
+        # after the tables, so a failed run writes no run_meta.json
+        meta = {"schema_version": SCHEMA_VERSION, "command": args.command, "config": cfg,
+                "package": "itoarb", **found}
+        with replacing(out / "run_meta.json") as fh:
+            fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        print(f"{args.command}: {summary}")
+        return ANALYSIS_FLAG if flagged else 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

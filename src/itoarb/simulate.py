@@ -119,7 +119,7 @@ def _window(dt: float, n_times: int, lag_steps: int, t_indices, times=None) -> n
     Raises ``ValueError`` unless ``lag_steps`` is an integer of at least 1,
     and every step is at least ``MIN_STEP`` with its window ``[i - lag_steps,
     i + lag_steps]`` on the grid.  The message names a step by its entry of
-    ``times`` (default: its grid time).
+    ``times`` (default: its grid time), as a ``%.12g`` cell.
     """
     _check_count(lag_steps, "lag_steps", 1)
     steps = np.atleast_1d(np.asarray(t_indices, dtype=int))
@@ -129,8 +129,8 @@ def _window(dt: float, n_times: int, lag_steps: int, t_indices, times=None) -> n
         j = int(np.argmax(bad))  # the first offending step decides the message
         t = steps[j] * dt if times is None else times[j]
         if early[j]:
-            raise ValueError(f"estimation time {t} below t_min {MIN_STEP * dt}")
-        raise ValueError(f"lag window of estimation time {t} leaves the simulated horizon")
+            raise ValueError(f"estimation time {t:.12g} below t_min {MIN_STEP * dt:.12g}")
+        raise ValueError(f"lag window of estimation time {t:.12g} leaves the simulated horizon")
     return steps
 
 

@@ -1,8 +1,9 @@
 """Output files, each written whole or not at all.
 
 The one table format is a header line, then comma-separated ``%.12g`` cells,
-LF-ended.  A file is written as ``path.partial`` and renamed to ``path`` only
-when complete (:func:`replacing`).  A long table reads its blocks by key
+LF-ended, and one formatter writes every row of it (``_write_blocks``).  A file
+is written as ``path.partial`` and renamed to ``path`` only when complete
+(:func:`replacing`).  A long table reads its blocks by key
 index, ``block(i)``; where :func:`forked` runs children, one of ``2 *
 MIN_PART_CELLS`` cells or more is formatted in consecutive runs of keys, one
 per usable CPU, each past the first in a child, and each run reads only its
@@ -120,12 +121,15 @@ def write_csv(path, header, blocks) -> None:
     with replacing(path) as fh:
         fh.write(",".join(header).encode() + b"\n")
         for block in blocks:
-            row = b",".join([b"%.12g"] * block.shape[1]) + b"\n"
-            fh.write(b"".join([row % tuple(r) for r in block.tolist()]))
+            # a row is its first cell joined before the template of the rest
+            rows = [b"", b",%.12g" * (block.shape[1] - 1) + b"\n"]
+            _write_blocks(fh, rows, block[:, 0].tolist(), block[:, 1:])
 
 
 def _write_blocks(fh, rows, keys, blocks) -> None:
-    """Write one block of :func:`write_long_csv` per key to ``fh`` and flush it."""
+    """Write one block per key to ``fh`` and flush it: the templates ``rows``
+    joined by the key's cell, filled with the block's cells.  The one ``%.12g``
+    row formatter."""
     for key, block in zip(keys, blocks):
         fh.write((b"%.12g" % key).join(rows) % tuple(np.ravel(block).tolist()))
     fh.flush()

@@ -659,13 +659,35 @@ def test_price_surface_and_metadata(tmp_path):
     assert meta["convergence"]["converged"] is True
 
 
-def test_price_rerun_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, "p.json", price_cfg(rho=0.01))
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["price", "--config", cfg, "--out", out1]) == 0
-    assert run(["price", "--config", cfg, "--out", out2]) == 0
-    for name in ("price_surface.csv", "run_meta.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+RERUNS = [  # command, config, exit code
+    ("check-zc", sim_cfg(), 1),  # the planted misalignment flags
+    ("price", price_cfg(rho=0.01), 0),
+    ("solve-pde", {"schema_version": 1, "call": dict(BASE_CALL, rho=0.02),
+                   "pde_grid": {"n_x": 65, "n_t": 64}}, 0),
+    ("compare", README_CALL, 0),
+    ("simulate", sim_cfg(), 0),
+]
+
+
+@pytest.mark.parametrize("command, payload, code", RERUNS, ids=[r[0] for r in RERUNS])
+def test_rerun_byte_identical(tmp_path, capsys, command, payload, code):
+    # every command closes its run alike: the same bytes in every file, a
+    # run_meta.json with the common fields and the config after --seed, one
+    # stdout line and the verdict's exit code
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    files = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run([command, "--config", cfg, "--out", out, "--seed", 5]) == code
+        stdout = capsys.readouterr().out
+        assert stdout.startswith(f"{command}: ") and stdout.count("\n") == 1, stdout
+        assert stdout.endswith("\n")
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] == files[1]
+    meta = json.loads(files[0]["run_meta.json"])
+    assert {k: meta[k] for k in ("schema_version", "command", "config", "package")} == {
+        "schema_version": 1, "command": command, "config": dict(payload, seed=5),
+        "package": "itoarb"}
 
 
 @pytest.mark.parametrize("surface", [
@@ -1137,7 +1159,11 @@ def test_simulate_no_kernel_writes_nan_pair(tmp_path):
     ([0.999], "lag window of estimation time 0.999 leaves the simulated horizon"),
     ([1e300], "report time 1e+300 outside"),  # would overflow the int cast
     ([-0.5], "report time -0.5 outside"),
-], ids=["before-t-min", "lag-past-horizon", "huge", "negative"])
+    # no report_times at horizon 0.1: the default starts at 0.2 * 0.1, which
+    # reads 0.020000000000000004 in full
+    (None, "error: estimator.report_times (default 0.2-0.8 x horizon): "
+           "estimation time 0.02 below t_min 0.05\n"),
+], ids=["before-t-min", "lag-past-horizon", "huge", "negative", "default-before-t-min"])
 def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, capsys,
                                                         report_times, named):
     calls = []
@@ -1148,6 +1174,9 @@ def test_simulate_checks_report_times_before_simulating(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli.mc, "stream_ensemble", no_simulation)
     payload = sim_cfg(paths=20000, dt=0.005, report_times=report_times)
+    if report_times is None:
+        del payload["estimator"]["report_times"]
+        payload["estimator"]["horizon"] = 0.1
     cfg = write_cfg(tmp_path, "early.json", payload)
     out = tmp_path / "early"
     with warnings.catch_warnings(record=True) as caught:
